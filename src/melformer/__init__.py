@@ -24,6 +24,7 @@ from .dsp import LogmelSpectrogram, Waveform, logmel, mel_filterbank
 from .errors import (
     ConfigError,
     DataError,
+    GraphError,
     MelformerError,
     NumericError,
     ShapeError,
@@ -75,6 +76,7 @@ __all__ = [
     "DataError",
     "EvalReport",
     "FinetuneConfig",
+    "GraphError",
     "LabeledExample",
     "LogmelSpectrogram",
     "Manifest",

@@ -9,6 +9,7 @@ little-endian float32 blob; round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import wave
 from dataclasses import dataclass, field
@@ -29,7 +30,10 @@ SPLITS = ("train", "valid", "eval")
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Load a PCM16 mono 16 kHz RIFF file, scaled to [-1, 1] by 1/32768."""
+    """Load a PCM16 mono 16 kHz RIFF file, scaled to [-1, 1] by 1/32768.
+
+    Samples are float32, which holds every k/32768 exactly.
+    """
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as wav:
@@ -45,7 +49,8 @@ def read_wav(path: str | Path) -> Waveform:
             raw = wav.readframes(wav.getnframes())
     except wave.Error as exc:
         raise DataError(f"{path.name}: not a readable RIFF/WAVE file ({exc})") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
+    samples /= 32768.0
     return Waveform(samples=samples, sample_rate=SAMPLE_RATE)
 
 
@@ -278,14 +283,18 @@ def save_checkpoint(
     (staging / "header.json").write_text(json.dumps(header, indent=2) + "\n")
     with (staging / "arrays.bin").open("wb") as blob:
         for name in ordered:
-            blob.write(np.ascontiguousarray(arrays[name]).astype("<f4", copy=False).tobytes())
+            blob.write(np.ascontiguousarray(arrays[name], dtype="<f4"))
     if path.exists():
         shutil.rmtree(path)
     staging.rename(path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint directory back, validating sizes and version."""
+    """Read a checkpoint directory back, validating sizes and version.
+
+    The blob is read once; the arrays are writable, non-overlapping views
+    of that one buffer.
+    """
     path = Path(path)
     header_path = path / "header.json"
     blob_path = path / "arrays.bin"
@@ -299,18 +308,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise StorageError(
             f"{path}: unsupported format version {header.get('format_version')}"
         )
-    blob = blob_path.read_bytes()
+    blob = np.fromfile(blob_path, dtype=np.uint8)
     expected = sum(e["nbytes"] for e in header["arrays"])
-    if len(blob) != expected:
-        raise StorageError(f"{path}: blob is {len(blob)} bytes, header says {expected}")
+    if blob.size != expected:
+        raise StorageError(f"{path}: blob is {blob.size} bytes, header says {expected}")
     arrays = {}
     for entry in header["arrays"]:
-        count = entry["nbytes"] // 4
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
-        arr = flat.reshape(entry["shape"]).copy()
-        if arr.nbytes != entry["nbytes"]:
+        start, nbytes = entry["offset"], entry["nbytes"]
+        if nbytes != 4 * math.prod(entry["shape"]) or start + nbytes > blob.size:
             raise StorageError(f"{path}: shape/byte mismatch for '{entry['name']}'")
-        arrays[entry["name"]] = arr
+        arrays[entry["name"]] = blob[start : start + nbytes].view("<f4").reshape(entry["shape"])
     opt_header = header.get("optimizer")
     optimizer_arrays = None
     optimizer_step = 0

@@ -9,6 +9,7 @@ natural log. All functions here are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,20 @@ LOG_FLOOR = 1e-10
 
 @dataclass
 class Waveform:
-    """Mono audio samples in [-1, 1] at a fixed sample rate."""
+    """Mono audio samples in [-1, 1] at a fixed sample rate.
+
+    float32 and float64 samples are kept as given; any other input is cast
+    to float64.
+    """
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
+        samples = np.asarray(self.samples).reshape(-1)
+        if samples.dtype != np.float32 and samples.dtype != np.float64:
+            samples = samples.astype(np.float64)
+        self.samples = samples
         if self.samples.size == 0:
             raise DataError("empty waveform")
         if self.sample_rate <= 0:
@@ -62,6 +70,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache
 def mel_filterbank(
     num_bands: int = NUM_MEL_BANDS,
     sample_rate: int = SAMPLE_RATE,
@@ -70,7 +79,8 @@ def mel_filterbank(
     """Triangular filters over rfft bins, (num_bands, fft_size//2 + 1).
 
     Band centers are equally spaced on the mel scale between 0 Hz and
-    Nyquist; every filter has positive area.
+    Nyquist; every filter has positive area. Built once per argument set and
+    shared, so the returned array is read-only.
     """
     if num_bands < 1:
         raise ConfigError(f"num_bands must be >= 1, got {num_bands}")
@@ -87,6 +97,7 @@ def mel_filterbank(
         fbank[m] = np.maximum(0.0, np.minimum(rising, falling))
     if np.any(fbank.sum(axis=1) <= 0.0):
         raise ConfigError("mel filterbank has an empty band; fft_size too small")
+    fbank.flags.writeable = False
     return fbank
 
 

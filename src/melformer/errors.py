@@ -16,6 +16,10 @@ class NumericError(MelformerError):
     """A computation produced NaN/Inf or was asked to continue from one."""
 
 
+class GraphError(MelformerError):
+    """A computation graph was used again after backward consumed it."""
+
+
 class ConfigError(MelformerError):
     """Invalid or inconsistent configuration."""
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .dsp import Waveform, logmel, mel_filterbank
+from .dsp import Waveform, logmel
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import EvalReport, evaluate_scores
 from .model import ConformerModel, Linear, Module
@@ -320,57 +320,51 @@ def finetune_step(
     step: int,
     filterbank=None,
 ) -> dict:
-    """Two augmented views -> BCE(view1) + consistency_weight * symKL."""
+    """Two augmented views -> BCE(view1) + consistency_weight * symKL.
+
+    Each clip's graph is built and back-propagated (scaled by 1/B) before the
+    next clip's, so only one clip's graph is alive at a time; the parameter
+    gradients add up over the clips. The logged ``bce`` and ``consistency``
+    are the means of the clip terms.
+    """
     if not batch:
         raise ConfigError("empty batch")
-    if filterbank is None:
-        filterbank = mel_filterbank()
     optimizer.zero_grad()
     view_a, view_b = _augmented_views(batch, config, step, filterbank)
-    bce_terms, consistency_terms = [], []
+    scale = 1.0 / len(batch)
+    bce_sum = consistency_sum = 0.0
     for i, ex in enumerate(batch):
         probs_a = _clip_probs(
             model, head, view_a[i], config, step_rng(config.seed, RNG_HEAD_DROPOUT_A, step, i)
         )
-        bce_terms.append(bce_loss(probs_a, ex.targets))
+        loss = bce_loss(probs_a, ex.targets)
+        bce_sum += float(loss.values)
         if config.consistency_weight > 0.0:
             probs_b = _clip_probs(
                 model, head, view_b[i], config,
                 step_rng(config.seed, RNG_HEAD_DROPOUT_B, step, i),
             )
-            consistency_terms.append(consistency_loss(probs_a, probs_b))
-    bce = _mean_terms(bce_terms)
-    if consistency_terms:
-        consistency = _mean_terms(consistency_terms)
-        total = T.add(bce, T.mul(consistency, config.consistency_weight))
-    else:
-        consistency = Tensor(np.zeros(()))
-        total = bce
-    backward(total)
+            consistency = consistency_loss(probs_a, probs_b)
+            consistency_sum += float(consistency.values)
+            loss = T.add(loss, T.mul(consistency, config.consistency_weight))
+        backward(T.mul(loss, scale))
     grad_norm = global_grad_norm(optimizer.named_params)
     lr = three_stage_lr(step, config)
     optimizer.step(lr)
+    bce = bce_sum * scale
+    consistency = consistency_sum * scale
     return {
         "step": step,
-        "loss": float(total.values),
-        "bce": float(bce.values),
-        "consistency": float(consistency.values),
+        "loss": bce + config.consistency_weight * consistency,
+        "bce": bce,
+        "consistency": consistency,
         "lr": lr,
         "grad_norm": grad_norm,
     }
 
 
-def _mean_terms(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return T.mul(total, 1.0 / len(terms))
-
-
 def evaluate_model(model, head, examples, filterbank=None) -> EvalReport:
     """Score every example in eval mode and summarize."""
-    if filterbank is None:
-        filterbank = mel_filterbank()
     model.eval()
     scores, targets = [], []
     try:
@@ -402,7 +396,6 @@ def run_finetuning(
     optimizer = Adam(
         list(model.named_parameters()) + [(f"head.{n}", p) for n, p in head.named_parameters()]
     )
-    filterbank = mel_filterbank()
     if config.balance_enabled:
         weights = balance_weights(np.stack([ex.targets for ex in train_examples]))
         probabilities = weights / weights.sum()
@@ -422,12 +415,12 @@ def run_finetuning(
                 p=probabilities,
             )
             batch = [train_examples[i] for i in picks]
-            record = finetune_step(batch, model, head, optimizer, config, step, filterbank)
+            record = finetune_step(batch, model, head, optimizer, config, step)
             write_metrics_line(handle, record, deterministic, (time.monotonic() - t0) * 1e3)
             if log is not None:
                 log(record)
     if eval_examples:
-        report = evaluate_model(model, head, eval_examples, filterbank)
+        report = evaluate_model(model, head, eval_examples)
         (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         return report
     return None

@@ -228,13 +228,16 @@ def pretrain_step(
 ) -> dict:
     """One full training step over a batch of logmel matrices.
 
-    Per clip: feature-encode, mask, contextualize, contrastive loss; the
-    batch loss is the mean over clips. Aborts atomically on numeric errors.
+    Per clip: feature-encode, mask, contextualize, contrastive loss, then
+    back-propagate loss/B at once, so only one clip's graph is alive at a
+    time; the parameter gradients add up over the clips. The logged loss is
+    the mean of the clip losses. Aborts atomically on numeric errors.
     """
     if not batch_logmels:
         raise ConfigError("empty batch")
     optimizer.zero_grad()
-    losses = []
+    scale = 1.0 / len(batch_logmels)
+    loss_sum = 0.0
     for i, frames in enumerate(batch_logmels):
         z = model.encode_features(frames)
         mask = sample_mask(
@@ -245,28 +248,23 @@ def pretrain_step(
         )
         zm = apply_mask(z, mask, model.mask_embedding)
         c = model.contextualize(zm, rng=step_rng(config.seed, RNG_DROPOUT, step, i))
-        losses.append(
-            contrastive_loss(
-                c,
-                z,
-                mask,
-                config.num_distractors,
-                rng=step_rng(config.seed, RNG_DISTRACTOR, step, i),
-                temperature=config.temperature,
-            )
+        loss = contrastive_loss(
+            c,
+            z,
+            mask,
+            config.num_distractors,
+            rng=step_rng(config.seed, RNG_DISTRACTOR, step, i),
+            temperature=config.temperature,
         )
-    total = losses[0]
-    for extra in losses[1:]:
-        total = T.add(total, extra)
-    total = T.mul(total, 1.0 / len(losses))
-    backward(total)
+        loss_sum += float(loss.values)
+        backward(T.mul(loss, scale))
     if config.grad_clip is not None:
         grad_norm = clip_gradients(optimizer.named_params, config.grad_clip)
     else:
         grad_norm = global_grad_norm(optimizer.named_params)
     lr = pretrain_lr(step, config)
     optimizer.step(lr)
-    return {"step": step, "loss": float(total.values), "lr": lr, "grad_norm": grad_norm}
+    return {"step": step, "loss": loss_sum * scale, "lr": lr, "grad_norm": grad_norm}
 
 
 def write_metrics_line(handle, record: dict, deterministic: bool, wall_ms: float):

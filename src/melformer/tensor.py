@@ -11,6 +11,12 @@ output is finite and raises :class:`NumericError` otherwise. The computation
 graph is recorded implicitly through parent links; ``backward`` topologically
 sorts the reachable subgraph and visits each node exactly once, accumulating
 gradients additively across fan-out.
+
+``backward`` consumes the graph: each interior node drops its gradient, its
+backward closure and its parent links as soon as it has been visited, so the
+forward arrays the closures hold are freed during the sweep. A released node
+keeps its values, but a second ``backward`` through it raises
+:class:`GraphError`. Leaf gradients add up across ``backward`` calls.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .errors import NumericError, ShapeError
+from .errors import GraphError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -177,15 +183,23 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # A copy, never ``g`` itself: ``add`` hands one ``g`` to both parents
+        # and ``reduce_sum`` hands over a read-only broadcast view.
+        t.grad = np.array(g, dtype=t.values.dtype)
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor):
     """Backpropagate from a scalar loss to every requires_grad leaf.
 
-    Gradients accumulate additively across fan-out. Call ``zero_grad`` on the
-    leaves between steps.
+    Gradients accumulate additively across fan-out and across calls, so the
+    losses of several graphs may be back-propagated one after another into
+    the same leaves. Call ``zero_grad`` on the leaves between steps.
+
+    The graph is consumed: every interior node releases its gradient, its
+    backward closure and its parent links once visited. Calling ``backward``
+    again through any released node raises :class:`GraphError`.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -193,9 +207,15 @@ def backward(loss: Tensor):
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.values)
     loss.grad += np.ones_like(loss.values)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._backward = None
+        node._parents = None
 
 
 def _topological_order(root: Tensor):
@@ -210,6 +230,8 @@ def _topological_order(root: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise GraphError("backward through a graph that an earlier backward consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:

@@ -61,6 +61,15 @@ class TestWav:
         with pytest.raises(DataError, match="Hz"):
             read_wav(tmp_path / "hz.wav")
 
+    def test_float32_samples_give_the_float64_logmel(self, tmp_path):
+        x = np.random.default_rng(3).uniform(-0.9, 0.9, size=16000)
+        write_wav(tmp_path / "f.wav", x)
+        wave = read_wav(tmp_path / "f.wav")
+        assert wave.samples.dtype == np.float32
+        wide = dsp.Waveform(wave.samples.astype(np.float64))
+        assert wide.samples.dtype == np.float64
+        assert np.array_equal(dsp.logmel(wave).frames, dsp.logmel(wide).frames)
+
     def test_garbage_file_rejected(self, tmp_path):
         (tmp_path / "x.wav").write_bytes(b"not a wav at all")
         with pytest.raises(DataError):
@@ -196,6 +205,21 @@ class TestCheckpoint:
         assert ck.optimizer_step == 1
         for name, arr in opt.state_arrays().items():
             assert np.array_equal(ck.optimizer_arrays[name], arr), name
+
+    def test_loaded_arrays_are_writable_and_disjoint(self, tmp_path):
+        model = tiny_model(seed=4)
+        opt = Adam(list(model.named_parameters()))
+        save_checkpoint(tmp_path / "ck", model, step=1, seed=4, optimizer=opt)
+        ck = load_checkpoint(tmp_path / "ck")
+        loaded = list(ck.arrays.values()) + list(ck.optimizer_arrays.values())
+        assert all(a.flags.writeable for a in loaded)
+        for i, a in enumerate(loaded):
+            for b in loaded[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        name = "mask_embedding"
+        ck.arrays[name] += 1.0
+        again = load_checkpoint(tmp_path / "ck")
+        assert np.array_equal(again.arrays[name], model.state_arrays()[name])
 
     def test_restored_model_reproduces_outputs(self, tmp_path):
         model = tiny_model(seed=6)

@@ -12,6 +12,17 @@ def sine(freq, seconds=1.0, amp=0.5, sr=16000):
     return amp * np.sin(2 * np.pi * freq * t)
 
 
+class TestWaveform:
+    def test_float32_and_float64_kept(self):
+        for dtype in (np.float32, np.float64):
+            samples = np.zeros(10, dtype=dtype)
+            assert dsp.Waveform(samples).samples.dtype == dtype
+
+    def test_other_input_cast_to_float64(self):
+        assert dsp.Waveform(np.zeros(10, dtype=np.int16)).samples.dtype == np.float64
+        assert dsp.Waveform([0.5, -0.5]).samples.dtype == np.float64
+
+
 class TestFrameCount:
     def test_ten_seconds_gives_500_frames(self):
         wave = dsp.Waveform(np.zeros(160_000))
@@ -80,6 +91,13 @@ class TestMelFilterbank:
         # The filter peaks agree with the analytic centers.
         argmax_bins = dsp.mel_filterbank().argmax(axis=1)
         assert np.all(np.diff(argmax_bins) >= 1)
+
+    def test_built_once_and_read_only(self):
+        fb = dsp.mel_filterbank()
+        assert dsp.mel_filterbank() is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
 
     def test_too_many_bands_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from melformer import finetune as finetune_module
 from melformer import tensor as T
 from melformer.errors import ConfigError, DataError, ShapeError
 from melformer.finetune import (
@@ -368,3 +369,25 @@ class TestFinetuneStep:
             ]
 
         assert run() == run()
+
+
+
+class TestStreamedBackward:
+    def test_finetune_grads_equal_whole_batch_graph(self, setup, check_streamed_grads):
+        cfg, examples = setup
+        fcfg = FinetuneConfig(
+            num_classes=3, peak_lr=1e-3, total_steps=100, batch_size=3, output_dropout=0.1
+        )
+
+        def make():
+            model = ConformerModel(cfg, seed=31, dtype=np.float64)
+            head = make_head("linear-softmax-pool", cfg.latent_dim, 3, seed=32, dtype=np.float64)
+            opt = Adam(
+                list(model.named_parameters())
+                + [(f"head.{n}", p) for n, p in head.named_parameters()]
+            )
+            # Step 0 has learning rate 0, so the parameters stay put.
+            step = lambda: finetune_step(examples[:3], model, head, opt, fcfg, step=0)
+            return step, opt.named_params
+
+        assert check_streamed_grads(finetune_module, make) == 3

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from melformer import pretrain as pretrain_module
 from melformer import tensor as T
 from melformer.errors import ConfigError, NumericError, ShapeError
 from melformer.model import ConformerModel, ModelConfig
@@ -273,3 +274,23 @@ class TestPretrainStep:
         opt = Adam(list(model.named_parameters()))
         with pytest.raises(ConfigError):
             pretrain_step([], model, opt, pcfg, step=1)
+
+
+
+class TestStreamedBackward:
+    def test_pretrain_grads_equal_whole_batch_graph(self, check_streamed_grads):
+        cfg = ModelConfig(
+            num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=24,
+            stack_factor=2, kernel_first=3, kernel_rest=3, dropout=0.1,
+        )
+        rng = np.random.default_rng(41)
+        clips = [rng.normal(size=(20, 64)) for _ in range(3)]
+        pcfg = toy_pretrain_config(seed=5, num_distractors=4, batch_size=3)
+
+        def make():
+            model = ConformerModel(cfg, seed=42, dtype=np.float64)
+            opt = Adam(list(model.named_parameters()))
+            # Step 0 has learning rate 0, so the parameters stay put.
+            return lambda: pretrain_step(clips, model, opt, pcfg, step=0), opt.named_params
+
+        assert check_streamed_grads(pretrain_module, make) == 3

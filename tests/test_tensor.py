@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from melformer import tensor as T
-from melformer.errors import NumericError, ShapeError
+from melformer.errors import GraphError, NumericError, ShapeError
 from melformer.tensor import Tensor, backward, grad_check, parameter
 
 
@@ -164,6 +164,49 @@ class TestBackward:
         b = parameter(np.ones(3))
         backward(T.reduce_sum(T.add(a, b)))
         np.testing.assert_allclose(b.grad, [4.0, 4.0, 4.0])
+
+    def test_interior_nodes_released_after_backward(self):
+        x = parameter([1.0, 2.0])
+        h = T.mul(x, x)
+        s = T.mul(h, 3.0)
+        loss = T.reduce_sum(s)
+        backward(loss)
+        for node in (h, s, loss):
+            assert node.grad is None and node._backward is None and node._parents is None
+        np.testing.assert_allclose(x.grad, 6.0 * x.values)
+        np.testing.assert_allclose(loss.values, 15.0)
+
+    def test_add_gives_each_parent_its_own_grad(self):
+        a = parameter(np.zeros((2, 3)))
+        b = parameter(np.zeros((2, 3)))
+        backward(T.reduce_sum(T.add(a, b)))
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        a.grad *= 2.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+    def test_reduce_sum_grad_is_writable(self):
+        x = parameter(np.zeros((2, 3)))
+        backward(T.reduce_sum(x))
+        assert x.grad.flags.writeable
+        x.grad *= 0.5
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 0.5))
+
+    def test_second_backward_through_consumed_graph_raises(self):
+        x = parameter([1.0, 2.0])
+        h = T.mul(x, x)
+        loss = T.reduce_sum(h)
+        backward(loss)
+        with pytest.raises(GraphError):
+            backward(loss)
+        with pytest.raises(GraphError):
+            backward(T.reduce_sum(T.add(h, x)))
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_leaf_grads_add_across_backward_calls(self):
+        x = parameter([1.0, -3.0])
+        backward(T.reduce_sum(T.mul(x, x)))
+        backward(T.reduce_sum(T.mul(x, 3.0)))
+        np.testing.assert_allclose(x.grad, 2.0 * x.values + 3.0)
 
     def test_no_grad_suppresses_recording(self):
         x = parameter([1.0])

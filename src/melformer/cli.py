@@ -191,7 +191,7 @@ def cmd_finetune(args) -> int:
     save_checkpoint(
         out_dir / "ckpt-final",
         model,
-        step=fcfg.total_steps if args.max_steps is None else args.max_steps,
+        step=fcfg.last_step(args.max_steps),
         seed=fcfg.seed,
         extra_arrays={f"head.{n}": p.values for n, p in head.named_parameters()},
         extra={

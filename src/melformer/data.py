@@ -337,11 +337,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def latest_checkpoint(out_dir: str | Path) -> Path | None:
-    """Highest-step ckpt-* directory under out_dir, if any."""
+    """Highest-step ckpt-NNNNNNNN directory under out_dir (never .tmp or -final)."""
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
         return None
-    candidates = sorted(p for p in out_dir.glob("ckpt-*") if p.is_dir())
+    candidates = sorted(p for p in out_dir.glob("ckpt-" + "[0-9]" * 8) if p.is_dir())
     return candidates[-1] if candidates else None
 
 

@@ -79,6 +79,10 @@ class FinetuneConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def last_step(self, max_steps: int | None = None) -> int:
+        """The step a run ends on: ``total_steps``, capped by a positive ``max_steps``."""
+        return min(self.total_steps, max_steps) if max_steps else self.total_steps
+
 
 @dataclass
 class LabeledExample:
@@ -402,7 +406,7 @@ def run_finetuning(
     else:
         probabilities = None
     model.train()
-    last_step = min(config.total_steps, max_steps) if max_steps else config.total_steps
+    last_step = config.last_step(max_steps)
     metrics_path = out_dir / "metrics.jsonl"
     with metrics_path.open("a") as handle:
         for step in range(1, last_step + 1):

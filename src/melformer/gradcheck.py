@@ -109,9 +109,7 @@ def primitive_cases():
 
     simple("neg", T.neg)
     simple("transpose", T.transpose)
-    simple("exp", T.exp)
     simple("log", T.log, transform=lambda v: np.abs(v) + 0.5)
-    simple("sqrt", T.sqrt, transform=lambda v: np.abs(v) + 0.5)
     simple("sigmoid", T.sigmoid)
     simple("swish", T.swish)
     simple("softmax", T.softmax)
@@ -149,7 +147,6 @@ def primitive_cases():
     pair("mul", T.mul)
     pair("div", T.div, transform_b=lambda v: np.abs(v) + 0.5)
     pair("matmul", T.matmul, shape_b=(4, 2))
-    pair("concat", lambda a, b: T.concat([a, b], axis=1), shape_b=(3, 2))
     pair("conv1d", T.conv1d, shape_a=(7, 3), shape_b=(3, 3, 4))
     pair("conv1d_pointwise", T.conv1d, shape_a=(7, 3), shape_b=(1, 3, 6))
     pair(
@@ -166,6 +163,13 @@ def primitive_cases():
         return (lambda x: ro(T.gather_cols(x, idx))), [a]
 
     cases["gather_cols"] = gather
+
+    def attention_case(rng, dtype):
+        q, k, v = (Tensor(rng.normal(size=(5, 8)).astype(dtype)) for _ in range(3))
+        ro = _readout(rng, (5, 8), dtype)
+        return (lambda a, b, c: ro(T.attention(a, b, c, num_heads=2))), [q, k, v]
+
+    cases["attention"] = attention_case
 
     def layer_norm_case(rng, dtype):
         x = Tensor(rng.normal(size=(3, 8)).astype(dtype))

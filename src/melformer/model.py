@@ -128,6 +128,8 @@ class Module:
         return state
 
     def load_state_arrays(self, arrays: dict):
+        """Restore by name. Takes ownership of ``arrays``: parameters adopt them
+        without a copy where the dtype matches; buffers are copied in place."""
         own = self.state_arrays()
         missing = sorted(set(own) - set(arrays))
         unexpected = sorted(set(arrays) - set(own))
@@ -141,7 +143,7 @@ class Module:
                 raise ConfigError(
                     f"shape mismatch for '{name}': {incoming.shape} vs {p.values.shape}"
                 )
-            p.values = incoming.astype(p.values.dtype, copy=True)
+            p.values = incoming.astype(p.values.dtype, copy=False)
         for name, buf in self.named_buffers():
             incoming = arrays[name]
             if incoming.shape != buf.shape:
@@ -232,15 +234,15 @@ class ConvolutionModule(Module):
 class SelfAttention(Module):
     """Multi-head scaled dot-product attention over the full sequence.
 
-    No positional terms are added; the preceding convolution module carries
-    the positional information.
+    The q/k/v projections feed one fused ``T.attention`` node that runs all
+    heads as a batched matmul. No positional terms are added; the preceding
+    convolution module carries the positional information.
     """
 
     def __init__(self, dim, num_heads, dropout, rng, dtype=np.float32):
         if dim % num_heads != 0:
             raise ConfigError(f"dim {dim} not divisible by {num_heads} heads")
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.norm = LayerNorm(dim, dtype)
         self.query = Linear(dim, dim, rng, dtype)
         # A key bias shifts every logit in a softmax row equally, so it can
@@ -252,17 +254,7 @@ class SelfAttention(Module):
 
     def attend(self, x: Tensor) -> Tensor:
         """Attention without the pre-norm/dropout wrapper."""
-        q, k, v = self.query(x), self.key(x), self.value(x)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        heads = []
-        for h in range(self.num_heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            qh = T.col_slice(q, lo, hi)
-            kh = T.col_slice(k, lo, hi)
-            vh = T.col_slice(v, lo, hi)
-            weights = T.softmax(T.mul(T.matmul(qh, T.transpose(kh)), scale), axis=-1)
-            heads.append(T.matmul(weights, vh))
-        return self.out(T.concat(heads, axis=1))
+        return self.out(T.attention(self.query(x), self.key(x), self.value(x), self.num_heads))
 
     def __call__(self, x: Tensor, rng) -> Tensor:
         h = self.attend(self.norm(x))

@@ -190,6 +190,7 @@ class Adam:
         return state
 
     def load_state_arrays(self, arrays: dict, step_count: int):
+        """Restore the moments; adopts ``arrays`` without a copy where the dtype matches."""
         for name, p in self.named_params:
             for prefix, store in (("adam.m.", self.m), ("adam.v.", self.v)):
                 key = prefix + name
@@ -197,7 +198,7 @@ class Adam:
                     raise ConfigError(f"optimizer state missing '{key}'")
                 if arrays[key].shape != p.values.shape:
                     raise ConfigError(f"optimizer state shape mismatch for '{key}'")
-                store[name] = arrays[key].astype(p.values.dtype, copy=True)
+                store[name] = arrays[key].astype(p.values.dtype, copy=False)
         self.step_count = step_count
 
 

@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Provides the primitive set needed by a conformer encoder and its training
-losses: matmul, elementwise arithmetic, concat/slice/gather, normalizations,
-softmax-family ops, gated activations, dropout, 1-D convolution, and a
-finite-difference gradient checker.
+losses: matmul, elementwise arithmetic, slice/gather, normalizations,
+softmax-family ops, fused multi-head attention, gated activations, dropout,
+1-D convolution, and a finite-difference gradient checker.
 
 Tensors store float32 or float64 values (float32 is the training default,
 float64 exists for gradient checking). Every primitive validates that its
@@ -38,21 +38,19 @@ __all__ = [
     "neg",
     "matmul",
     "transpose",
-    "concat",
     "col_slice",
     "take_rows",
     "gather_cols",
     "reduce_sum",
     "reduce_mean",
-    "exp",
     "log",
-    "sqrt",
     "clamp",
     "sigmoid",
     "swish",
     "glu",
     "softmax",
     "logsumexp",
+    "attention",
     "layer_norm",
     "batch_norm",
     "dropout",
@@ -350,20 +348,6 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.values.T.copy(), (a,), bwd, "transpose")
 
 
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    sizes = [p.values.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            _accum(p, piece)
-
-    return _make(np.concatenate([p.values for p in parts], axis=axis), parts, bwd, "concat")
-
-
 def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     """Columns [start, stop) of a 2-D tensor."""
     if a.values.ndim != 2:
@@ -435,16 +419,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # Pointwise nonlinearities
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        y = np.exp(a.values)
-
-    def bwd(g):
-        _accum(a, g * y)
-
-    return _make(y, (a,), bwd, "exp")
-
-
 def log(a: Tensor) -> Tensor:
     av = a.values
 
@@ -454,16 +428,6 @@ def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.log(av)
     return _make(values, (a,), bwd, "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore"):
-        y = np.sqrt(a.values)
-
-    def bwd(g):
-        _accum(a, g / (2.0 * y))
-
-    return _make(y, (a,), bwd, "sqrt")
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -542,6 +506,40 @@ def logsumexp(a: Tensor, axis: int = 1) -> Tensor:
         _accum(a, g * w)
 
     return _make(np.log(s) + m, (a,), bwd, "logsumexp")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over T x D projections.
+
+    Head h owns columns [h*dh, (h+1)*dh) of q, k and v, with dh = D / num_heads.
+    The output holds each head's softmax(q_h k_hᵀ / sqrt(dh)) v_h side by side,
+    computed for all heads at once as one (H, T, dh) batched matmul.
+    """
+    if q.values.ndim != 2 or not q.values.shape == k.values.shape == v.values.shape:
+        raise ShapeError(f"attention: q/k/v shapes disagree {q.shape}, {k.shape}, {v.shape}")
+    t, d = q.values.shape
+    if num_heads < 1 or d % num_heads != 0:
+        raise ShapeError(f"attention: dim {d} not divisible by {num_heads} heads")
+    dh = d // num_heads
+    scale = dh**-0.5
+    qh, kh, vh = (x.values.reshape(t, num_heads, dh).transpose(1, 0, 2) for x in (q, k, v))
+    w = qh @ kh.transpose(0, 2, 1)
+    w *= scale
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = g.reshape(t, num_heads, dh).transpose(1, 0, 2)
+        dw = gh @ vh.transpose(0, 2, 1)
+        dw -= (dw * w).sum(axis=-1, keepdims=True)
+        dw *= w
+        dw *= scale
+        grads = (dw @ kh, dw.transpose(0, 2, 1) @ qh, w.transpose(0, 2, 1) @ gh)
+        for x, dx in zip((q, k, v), grads):
+            _accum(x, dx.transpose(1, 0, 2).reshape(t, d))
+
+    return _make((w @ vh).transpose(1, 0, 2).reshape(t, d), (q, k, v), bwd, "attention")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from melformer.cli import main
+from melformer.data import load_checkpoint
 
 TOY_MODEL = dict(
     num_blocks=1,
@@ -195,6 +196,13 @@ class TestFinetuneCommand:
         report = json.loads((tmp_path / "ft" / "report.json").read_text())
         assert set(report) >= {"map", "accuracy", "num_examples"}
         assert (tmp_path / "ft" / "ckpt-final").is_dir()
+
+    def test_final_checkpoint_records_last_step_run(self, dataset, toy_config, tmp_path):
+        manifest = dataset / "manifest.tsv"
+        args = ["finetune", "--config", str(toy_config), "--manifest", str(manifest)]
+        assert main(args + ["--out-dir", str(tmp_path / "ft"), "--max-steps", "50"]) == 0
+        assert load_checkpoint(tmp_path / "ft" / "ckpt-final").step == 6
+        assert len(read_metrics(tmp_path / "ft")) == 6
 
     def test_init_from_pretrain_checkpoint(self, dataset, toy_config, tmp_path):
         pre_dir = tmp_path / "pre"

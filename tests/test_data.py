@@ -272,3 +272,22 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / f"ckpt-{step:08d}", model, step=step, seed=11)
         assert latest_checkpoint(tmp_path).name == "ckpt-00000012"
         assert latest_checkpoint(tmp_path / "nope") is None
+
+    def test_latest_checkpoint_skips_staging_and_final(self, tmp_path):
+        model = tiny_model(seed=12)
+        for name in ("ckpt-00000012", "ckpt-00000013.tmp", "ckpt-final"):
+            save_checkpoint(tmp_path / name, model, step=12, seed=12)
+        assert latest_checkpoint(tmp_path).name == "ckpt-00000012"
+
+    def test_restore_adopts_loaded_arrays(self, tmp_path):
+        model = tiny_model(seed=13)
+        opt = Adam(list(model.named_parameters()))
+        save_checkpoint(tmp_path / "ck", model, step=1, seed=13, optimizer=opt)
+        ck = load_checkpoint(tmp_path / "ck")
+        clone = restore_model(ck)
+        clone_opt = Adam(list(clone.named_parameters()))
+        clone_opt.load_state_arrays(ck.optimizer_arrays, ck.optimizer_step)
+        for name, p in clone.named_parameters():
+            assert np.shares_memory(p.values, ck.arrays[name]), name
+        for name, arr in clone_opt.state_arrays().items():
+            assert np.shares_memory(arr, ck.optimizer_arrays[name]), name

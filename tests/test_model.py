@@ -209,6 +209,15 @@ class TestConformerBlock:
         expected = block.norm(x)
         np.testing.assert_allclose(out.values, expected.values, rtol=1e-10)
 
+    def test_toy_block_graph_stays_small(self):
+        # Attention is one fused node; a per-head chain of slices, matmuls
+        # and softmaxes would push a 4-head block past 100 nodes.
+        rng = np.random.default_rng(15)
+        block = ConformerBlock(64, 4, 128, 31, 0.1, rng)
+        x = Tensor(rng.normal(size=(20, 64)).astype(np.float32))
+        loss = T.reduce_sum(block(x, np.random.default_rng(0)))
+        assert len(T._topological_order(loss)) <= 77
+
 
 class TestContextEncoder:
     def test_shape_contract(self):

@@ -76,6 +76,57 @@ class TestForwardValues:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def attention_reference(q, k, v, g, num_heads):
+    """Per-head loop: the output and the q/k/v gradients of sum(out * g)."""
+    t, d = q.shape
+    dh = d // num_heads
+    out, dq, dk, dv = (np.zeros((t, d)) for _ in range(4))
+    for h in range(num_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, kh, vh, gh = q[:, cols], k[:, cols], v[:, cols], g[:, cols]
+        logits = qh @ kh.T / np.sqrt(dh)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        out[:, cols] = p @ vh
+        dp = gh @ vh.T
+        dlogits = p * (dp - (dp * p).sum(axis=1, keepdims=True)) / np.sqrt(dh)
+        dq[:, cols] = dlogits @ kh
+        dk[:, cols] = dlogits.T @ qh
+        dv[:, cols] = p.T @ gh
+    return out, dq, dk, dv
+
+
+class TestAttention:
+    def test_matches_per_head_reference(self):
+        rng = np.random.default_rng(20)
+        q, k, v, g = (rng.normal(size=(7, 12)) for _ in range(4))
+        leaves = [parameter(a, dtype=np.float64) for a in (q, k, v)]
+        out = T.attention(*leaves, num_heads=3)
+        backward(T.reduce_sum(T.mul(out, Tensor(g))))
+        want = attention_reference(q, k, v, g, num_heads=3)
+        for got, ref in zip([out.values] + [leaf.grad for leaf in leaves], want):
+            np.testing.assert_allclose(got, ref, rtol=1e-10)
+
+    def test_heads_not_dividing_dim_rejected(self):
+        x = Tensor(np.ones((4, 6)))
+        with pytest.raises(ShapeError):
+            T.attention(x, x, x, num_heads=4)
+
+    @pytest.mark.parametrize(
+        "k_shape,v_shape", [((4, 6), (5, 6)), ((4, 8), (4, 6)), ((4, 6, 1), (4, 6))]
+    )
+    def test_mismatched_projections_rejected(self, k_shape, v_shape):
+        q, k, v = (Tensor(np.ones(shape)) for shape in ((4, 6), k_shape, v_shape))
+        with pytest.raises(ShapeError):
+            T.attention(q, k, v, num_heads=2)
+
+    def test_no_grad_records_no_graph(self):
+        q, k, v = (parameter(np.ones((3, 4))) for _ in range(3))
+        with T.no_grad():
+            y = T.attention(q, k, v, num_heads=2)
+        assert y._backward is None and y._parents == () and not y.requires_grad
+
+
 class TestConv1d:
     def test_depthwise_identity_kernel(self):
         rng = np.random.default_rng(2)

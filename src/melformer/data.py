@@ -21,7 +21,7 @@ from .dsp import SAMPLE_RATE, Waveform
 from .errors import ConfigError, DataError, StorageError
 from .model import ConformerModel, ModelConfig
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 SPLITS = ("train", "valid", "eval")
 
 
@@ -241,7 +241,11 @@ def save_checkpoint(
     extra_arrays: dict | None = None,
     extra: dict | None = None,
 ):
-    """Write header.json + arrays.bin into a directory, staged then renamed."""
+    """Write header.json + arrays.bin into a directory, staged then renamed.
+
+    Overwriting keeps a loadable copy at every point: the old directory is
+    renamed to ``<name>.old`` before the staged one takes its name.
+    """
     path = Path(path)
     arrays = dict(model.state_arrays())
     if extra_arrays:
@@ -284,9 +288,16 @@ def save_checkpoint(
     with (staging / "arrays.bin").open("wb") as blob:
         for name in ordered:
             blob.write(np.ascontiguousarray(arrays[name], dtype="<f4"))
+    # An ``.old`` left by a save that crashed between the two renames is
+    # stale: the staged checkpoint written above supersedes it.
+    aside = path.with_name(path.name + ".old")
+    if aside.exists():
+        shutil.rmtree(aside)
     if path.exists():
-        shutil.rmtree(path)
+        path.rename(aside)
     staging.rename(path)
+    if aside.exists():
+        shutil.rmtree(aside)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -307,6 +318,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise StorageError(
             f"{path}: unsupported format version {header.get('format_version')}"
+            f" (this build reads version {CHECKPOINT_VERSION})"
         )
     blob = np.fromfile(blob_path, dtype=np.uint8)
     expected = sum(e["nbytes"] for e in header["arrays"])

@@ -109,18 +109,17 @@ def filterbank_center_frequencies(
     return edges[1:-1]
 
 
-def _frame(samples: np.ndarray, num_frames: int) -> np.ndarray:
-    """Centered frames of length WINDOW_SAMPLES, one per hop."""
-    pad = WINDOW_SAMPLES // 2
-    n = samples.size
-    # Reflection needs at least pad+1 samples; fall back to zeros for stubs.
-    mode = "reflect" if n > pad else "constant"
-    padded = np.pad(samples, pad, mode=mode)
-    starts = np.arange(num_frames) * HOP_SAMPLES
-    return padded[starts[:, None] + np.arange(WINDOW_SAMPLES)]
-
-
 _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES)
+
+
+def _windowed_frames(samples: np.ndarray, num_frames: int) -> np.ndarray:
+    """Centered Hann-windowed frames of length WINDOW_SAMPLES, one per hop."""
+    pad = WINDOW_SAMPLES // 2
+    # Reflection needs at least pad+1 samples; fall back to zeros for stubs.
+    mode = "reflect" if samples.size > pad else "constant"
+    padded = np.pad(samples, pad, mode=mode)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SAMPLES)
+    return windows[::HOP_SAMPLES][:num_frames] * _HANN
 
 
 def logmel(waveform: Waveform, filterbank: np.ndarray | None = None) -> LogmelSpectrogram:
@@ -136,7 +135,9 @@ def logmel(waveform: Waveform, filterbank: np.ndarray | None = None) -> LogmelSp
     if filterbank is None:
         filterbank = mel_filterbank()
     num_frames = -(-waveform.samples.size // HOP_SAMPLES)
-    frames = _frame(waveform.samples, num_frames) * _HANN
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(_windowed_frames(waveform.samples, num_frames), axis=1))
+    np.square(power, out=power)
+    # One matmul over all frames: a row-blocked product rounds differently.
     mel_energy = power @ filterbank.T
-    return LogmelSpectrogram(frames=np.log(mel_energy + LOG_FLOOR))
+    mel_energy += LOG_FLOOR
+    return LogmelSpectrogram(frames=np.log(mel_energy, out=mel_energy))

@@ -147,14 +147,20 @@ def primitive_cases():
     pair("mul", T.mul)
     pair("div", T.div, transform_b=lambda v: np.abs(v) + 0.5)
     pair("matmul", T.matmul, shape_b=(4, 2))
-    pair("conv1d", T.conv1d, shape_a=(7, 3), shape_b=(3, 3, 4))
-    pair("conv1d_pointwise", T.conv1d, shape_a=(7, 3), shape_b=(1, 3, 6))
+    pair("linear", T.linear, shape_b=(4, 2))
     pair(
         "conv1d_depthwise",
         lambda x, k: T.conv1d(x, k, groups=3),
         shape_a=(7, 3),
         shape_b=(5, 3),
     )
+
+    def linear_bias_case(rng, dtype):
+        x, w, b = (Tensor(rng.normal(size=n).astype(dtype)) for n in ((3, 4), (4, 2), (2,)))
+        ro = _readout(rng, (3, 2), dtype)
+        return (lambda xx, ww, bb: ro(T.linear(xx, ww, bb))), [x, w, b]
+
+    cases["linear_bias"] = linear_bias_case
 
     def gather(rng, dtype):
         a = Tensor(rng.normal(size=(3, 5)).astype(dtype))

@@ -162,8 +162,7 @@ class Linear(Module):
         self.bias = T.parameter(np.zeros(out_dim, dtype=dtype)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.weight)
-        return T.add(out, self.bias) if self.bias is not None else out
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -207,28 +206,27 @@ class FeedForward(Module):
 
 
 class ConvolutionModule(Module):
-    """layer-norm -> pointwise (2x) -> GLU -> depthwise -> batch-norm -> swish -> pointwise -> dropout."""
+    """layer-norm -> pointwise (2x) -> GLU -> depthwise -> batch-norm -> swish -> pointwise -> dropout.
+
+    The pointwise (kernel-1) convolutions are per-frame affine maps, so they
+    are ``Linear`` layers; only the depthwise convolution is a ``conv1d``.
+    """
 
     def __init__(self, dim, kernel_size, dropout, rng, dtype=np.float32):
         self.norm = LayerNorm(dim, dtype)
-        self.pointwise_in = _glorot(rng, dim, 2 * dim, (1, dim, 2 * dim), dtype)
-        self.pointwise_in_bias = T.parameter(np.zeros(2 * dim, dtype=dtype))
+        self.pointwise_in = Linear(dim, 2 * dim, rng, dtype)
         # No depthwise bias: the batch-norm right after removes any
         # per-channel constant, so it could never train.
         self.depthwise = _glorot(rng, kernel_size, kernel_size, (kernel_size, dim), dtype)
         self.batch_norm = BatchNorm(dim, dtype)
-        self.pointwise_out = _glorot(rng, dim, dim, (1, dim, dim), dtype)
-        self.pointwise_out_bias = T.parameter(np.zeros(dim, dtype=dtype))
+        self.pointwise_out = Linear(dim, dim, rng, dtype)
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        h = self.norm(x)
-        h = T.add(T.conv1d(h, self.pointwise_in), self.pointwise_in_bias)
-        h = T.glu(h, axis=1)
+        h = T.glu(self.pointwise_in(self.norm(x)), axis=1)
         h = T.conv1d(h, self.depthwise, groups=h.shape[1])
         h = T.swish(self.batch_norm(h))
-        h = T.add(T.conv1d(h, self.pointwise_out), self.pointwise_out_bias)
-        return T.dropout(h, self.dropout, rng, self.training)
+        return T.dropout(self.pointwise_out(h), self.dropout, rng, self.training)
 
 
 class SelfAttention(Module):

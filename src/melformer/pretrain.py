@@ -277,6 +277,26 @@ def write_metrics_line(handle, record: dict, deterministic: bool, wall_ms: float
     handle.flush()
 
 
+def _drop_records_after(metrics_path: Path, step: int):
+    """Cut a JSONL metrics log back to the records of steps 1..``step``.
+
+    A run that crashed after its last checkpoint logged steps the resumed run
+    will log again; those records, and a line torn by the crash, are dropped.
+    """
+    if not metrics_path.exists():
+        return
+    with metrics_path.open("r+b") as handle:
+        keep = 0
+        for line in handle:
+            try:
+                if json.loads(line)["step"] > step:
+                    break
+            except ValueError:
+                break
+            keep += len(line)
+        handle.truncate(keep)
+
+
 def run_pretraining(
     model: ConformerModel,
     logmels: list[np.ndarray],
@@ -291,7 +311,8 @@ def run_pretraining(
     """Training loop with periodic checkpoints and a JSONL metrics log.
 
     Steps are numbered from 1; ``start_step`` is the last completed step
-    (nonzero when resuming). Returns the optimizer for further inspection.
+    (nonzero when resuming), and ``metrics.jsonl`` is first cut back to it.
+    Returns the optimizer for further inspection.
     """
     from .data import save_checkpoint
 
@@ -307,6 +328,7 @@ def run_pretraining(
     model.train()
     last_step = min(config.total_steps, max_steps) if max_steps else config.total_steps
     metrics_path = out_dir / "metrics.jsonl"
+    _drop_records_after(metrics_path, start_step)
     with metrics_path.open("a") as handle:
         for step in range(start_step + 1, last_step + 1):
             t0 = time.monotonic()

@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Provides the primitive set needed by a conformer encoder and its training
-losses: matmul, elementwise arithmetic, slice/gather, normalizations,
-softmax-family ops, fused multi-head attention, gated activations, dropout,
-1-D convolution, and a finite-difference gradient checker.
+losses: matmul, the fused affine map ``linear`` (x @ W + b as one node),
+elementwise arithmetic, slice/gather, normalizations, softmax-family ops,
+fused multi-head attention, gated activations, dropout, depthwise 1-D
+convolution, and a finite-difference gradient checker.
 
 Tensors store float32 or float64 values (float32 is the training default,
 float64 exists for gradient checking). Every primitive validates that its
@@ -37,6 +38,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "linear",
     "transpose",
     "col_slice",
     "take_rows",
@@ -163,7 +165,7 @@ def parameter(values, dtype=None) -> Tensor:
 
 
 def _check_finite(values: np.ndarray, op: str):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError(f"non-finite output of '{op}'")
 
 
@@ -181,9 +183,10 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        # A copy, never ``g`` itself: ``add`` hands one ``g`` to both parents
-        # and ``reduce_sum`` hands over a read-only broadcast view.
-        t.grad = np.array(g, dtype=t.values.dtype)
+        # Adopt ``g``: every backward rule hands over a fresh, writable array
+        # that no other tensor holds (``add`` copies it for its second parent;
+        # ``reduce_sum``/``reduce_mean`` materialize their broadcast views).
+        t.grad = np.asarray(g, dtype=t.values.dtype)
     else:
         t.grad += g
 
@@ -255,7 +258,7 @@ def add(a: Tensor, b) -> Tensor:
 
         def bwd_same(g):
             _accum(a, g)
-            _accum(b, g)
+            _accum(b, g.copy())
 
         return _make(a.values + b.values, (a, b), bwd_same, "add")
     if b.values.ndim == 1 and a.values.ndim == 2 and a.values.shape[1] == b.values.shape[0]:
@@ -338,6 +341,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(av @ bv, (a, b), bwd, "matmul")
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight (+ bias) as one node; bias is a (out,) vector added to every row."""
+    if x.values.ndim != 2 or weight.values.ndim != 2:
+        raise ShapeError("linear expects a 2-D input and a 2-D weight")
+    if x.values.shape[1] != weight.values.shape[0]:
+        raise ShapeError(f"linear: inner dims disagree {x.shape} @ {weight.shape}")
+    if bias is not None and bias.values.shape != (weight.values.shape[1],):
+        raise ShapeError(f"linear: bias {bias.shape} does not match weight {weight.shape}")
+    xv, wv = x.values, weight.values
+    out = xv @ wv
+    parents = (x, weight)
+    if bias is not None:
+        out += bias.values
+        parents = (x, weight, bias)
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum(x, g @ wv.T)
+        if weight.requires_grad:
+            _accum(weight, xv.T @ g)
+        if bias is not None:
+            _accum(bias, g.sum(axis=0))
+
+    return _make(out, parents, bwd, "linear")
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ShapeError("transpose expects a 2-D tensor")
@@ -398,7 +427,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, shape).astype(a.values.dtype, copy=False))
+        _accum(a, np.broadcast_to(g, shape).astype(a.values.dtype))
 
     return _make(a.values.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
 
@@ -410,7 +439,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g / n, shape).astype(a.values.dtype, copy=False))
+        _accum(a, np.broadcast_to(g / n, shape).astype(a.values.dtype))
 
     return _make(a.values.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
 
@@ -455,7 +484,12 @@ def swish(a: Tensor) -> Tensor:
     y = a.values * s
 
     def bwd(g):
-        _accum(a, g * (s + y * (1.0 - s)))
+        # ((1 - s) * y + s) * g in one temporary.
+        d = 1.0 - s
+        d *= y
+        d += s
+        d *= g
+        _accum(a, d)
 
     return _make(y, (a,), bwd, "swish")
 
@@ -553,10 +587,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.values.shape[1]
     if gain.values.shape != (d,) or bias.values.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the feature dim")
-    mu = x.values.mean(axis=1, keepdims=True)
-    var = x.values.var(axis=1, keepdims=True)
+    xhat = x.values - x.values.mean(axis=1, keepdims=True)
+    # The variance exactly as np.var forms it from the centred input.
+    var = np.square(xhat).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv
+    xhat *= inv
     gv = gain.values
 
     def bwd(g):
@@ -591,7 +626,8 @@ def batch_norm(
     gv = gain.values
     if training:
         mu = x.values.mean(axis=0)
-        var = x.values.var(axis=0)
+        xhat = x.values - mu
+        var = np.square(xhat).sum(axis=0) / x.values.shape[0]
         running_mean[...] = ((1.0 - momentum) * running_mean + momentum * mu).astype(
             running_mean.dtype, copy=False
         )
@@ -599,7 +635,7 @@ def batch_norm(
             running_var.dtype, copy=False
         )
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.values - mu) * inv
+        xhat *= inv
 
         def bwd(g):
             _accum(gain, (g * xhat).sum(axis=0))
@@ -632,85 +668,64 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = T
         raise ShapeError(f"dropout rate {rate} outside [0, 1)")
     if not training or rate == 0.0:
         return x
-    keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
-    keep = keep.astype(x.values.dtype)
+    keep = rng.random(x.values.shape) >= rate
+    scale = x.values.dtype.type(1.0 / (1.0 - rate))
 
     def bwd(g):
-        _accum(x, g * keep)
+        gx = g * keep
+        gx *= scale
+        _accum(x, gx)
 
-    return _make(x.values * keep, (x,), bwd, "dropout")
+    out = x.values * keep
+    out *= scale
+    return _make(out, (x,), bwd, "dropout")
 
 
 # ---------------------------------------------------------------------------
 # Convolution
 
 
-def conv1d(x: Tensor, kernel: Tensor, groups: int = 1) -> Tensor:
-    """Same-padded 1-D cross-correlation over a T x C input.
+def conv1d(x: Tensor, kernel: Tensor, groups: int) -> Tensor:
+    """Same-padded depthwise 1-D cross-correlation over a T x C input.
 
-    groups=1 uses a (k, C_in, C_out) kernel; groups=C (depthwise) uses a
-    (k, C) kernel. Kernels must have odd length so "same" zero padding is
-    symmetric and output length equals input length.
+    Each channel has its own filter: ``kernel`` is (k, C) and ``groups``
+    must equal C. Kernels must have odd length so "same" zero padding is
+    symmetric and output length equals input length. (A kernel-1 conv over
+    all channels is a matmul; use ``linear``.)
     """
     if x.values.ndim != 2:
         raise ShapeError("conv1d expects a T x C input")
     t, c = x.values.shape
+    if groups != c:
+        raise ShapeError(f"conv1d: depthwise only, groups={groups} must equal {c} channels")
     kv = kernel.values
     k = kv.shape[0]
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
+    if kv.ndim != 2 or kv.shape[1] != c:
+        raise ShapeError(f"conv1d: depthwise kernel {kv.shape} incompatible with {c} channels")
     if t < 1:
         raise ShapeError("conv1d: empty input")
     pad = k // 2
-    if k > t + 2 * pad:
-        raise ShapeError(f"conv1d: kernel {k} longer than padded input {t + 2 * pad}")
     xp = np.zeros((t + 2 * pad, c), dtype=x.values.dtype)
     xp[pad : pad + t] = x.values
+    out = np.zeros((t, c), dtype=np.result_type(x.values, kv))
+    for dt in range(k):
+        out += xp[dt : dt + t] * kv[dt]
 
-    if groups == 1:
-        if kv.ndim != 3 or kv.shape[1] != c:
-            raise ShapeError(f"conv1d: kernel {kv.shape} incompatible with {c} input channels")
-        c_out = kv.shape[2]
-        out = np.zeros((t, c_out), dtype=np.result_type(x.values, kv))
-        for dt in range(k):
-            out += xp[dt : dt + t] @ kv[dt]
+    def bwd(g):
+        if kernel.requires_grad:
+            dk = np.zeros_like(kv)
+            for dt in range(k):
+                dk[dt] = (xp[dt : dt + t] * g).sum(axis=0)
+            _accum(kernel, dk)
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for dt in range(k):
+                dxp[dt : dt + t] += g * kv[dt]
+            _accum(x, dxp[pad : pad + t])
 
-        def bwd(g):
-            if kernel.requires_grad:
-                dk = np.zeros_like(kv)
-                for dt in range(k):
-                    dk[dt] = xp[dt : dt + t].T @ g
-                _accum(kernel, dk)
-            if x.requires_grad:
-                dxp = np.zeros_like(xp)
-                for dt in range(k):
-                    dxp[dt : dt + t] += g @ kv[dt].T
-                _accum(x, dxp[pad : pad + t])
-
-        return _make(out, (x, kernel), bwd, "conv1d")
-
-    if groups == c:
-        if kv.ndim != 2 or kv.shape[1] != c:
-            raise ShapeError(f"conv1d: depthwise kernel {kv.shape} incompatible with {c} channels")
-        out = np.zeros((t, c), dtype=np.result_type(x.values, kv))
-        for dt in range(k):
-            out += xp[dt : dt + t] * kv[dt]
-
-        def bwd_dw(g):
-            if kernel.requires_grad:
-                dk = np.zeros_like(kv)
-                for dt in range(k):
-                    dk[dt] = (xp[dt : dt + t] * g).sum(axis=0)
-                _accum(kernel, dk)
-            if x.requires_grad:
-                dxp = np.zeros_like(xp)
-                for dt in range(k):
-                    dxp[dt : dt + t] += g * kv[dt]
-                _accum(x, dxp[pad : pad + t])
-
-        return _make(out, (x, kernel), bwd_dw, "conv1d")
-
-    raise ShapeError(f"conv1d: unsupported groups={groups} for {c} channels (use 1 or {c})")
+    return _make(out, (x, kernel), bwd, "conv1d")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI: smoke runs, exit codes, determinism, resume behavior."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,32 @@ class TestPretrainCommand:
         resumed = read_metrics(tmp_path / "part")
         assert [r["step"] for r in resumed] == list(range(1, 11))
         assert resumed == full
+
+    def test_resume_after_mid_interval_crash_matches_straight_run(
+        self, dataset, toy_config, tmp_path
+    ):
+        config = json.loads(toy_config.read_text())
+        config["pretrain"]["checkpoint_interval"] = 5
+        (tmp_path / "every5.json").write_text(json.dumps(config))
+        base = [
+            "pretrain",
+            "--config",
+            str(tmp_path / "every5.json"),
+            "--manifest",
+            str(dataset / "manifest.tsv"),
+            "--seed",
+            "1",
+            "--deterministic",
+        ]
+        assert main(base + ["--out-dir", str(tmp_path / "full"), "--max-steps", "10"]) == 0
+        part = tmp_path / "part"
+        assert main(base + ["--out-dir", str(part), "--max-steps", "7"]) == 0
+        # A crash before step 7's save: steps 6 and 7 are logged, not saved.
+        shutil.rmtree(part / "ckpt-00000007")
+        assert main(base + ["--out-dir", str(part), "--max-steps", "10"]) == 0
+        assert [r["step"] for r in read_metrics(part)] == list(range(1, 11))
+        full_log = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+        assert (part / "metrics.jsonl").read_bytes() == full_log
 
     def test_checkpoint_seed_mismatch_rejected(self, dataset, toy_config, tmp_path):
         base = [

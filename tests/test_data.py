@@ -1,5 +1,7 @@
 """Data IO: WAV round trips, manifests, synthetic clips, checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,53 @@ class TestCheckpoint:
         (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
         with pytest.raises(StorageError, match="version"):
             load_checkpoint(tmp_path / "ck")
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        # Version 1 stored the pointwise convs as (1, d, n) kernels with
+        # separate ``*_bias`` arrays; version 2 stores them as Linear layers.
+        import json
+
+        save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
+        header = json.loads((tmp_path / "ck" / "header.json").read_text())
+        assert header["format_version"] == 2
+        assert "context_encoder.blocks.0.conv.pointwise_in.weight" in {
+            e["name"] for e in header["arrays"]
+        }
+        header["format_version"] = 1
+        (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
+        with pytest.raises(StorageError, match="version 1"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_crash_while_overwriting_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        old, new = tiny_model(seed=14), tiny_model(seed=15)
+        save_checkpoint(tmp_path / "ck", old, step=1, seed=14)
+        real_rename = Path.rename
+
+        def crash_before_staging_moves_in(self, target):
+            if self.name.endswith(".tmp"):
+                raise OSError("simulated crash")
+            return real_rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", crash_before_staging_moves_in)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_checkpoint(tmp_path / "ck", new, step=2, seed=15)
+        monkeypatch.undo()
+        survivor = load_checkpoint(tmp_path / "ck.old")
+        assert survivor.step == 1
+        for name, arr in old.state_arrays().items():
+            assert np.array_equal(survivor.arrays[name], arr), name
+        assert latest_checkpoint(tmp_path) is None
+        # The next save succeeds and clears the stale aside copy.
+        save_checkpoint(tmp_path / "ck", new, step=2, seed=15)
+        assert load_checkpoint(tmp_path / "ck").step == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    def test_overwrite_leaves_one_directory(self, tmp_path):
+        model = tiny_model(seed=16)
+        for step in (1, 2):
+            save_checkpoint(tmp_path / "ckpt-00000001", model, step=step, seed=16)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt-00000001"]
+        assert load_checkpoint(tmp_path / "ckpt-00000001").step == 2
 
     def test_architecture_mismatch_rejected(self, tmp_path):
         model = tiny_model(seed=10)

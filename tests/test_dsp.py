@@ -123,3 +123,26 @@ class TestPureTone:
         power = np.abs(np.fft.rfft(frame * window)) ** 2
         oracle = np.log(dsp.mel_filterbank() @ power + 1e-10)
         np.testing.assert_allclose(spec.frames[i], oracle, atol=1e-9)
+
+
+def gather_logmel(samples, filterbank):
+    """The index-gather formula ``logmel`` used before its strided rewrite."""
+    pad = dsp.WINDOW_SAMPLES // 2
+    n = samples.size
+    padded = np.pad(samples, pad, mode="reflect" if n > pad else "constant")
+    num_frames = -(-n // dsp.HOP_SAMPLES)
+    starts = np.arange(num_frames) * dsp.HOP_SAMPLES
+    frames = padded[starts[:, None] + np.arange(dsp.WINDOW_SAMPLES)] * dsp._HANN
+    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    return np.log(power @ filterbank.T + dsp.LOG_FLOOR)
+
+
+class TestLogmelBytes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 5, 319, 320, 321, 1024, 4097, 32000, 160000])
+    def test_same_bytes_as_gather_formula(self, n, dtype):
+        samples = (np.random.default_rng(n).normal(scale=0.2, size=n)).astype(dtype)
+        got = dsp.logmel(dsp.Waveform(samples)).frames
+        want = gather_logmel(samples, dsp.mel_filterbank())
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

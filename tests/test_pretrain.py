@@ -294,3 +294,18 @@ class TestStreamedBackward:
             return lambda: pretrain_step(clips, model, opt, pcfg, step=0), opt.named_params
 
         assert check_streamed_grads(pretrain_module, make) == 3
+
+
+class TestMetricsLogCut:
+    LINES = [f'{{"step": {i}, "loss": 1.0}}\n' for i in range(1, 8)]
+
+    @pytest.mark.parametrize("step,kept", [(5, 5), (7, 7), (0, 0)])
+    def test_cut_back_to_step_drops_later_and_torn_records(self, tmp_path, step, kept):
+        log = tmp_path / "metrics.jsonl"
+        log.write_text("".join(self.LINES) + '{"step": 8, "lo')
+        pretrain_module._drop_records_after(log, step)
+        assert log.read_text() == "".join(self.LINES[:kept])
+
+    def test_missing_log_is_left_alone(self, tmp_path):
+        pretrain_module._drop_records_after(tmp_path / "metrics.jsonl", 3)
+        assert not (tmp_path / "metrics.jsonl").exists()

@@ -2,30 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from melformer import tensor as T
 from melformer.errors import GraphError, NumericError, ShapeError
 from melformer.tensor import Tensor, backward, grad_check, parameter
 
 
-def conv1d_reference(x, kernel, groups=1):
-    """Triple-loop same-padded cross-correlation, independent of the engine."""
+def depthwise_reference(x, kernel):
+    """Double-loop same-padded depthwise cross-correlation, independent of the engine."""
     t, c = x.shape
     k = kernel.shape[0]
     pad = k // 2
     xp = np.zeros((t + 2 * pad, c))
     xp[pad : pad + t] = x
-    if groups == 1:
-        c_out = kernel.shape[2]
-        out = np.zeros((t, c_out))
-        for i in range(t):
-            for o in range(c_out):
-                acc = 0.0
-                for dt in range(k):
-                    for ci in range(c):
-                        acc += xp[i + dt, ci] * kernel[dt, ci, o]
-                out[i, o] = acc
-        return out
     out = np.zeros((t, c))
     for i in range(t):
         for ci in range(c):
@@ -34,6 +24,12 @@ def conv1d_reference(x, kernel, groups=1):
                 acc += xp[i + dt, ci] * kernel[dt, ci]
             out[i, ci] = acc
     return out
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestForwardValues:
@@ -140,30 +136,160 @@ class TestConv1d:
         rng = np.random.default_rng(3)
         for k in (1, 3, 7, 31):
             x = Tensor(rng.normal(size=(12, 2)))
-            kern = Tensor(rng.normal(size=(k, 2, 5)))
-            assert T.conv1d(x, kern).shape == (12, 5)
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(8, 4))
-        k = rng.normal(size=(3, 4, 6))
-        got = T.conv1d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64))
-        np.testing.assert_allclose(got.values, conv1d_reference(x, k), atol=1e-6)
+            kern = Tensor(rng.normal(size=(k, 2)))
+            assert T.conv1d(x, kern, groups=2).shape == (12, 2)
 
     def test_depthwise_matches_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(10, 3))
         k = rng.normal(size=(5, 3))
         got = T.conv1d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), groups=3)
-        np.testing.assert_allclose(got.values, conv1d_reference(x, k, groups=3), atol=1e-6)
+        np.testing.assert_allclose(got.values, depthwise_reference(x, k), atol=1e-6)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
-            T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2, 2))))
+            T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2))), groups=2)
 
     def test_bad_groups_rejected(self):
         with pytest.raises(ShapeError):
             T.conv1d(Tensor(np.ones((4, 4))), Tensor(np.ones((3, 2))), groups=2)
+
+    def test_dense_kernel_rejected(self):
+        # Dense (k, C_in, C_out) kernels are gone: a kernel-1 conv is ``linear``.
+        with pytest.raises(ShapeError):
+            T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 3))), groups=2)
+
+
+def _sum_against(out, g):
+    """sum(out * g): back-propagates exactly ``g`` into ``out``."""
+    return T.reduce_sum(T.mul(out, Tensor(g)))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_bit_identical_to_matmul_then_add(self, with_bias):
+        rng = np.random.default_rng(21)
+        arrays = [rng.normal(size=n).astype(np.float32) for n in ((25, 64), (64, 48), (48,))]
+        g = rng.normal(size=(25, 48)).astype(np.float32)
+        if not with_bias:
+            arrays = arrays[:2]
+        fused = [parameter(a.copy()) for a in arrays]
+        split = [parameter(a.copy()) for a in arrays]
+        out_fused = T.linear(*fused)
+        out_split = T.matmul(split[0], split[1])
+        if with_bias:
+            out_split = T.add(out_split, split[2])
+        assert_same_bits(out_fused.values, out_split.values)
+        backward(_sum_against(out_fused, g))
+        backward(_sum_against(out_split, g))
+        for a, b in zip(fused, split):
+            assert_same_bits(a.grad, b.grad)
+
+    def test_one_node_per_projection(self):
+        x = parameter(np.ones((3, 4)))
+        out = T.linear(x, parameter(np.ones((4, 2))), parameter(np.zeros(2)))
+        assert len(T._topological_order(out)) == 4
+
+    def test_input_without_grad_gets_none(self):
+        w = parameter(np.ones((4, 2)))
+        x = Tensor(np.ones((3, 4)))
+        backward(T.reduce_sum(T.linear(x, w)))
+        assert x.grad is None
+        np.testing.assert_array_equal(w.grad, np.full((4, 2), 3.0))
+
+    @pytest.mark.parametrize(
+        "w_shape,b_shape", [((5, 2), (2,)), ((4, 2), (3,)), ((4, 2), (1, 2)), ((4,), None)]
+    )
+    def test_bad_shapes_rejected(self, w_shape, b_shape):
+        x = Tensor(np.ones((3, 4)))
+        b = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(ShapeError):
+            T.linear(x, Tensor(np.ones(w_shape)), b)
+
+
+def _reference_dropout(x, g, rate, seed):
+    keep = (np.random.default_rng(seed).random(x.shape) >= rate) / (1.0 - rate)
+    keep = keep.astype(x.dtype)
+    return x * keep, g * keep
+
+
+def _reference_swish(x, g):
+    s = expit(x)
+    y = x * s
+    return y, g * (s + y * (1.0 - s))
+
+
+def _reference_norm(x, gv, bv, g, axis, eps=1e-5):
+    """The normalization forward/backward of layer_norm (axis 1) and batch_norm (axis 0)."""
+    keep = axis == 1
+    mu = x.mean(axis=axis, keepdims=keep)
+    var = x.var(axis=axis, keepdims=keep)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gx = g * gv
+    m1 = gx.mean(axis=axis, keepdims=keep)
+    m2 = (gx * xhat).mean(axis=axis, keepdims=keep)
+    dx = (gx - m1 - xhat * m2) * inv
+    grads = (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+    return xhat * gv + bv, grads, mu, var
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(25, 64), (7, 5), (125, 256)])
+class TestKernelsKeepTheirBits:
+    """Rewritten kernels against copies of the straightforward formulas."""
+
+    def test_dropout(self, dtype, shape):
+        rng = np.random.default_rng(30)
+        x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+        for rate in (0.1, 0.3, 0.4):
+            leaf = parameter(x.copy())
+            out = T.dropout(leaf, rate, np.random.default_rng(31))
+            backward(_sum_against(out, g))
+            want_out, want_grad = _reference_dropout(x, g, rate, 31)
+            assert_same_bits(out.values, want_out)
+            assert_same_bits(leaf.grad, want_grad)
+
+    def test_swish(self, dtype, shape):
+        rng = np.random.default_rng(32)
+        x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+        leaf = parameter(x.copy())
+        out = T.swish(leaf)
+        backward(_sum_against(out, g))
+        want_out, want_grad = _reference_swish(x, g)
+        assert_same_bits(out.values, want_out)
+        assert_same_bits(leaf.grad, want_grad)
+
+    def test_layer_norm(self, dtype, shape):
+        rng = np.random.default_rng(33)
+        x, g = (rng.normal(size=shape).astype(dtype) * 3.0 + 1.0 for _ in range(2))
+        gv, bv = (rng.normal(size=shape[1]).astype(dtype) for _ in range(2))
+        leaves = [parameter(a.copy()) for a in (x, gv, bv)]
+        out = T.layer_norm(*leaves)
+        backward(_sum_against(out, g))
+        want_out, want_grads, _, _ = _reference_norm(x, gv, bv, g, axis=1)
+        assert_same_bits(out.values, want_out)
+        for leaf, want in zip(leaves, want_grads):
+            assert_same_bits(leaf.grad, want)
+
+    def test_batch_norm_training(self, dtype, shape):
+        rng = np.random.default_rng(34)
+        x, g = (rng.normal(size=shape).astype(dtype) * 3.0 + 1.0 for _ in range(2))
+        gv, bv = (rng.normal(size=shape[1]).astype(dtype) for _ in range(2))
+        running_mean = rng.normal(size=shape[1]).astype(dtype)
+        running_var = (np.abs(rng.normal(size=shape[1])) + 0.5).astype(dtype)
+        want_mean, want_var = running_mean.copy(), running_var.copy()
+        leaves = [parameter(a.copy()) for a in (x, gv, bv)]
+        out = T.batch_norm(*leaves, running_mean, running_var, training=True)
+        backward(_sum_against(out, g))
+        want_out, want_grads, mu, var = _reference_norm(x, gv, bv, g, axis=0)
+        assert_same_bits(out.values, want_out)
+        for leaf, want in zip(leaves, want_grads):
+            assert_same_bits(leaf.grad, want)
+        want_mean[...] = ((1.0 - 0.1) * want_mean + 0.1 * mu).astype(dtype)
+        want_var[...] = ((1.0 - 0.1) * want_var + 0.1 * var).astype(dtype)
+        assert_same_bits(running_mean, want_mean)
+        assert_same_bits(running_var, want_var)
 
 
 class TestBackward:
@@ -264,6 +390,59 @@ class TestBackward:
         with T.no_grad():
             y = T.mul(x, x)
         assert y._backward is None and not y.requires_grad
+
+
+def _spy_on_grads(nodes):
+    """Record the gradient each interior node's backward closure receives."""
+    seen = []
+    for node in nodes:
+        inner = node._backward
+
+        def spy(g, inner=inner):
+            seen.append(g)
+            inner(g)
+
+        node._backward = spy
+    return seen
+
+
+def _assert_owned_and_disjoint(grads):
+    for i, a in enumerate(grads):
+        assert a.flags.writeable
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradOwnership:
+    """Gradients are adopted, never copied, so no two tensors may share one."""
+
+    def test_add_of_a_tensor_with_itself(self):
+        x = parameter(np.ones((2, 3)))
+        backward(T.reduce_sum(T.add(x, x)))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        _assert_owned_and_disjoint([x.grad])
+
+    def test_add_of_two_interior_parents(self):
+        # Each scalar add adopts its gradient for its parent, so the leaves
+        # end up holding the arrays the outer add handed to h1 and h2.
+        x = parameter(np.zeros((2, 3)))
+        y = parameter(np.zeros((2, 3)))
+        h1, h2 = T.add(x, 1.0), T.add(y, 2.0)
+        seen = _spy_on_grads([h1, h2])
+        backward(T.reduce_sum(T.add(h1, h2)))
+        _assert_owned_and_disjoint(seen)
+        _assert_owned_and_disjoint([x.grad, y.grad])
+        x.grad *= 3.0
+        np.testing.assert_array_equal(y.grad, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("reduce", [T.reduce_sum, T.reduce_mean])
+    def test_reduction_into_a_leaf(self, reduce):
+        x = parameter(np.zeros((2, 3)))
+        w = parameter(np.zeros((2, 3)))
+        backward(T.add(reduce(x), reduce(T.reduce_sum(w, axis=0))))
+        _assert_owned_and_disjoint([x.grad, w.grad])
+        x.grad += 1.0
+        w.grad += 1.0
 
 
 class TestGradCheck:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import (
     generate_synthetic_dataset,
-    latest_checkpoint,
     load_checkpoint,
     load_examples,
     read_manifest,
@@ -39,7 +38,7 @@ from .errors import (
 from .finetune import FinetuneConfig, make_head, run_finetuning, evaluate_model
 from .gradcheck import run_gradcheck_suite
 from .model import ConformerModel, ModelConfig, param_count
-from .pretrain import Adam, PretrainConfig, run_pretraining
+from .pretrain import PretrainConfig, last_step, run_pretraining
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,33 +109,12 @@ def cmd_pretrain(args) -> int:
     clips = _train_logmels(manifest, manifest_path.parent, "train")
 
     model = ConformerModel(model_config, seed=pcfg.seed)
-    optimizer = Adam(
-        list(model.named_parameters()),
-        beta1=pcfg.beta1,
-        beta2=pcfg.beta2,
-        weight_decay=pcfg.weight_decay,
-    )
-    start_step = 0
-    resume_from = latest_checkpoint(out_dir)
-    if resume_from is not None:
-        ck = load_checkpoint(resume_from)
-        if ck.model_config != model_config.to_dict():
-            raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
-        if ck.seed != pcfg.seed:
-            raise ConfigError(f"checkpoint seed {ck.seed} differs from --seed {pcfg.seed}")
-        model.load_state_arrays(ck.arrays)
-        if ck.optimizer_arrays is not None:
-            optimizer.load_state_arrays(ck.optimizer_arrays, ck.optimizer_step)
-        start_step = ck.step
-        print(f"resuming from {resume_from} at step {start_step}")
     run_pretraining(
         model,
         clips,
         pcfg,
         out_dir,
         max_steps=args.max_steps,
-        start_step=start_step,
-        optimizer=optimizer,
         deterministic=args.deterministic,
         log=lambda rec: print(
             f"step {rec['step']} loss {rec['loss']:.4f} lr {rec['lr']:.2e}"
@@ -191,7 +169,7 @@ def cmd_finetune(args) -> int:
     save_checkpoint(
         out_dir / "ckpt-final",
         model,
-        step=fcfg.last_step(args.max_steps),
+        step=last_step(fcfg.total_steps, args.max_steps),
         seed=fcfg.seed,
         extra_arrays={f"head.{n}": p.values for n, p in head.named_parameters()},
         extra={

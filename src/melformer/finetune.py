@@ -11,7 +11,6 @@ schedule over fixed fractions of the run.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .dsp import Waveform, logmel
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import EvalReport, evaluate_scores
 from .model import ConformerModel, Linear, Module
-from .pretrain import Adam, global_grad_norm, write_metrics_line
+from .pretrain import Adam, global_grad_norm, last_step, step_rng, training_loop
 from .tensor import Tensor, backward
 
 HEAD_KINDS = ("linear-softmax-pool", "mean-pool")
@@ -35,10 +34,6 @@ RNG_HEAD_DROPOUT_B = 14
 
 MAX_JITTER = 200  # samples; half the 64 ms analysis window hop side
 MAX_TIME_MASK_FRAMES = 100  # 2 s at the 20 ms hop
-
-
-def step_rng(seed: int, purpose: int, step: int, item: int = 0) -> np.random.Generator:
-    return np.random.default_rng([seed, purpose, step, item])
 
 
 @dataclass
@@ -78,10 +73,6 @@ class FinetuneConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def last_step(self, max_steps: int | None = None) -> int:
-        """The step a run ends on: ``total_steps``, capped by a positive ``max_steps``."""
-        return min(self.total_steps, max_steps) if max_steps else self.total_steps
 
 
 @dataclass
@@ -394,9 +385,11 @@ def run_finetuning(
     deterministic: bool = True,
     log=None,
 ) -> EvalReport | None:
-    """Fine-tune with balanced sampling; evaluate at the end when data given."""
+    """Fine-tune with balanced sampling; evaluate at the end when data given.
+
+    A rerun into the same ``out_dir`` starts ``metrics.jsonl`` afresh.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     optimizer = Adam(
         list(model.named_parameters()) + [(f"head.{n}", p) for n, p in head.named_parameters()]
     )
@@ -406,23 +399,18 @@ def run_finetuning(
     else:
         probabilities = None
     model.train()
-    last_step = config.last_step(max_steps)
-    metrics_path = out_dir / "metrics.jsonl"
-    with metrics_path.open("a") as handle:
-        for step in range(1, last_step + 1):
-            t0 = time.monotonic()
-            rng = step_rng(config.seed, RNG_SAMPLING, step)
-            picks = rng.choice(
-                len(train_examples),
-                size=min(config.batch_size, len(train_examples)),
-                replace=len(train_examples) < config.batch_size,
-                p=probabilities,
-            )
-            batch = [train_examples[i] for i in picks]
-            record = finetune_step(batch, model, head, optimizer, config, step)
-            write_metrics_line(handle, record, deterministic, (time.monotonic() - t0) * 1e3)
-            if log is not None:
-                log(record)
+    n = len(train_examples)
+
+    def step_fn(step):
+        rng = step_rng(config.seed, RNG_SAMPLING, step)
+        picks = rng.choice(
+            n, size=min(config.batch_size, n), replace=n < config.batch_size, p=probabilities
+        )
+        batch = [train_examples[i] for i in picks]
+        return finetune_step(batch, model, head, optimizer, config, step)
+
+    end_step = last_step(config.total_steps, max_steps)
+    training_loop(step_fn, out_dir, 0, end_step, deterministic, log)
     if eval_examples:
         report = evaluate_model(model, head, eval_examples)
         (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")

@@ -74,45 +74,46 @@ class Module:
 
     training: bool = True
 
-    def _children(self):
-        for name, value in vars(self).items():
-            yield name, value
+    def _walk(self, prefix: str = "", found: tuple | None = None) -> tuple[list, list]:
+        """One depth-first traversal of the tree, in attribute order.
 
-    def named_parameters(self, prefix: str = ""):
-        for name, value in self._children():
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield prefix + name, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(f"{prefix}{name}.")
+        Returns (modules, attributes): every module, this one first, and
+        every other attribute as (prefix, name, value). Lists and tuples
+        contribute only their Module items. Parameters, buffers and the
+        training flag all come from this walk, so their orders agree.
+        """
+        if found is None:
+            found = ([], [])
+        modules, attributes = found
+        modules.append(self)
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                value._walk(f"{prefix}{name}.", found)
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{name}.{i}.")
+                        item._walk(f"{prefix}{name}.{i}.", found)
+            else:
+                attributes.append((prefix, name, value))
+        return found
+
+    def named_parameters(self):
+        for prefix, name, value in self._walk()[1]:
+            if isinstance(value, Tensor) and value.requires_grad:
+                yield prefix + name, value
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = ""):
+    def named_buffers(self):
         """Non-trainable state arrays (running statistics)."""
-        for name, value in self._children():
+        for prefix, name, value in self._walk()[1]:
             if isinstance(value, np.ndarray):
                 yield prefix + name, value
-            elif isinstance(value, Module):
-                yield from value.named_buffers(f"{prefix}{name}.")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_buffers(f"{prefix}{name}.{i}.")
 
     def _set_training(self, mode: bool):
-        self.training = mode
-        for _, value in self._children():
-            if isinstance(value, Module):
-                value._set_training(mode)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item._set_training(mode)
+        for module in self._walk()[0]:
+            module.training = mode
 
     def train(self):
         self._set_training(True)
@@ -224,7 +225,7 @@ class ConvolutionModule(Module):
 
     def __call__(self, x: Tensor, rng) -> Tensor:
         h = T.glu(self.pointwise_in(self.norm(x)), axis=1)
-        h = T.conv1d(h, self.depthwise, groups=h.shape[1])
+        h = T.conv1d(h, self.depthwise)
         h = T.swish(self.batch_norm(h))
         return T.dropout(self.pointwise_out(h), self.dropout, rng, self.training)
 
@@ -377,12 +378,6 @@ class ConformerModel(Module):
             rng.uniform(-0.1, 0.1, size=(1, config.latent_dim)).astype(dtype)
         )
         self.context_encoder = ContextEncoder(config, rng, dtype)
-
-    def _children(self):
-        for name, value in vars(self).items():
-            if name == "config":
-                continue
-            yield name, value
 
     def encode_features(self, frames: np.ndarray) -> Tensor:
         """Latent frames Z, (T // stack_factor) x latent_dim."""

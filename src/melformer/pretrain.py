@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .data import latest_checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, NumericError, ShapeError
 from .model import ConformerModel, apply_mask, sample_mask
 from .tensor import Tensor, backward
@@ -280,8 +281,9 @@ def write_metrics_line(handle, record: dict, deterministic: bool, wall_ms: float
 def _drop_records_after(metrics_path: Path, step: int):
     """Cut a JSONL metrics log back to the records of steps 1..``step``.
 
-    A run that crashed after its last checkpoint logged steps the resumed run
-    will log again; those records, and a line torn by the crash, are dropped.
+    A rerun, or a resume after a crash past the last checkpoint, logs steps
+    the log already holds; those records, and a line torn by a crash, are
+    dropped.
     """
     if not metrics_path.exists():
         return
@@ -297,56 +299,94 @@ def _drop_records_after(metrics_path: Path, step: int):
         handle.truncate(keep)
 
 
+def last_step(total_steps: int, max_steps: int | None) -> int:
+    """The step a run ends on: ``total_steps``, capped by a positive ``max_steps``."""
+    return min(total_steps, max_steps) if max_steps else total_steps
+
+
+def training_loop(
+    step_fn,
+    out_dir: Path,
+    start_step: int,
+    end_step: int,
+    deterministic: bool,
+    log,
+    checkpoint=None,
+):
+    """Run ``step_fn(step)`` for steps ``start_step+1 .. end_step``.
+
+    Each returned record goes to ``out_dir/metrics.jsonl``, which is first
+    cut back to ``start_step``, and then to ``log``; ``checkpoint(step)``
+    runs after every logged step.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path = out_dir / "metrics.jsonl"
+    _drop_records_after(metrics_path, start_step)
+    with metrics_path.open("a") as handle:
+        for step in range(start_step + 1, end_step + 1):
+            t0 = time.monotonic()
+            record = step_fn(step)
+            write_metrics_line(handle, record, deterministic, (time.monotonic() - t0) * 1e3)
+            if log is not None:
+                log(record)
+            if checkpoint is not None:
+                checkpoint(step)
+
+
 def run_pretraining(
     model: ConformerModel,
     logmels: list[np.ndarray],
     config: PretrainConfig,
     out_dir: str | Path,
     max_steps: int | None = None,
-    start_step: int = 0,
-    optimizer: Adam | None = None,
     deterministic: bool = True,
     log=None,
 ) -> Adam:
-    """Training loop with periodic checkpoints and a JSONL metrics log.
+    """Pretrain with periodic checkpoints and a JSONL metrics log.
 
-    Steps are numbered from 1; ``start_step`` is the last completed step
-    (nonzero when resuming), and ``metrics.jsonl`` is first cut back to it.
-    Returns the optimizer for further inspection.
+    Steps are numbered from 1. When ``out_dir`` holds a ``ckpt-NNNNNNNN``
+    checkpoint, the run resumes from the newest one: its architecture and
+    seed must match, the model and Adam state are loaded from it, and a
+    ``resuming from`` line is printed. Returns the optimizer.
     """
-    from .data import save_checkpoint
-
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if optimizer is None:
-        optimizer = Adam(
-            list(model.named_parameters()),
-            beta1=config.beta1,
-            beta2=config.beta2,
-            weight_decay=config.weight_decay,
-        )
+    optimizer = Adam(
+        list(model.named_parameters()),
+        beta1=config.beta1,
+        beta2=config.beta2,
+        weight_decay=config.weight_decay,
+    )
+    start_step = 0
+    resume_from = latest_checkpoint(out_dir)
+    if resume_from is not None:
+        ck = load_checkpoint(resume_from)
+        if ck.model_config != model.config.to_dict():
+            raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
+        if ck.seed != config.seed:
+            raise ConfigError(f"checkpoint seed {ck.seed} differs from --seed {config.seed}")
+        model.load_state_arrays(ck.arrays)
+        if ck.optimizer_arrays is not None:
+            optimizer.load_state_arrays(ck.optimizer_arrays, ck.optimizer_step)
+        start_step = ck.step
+        print(f"resuming from {resume_from} at step {start_step}")
     model.train()
-    last_step = min(config.total_steps, max_steps) if max_steps else config.total_steps
-    metrics_path = out_dir / "metrics.jsonl"
-    _drop_records_after(metrics_path, start_step)
-    with metrics_path.open("a") as handle:
-        for step in range(start_step + 1, last_step + 1):
-            t0 = time.monotonic()
-            rng = step_rng(config.seed, RNG_BATCH, step)
-            replace = len(logmels) < config.batch_size
-            picks = rng.choice(len(logmels), size=config.batch_size, replace=replace)
-            batch = [logmels[i] for i in picks]
-            record = pretrain_step(batch, model, optimizer, config, step)
-            wall_ms = (time.monotonic() - t0) * 1000.0
-            write_metrics_line(handle, record, deterministic, wall_ms)
-            if log is not None:
-                log(record)
-            if step % config.checkpoint_interval == 0 or step == last_step:
-                save_checkpoint(
-                    out_dir / f"ckpt-{step:08d}",
-                    model,
-                    step=step,
-                    seed=config.seed,
-                    optimizer=optimizer,
-                )
+    end_step = last_step(config.total_steps, max_steps)
+
+    def step_fn(step):
+        rng = step_rng(config.seed, RNG_BATCH, step)
+        replace = len(logmels) < config.batch_size
+        picks = rng.choice(len(logmels), size=config.batch_size, replace=replace)
+        return pretrain_step([logmels[i] for i in picks], model, optimizer, config, step)
+
+    def checkpoint(step):
+        if step % config.checkpoint_interval == 0 or step == end_step:
+            save_checkpoint(
+                out_dir / f"ckpt-{step:08d}",
+                model,
+                step=step,
+                seed=config.seed,
+                optimizer=optimizer,
+            )
+
+    training_loop(step_fn, out_dir, start_step, end_step, deterministic, log, checkpoint)
     return optimizer

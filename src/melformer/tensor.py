@@ -2,7 +2,7 @@
 
 Provides the primitive set needed by a conformer encoder and its training
 losses: matmul, the fused affine map ``linear`` (x @ W + b as one node),
-elementwise arithmetic, slice/gather, normalizations, softmax-family ops,
+elementwise arithmetic, slice/gather, normalizations, logsumexp,
 fused multi-head attention, gated activations, dropout, depthwise 1-D
 convolution, and a finite-difference gradient checker.
 
@@ -50,7 +50,6 @@ __all__ = [
     "sigmoid",
     "swish",
     "glu",
-    "softmax",
     "logsumexp",
     "attention",
     "layer_norm",
@@ -517,18 +516,6 @@ def glu(a: Tensor, axis: int = 1) -> Tensor:
     return _make(va * s, (a,), bwd, "glu")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, (g - inner) * y)
-
-    return _make(y, (a,), bwd, "softmax")
-
-
 def logsumexp(a: Tensor, axis: int = 1) -> Tensor:
     """log(sum(exp(a))) along axis, keepdims, computed stably."""
     m = a.values.max(axis=axis, keepdims=True)
@@ -685,19 +672,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = T
 # Convolution
 
 
-def conv1d(x: Tensor, kernel: Tensor, groups: int) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     """Same-padded depthwise 1-D cross-correlation over a T x C input.
 
-    Each channel has its own filter: ``kernel`` is (k, C) and ``groups``
-    must equal C. Kernels must have odd length so "same" zero padding is
-    symmetric and output length equals input length. (A kernel-1 conv over
-    all channels is a matmul; use ``linear``.)
+    Each channel has its own filter: ``kernel`` is (k, C). Kernels must
+    have odd length so "same" zero padding is symmetric and output length
+    equals input length. (A kernel-1 conv over all channels is a matmul;
+    use ``linear``.)
     """
     if x.values.ndim != 2:
         raise ShapeError("conv1d expects a T x C input")
     t, c = x.values.shape
-    if groups != c:
-        raise ShapeError(f"conv1d: depthwise only, groups={groups} must equal {c} channels")
     kv = kernel.values
     k = kv.shape[0]
     if k % 2 == 0:

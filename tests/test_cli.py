@@ -231,6 +231,24 @@ class TestFinetuneCommand:
         assert load_checkpoint(tmp_path / "ft" / "ckpt-final").step == 6
         assert len(read_metrics(tmp_path / "ft")) == 6
 
+    def test_rerun_into_same_out_dir_logs_one_series(self, dataset, toy_config, tmp_path):
+        args = [
+            "finetune",
+            "--config",
+            str(toy_config),
+            "--manifest",
+            str(dataset / "manifest.tsv"),
+            "--out-dir",
+            str(tmp_path / "ft"),
+            "--max-steps",
+            "3",
+        ]
+        assert main(args) == 0
+        first = (tmp_path / "ft" / "metrics.jsonl").read_bytes()
+        assert main(args) == 0
+        assert [r["step"] for r in read_metrics(tmp_path / "ft")] == [1, 2, 3]
+        assert (tmp_path / "ft" / "metrics.jsonl").read_bytes() == first
+
     def test_init_from_pretrain_checkpoint(self, dataset, toy_config, tmp_path):
         pre_dir = tmp_path / "pre"
         assert (

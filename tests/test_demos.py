@@ -1,0 +1,34 @@
+"""Demos run to completion, and every exported name resolves."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import melformer
+from melformer import tensor as T
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SRC = Path(melformer.__file__).resolve().parents[1]
+
+
+def test_all_five_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("module", [melformer, T], ids=lambda m: m.__name__)
+def test_exports_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing

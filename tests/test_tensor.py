@@ -42,10 +42,6 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
-    def test_softmax_symmetry(self):
-        y = T.softmax(Tensor(np.zeros((1, 3))))
-        np.testing.assert_allclose(y.values, 1.0 / 3.0)
-
     def test_layer_norm_standardizes_rows(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 16)), dtype=np.float64)
@@ -129,7 +125,7 @@ class TestConv1d:
         x = rng.normal(size=(9, 4))
         k = np.zeros((3, 4))
         k[1] = 1.0
-        out = T.conv1d(Tensor(x), Tensor(k), groups=4)
+        out = T.conv1d(Tensor(x), Tensor(k), )
         np.testing.assert_allclose(out.values, x, rtol=1e-6)
 
     def test_same_padding_preserves_length(self):
@@ -137,27 +133,27 @@ class TestConv1d:
         for k in (1, 3, 7, 31):
             x = Tensor(rng.normal(size=(12, 2)))
             kern = Tensor(rng.normal(size=(k, 2)))
-            assert T.conv1d(x, kern, groups=2).shape == (12, 2)
+            assert T.conv1d(x, kern).shape == (12, 2)
 
     def test_depthwise_matches_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(10, 3))
         k = rng.normal(size=(5, 3))
-        got = T.conv1d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), groups=3)
+        got = T.conv1d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), )
         np.testing.assert_allclose(got.values, depthwise_reference(x, k), atol=1e-6)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
-            T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2))), groups=2)
+            T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2))))
 
     def test_bad_groups_rejected(self):
         with pytest.raises(ShapeError):
-            T.conv1d(Tensor(np.ones((4, 4))), Tensor(np.ones((3, 2))), groups=2)
+            T.conv1d(Tensor(np.ones((4, 4))), Tensor(np.ones((3, 2))))
 
     def test_dense_kernel_rejected(self):
         # Dense (k, C_in, C_out) kernels are gone: a kernel-1 conv is ``linear``.
         with pytest.raises(ShapeError):
-            T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 3))), groups=2)
+            T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 3))))
 
 
 def _sum_against(out, g):

@@ -25,14 +25,15 @@ from melformer import (
     read_wav,
 )
 
-data_dir = Path(tempfile.mkdtemp(prefix="melformer-demo-"))
-manifest = generate_synthetic_dataset(
-    num_classes=4, clips_per_class=4, clip_seconds=2.0, seed=0, out_dir=data_dir
-)
-clips = [
-    logmel(read_wav(data_dir / r.audio_path)).frames.astype(np.float32)
-    for r in manifest.records
-]
+with tempfile.TemporaryDirectory(prefix="melformer-demo-") as tmp:
+    data_dir = Path(tmp)
+    manifest = generate_synthetic_dataset(
+        num_classes=4, clips_per_class=4, clip_seconds=2.0, seed=0, out_dir=data_dir
+    )
+    clips = [
+        logmel(read_wav(data_dir / r.audio_path)).frames.astype(np.float32)
+        for r in manifest.records
+    ]
 print(f"{len(clips)} clips, logmel {clips[0].shape}")
 
 config = ModelConfig(

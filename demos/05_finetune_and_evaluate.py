@@ -31,13 +31,14 @@ from melformer import (
 from melformer.data import load_examples
 from melformer.tensor import Tensor
 
-data_dir = Path(tempfile.mkdtemp(prefix="melformer-demo-"))
-manifest = generate_synthetic_dataset(
-    num_classes=4, clips_per_class=10, clip_seconds=1.0, seed=0,
-    out_dir=data_dir, labels_per_clip=(1, 1), eval_fraction=0.25,
-)
-train = load_examples(manifest, data_dir, "train")
-held_out = load_examples(manifest, data_dir, "eval")
+with tempfile.TemporaryDirectory(prefix="melformer-demo-") as tmp:
+    data_dir = Path(tmp)
+    manifest = generate_synthetic_dataset(
+        num_classes=4, clips_per_class=10, clip_seconds=1.0, seed=0,
+        out_dir=data_dir, labels_per_clip=(1, 1), eval_fraction=0.25,
+    )
+    train = load_examples(manifest, data_dir, "train")
+    held_out = load_examples(manifest, data_dir, "eval")
 print(f"{len(train)} train, {len(held_out)} eval clips, {len(manifest.vocabulary)} classes")
 
 # The augmentations, individually.
@@ -75,13 +76,14 @@ model = ConformerModel(
     seed=0,
 )
 head = make_head(config.head_kind, model.config.latent_dim, 4, seed=0)
-report = run_finetuning(
-    model, head, train, config,
-    out_dir=Path(tempfile.mkdtemp(prefix="melformer-run-")),
-    eval_examples=held_out,
-    log=lambda r: print(f"step {r['step']:3d}: bce {r['bce']:.4f} "
-                        f"consistency {r['consistency']:.4f}")
-    if r["step"] % 30 == 0 else None,
-)
+with tempfile.TemporaryDirectory(prefix="melformer-run-") as run_dir:
+    report = run_finetuning(
+        model, head, train, config,
+        out_dir=Path(run_dir),
+        eval_examples=held_out,
+        log=lambda r: print(f"step {r['step']:3d}: bce {r['bce']:.4f} "
+                            f"consistency {r['consistency']:.4f}")
+        if r["step"] % 30 == 0 else None,
+    )
 print(f"\neval mAP {report.map_score:.3f}, accuracy {report.accuracy:.3f} "
       f"on {report.num_examples} clips")

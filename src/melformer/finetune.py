@@ -77,16 +77,13 @@ class FinetuneConfig:
 
 @dataclass
 class LabeledExample:
-    """A clip with its multi-hot targets; waveform preferred, logmel accepted."""
+    """A clip's waveform with its multi-hot targets."""
 
     targets: np.ndarray
-    waveform: np.ndarray | None = None
-    frames: np.ndarray | None = None
+    waveform: np.ndarray
 
     def __post_init__(self):
         self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.waveform is None and self.frames is None:
-            raise DataError("labeled example needs a waveform or precomputed logmel")
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +202,19 @@ def make_head(kind: str, latent_dim: int, num_classes: int, seed: int, dtype=np.
 # Losses and schedule
 
 
-def _one_minus(p: Tensor) -> Tensor:
-    return T.add(T.neg(p), 1.0)
-
-
 def bce_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over classes (probs clamped to 1e-7)."""
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     if probs.values.reshape(-1).shape != targets.shape:
         raise ShapeError(f"probs {probs.shape} vs targets {targets.shape}")
-    p = T.clamp(probs, 1e-7, 1.0 - 1e-7)
-    t = Tensor(targets.astype(p.values.dtype).reshape(p.shape))
-    one_minus_t = Tensor((1.0 - targets).astype(p.values.dtype).reshape(p.shape))
-    ll = T.add(T.mul(t, T.log(p)), T.mul(one_minus_t, T.log(_one_minus(p))))
-    return T.neg(T.reduce_mean(ll))
+    return T.binary_cross_entropy(probs, targets)
 
 
 def consistency_loss(probs_a: Tensor, probs_b: Tensor) -> Tensor:
     """Symmetric Bernoulli KL per class, averaged: (p-q)(logit p - logit q)."""
     if probs_a.shape != probs_b.shape:
         raise ShapeError(f"views disagree: {probs_a.shape} vs {probs_b.shape}")
-    p = T.clamp(probs_a, 1e-7, 1.0 - 1e-7)
-    q = T.clamp(probs_b, 1e-7, 1.0 - 1e-7)
-    logit_p = T.sub(T.log(p), T.log(_one_minus(p)))
-    logit_q = T.sub(T.log(q), T.log(_one_minus(q)))
-    return T.reduce_mean(T.mul(T.sub(p, q), T.sub(logit_p, logit_q)))
+    return T.symmetric_bernoulli_kl(probs_a, probs_b)
 
 
 def three_stage_lr(step: int, config: FinetuneConfig) -> float:
@@ -267,14 +252,10 @@ def balance_weights(label_matrix: np.ndarray) -> np.ndarray:
 
 
 def _clip_frames(example: LabeledExample, jitter: bool, rng, filterbank) -> np.ndarray:
-    if jitter and example.waveform is None:
-        raise ConfigError("temporal jitter needs raw waveforms in the dataset")
-    if example.waveform is not None:
-        samples = example.waveform
-        if jitter:
-            samples = temporal_jitter(samples, rng)
-        return logmel(Waveform(samples), filterbank).frames
-    return example.frames
+    samples = example.waveform
+    if jitter:
+        samples = temporal_jitter(samples, rng)
+    return logmel(Waveform(samples), filterbank).frames
 
 
 def _augmented_views(batch, config, step, filterbank):

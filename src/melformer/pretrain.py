@@ -122,14 +122,9 @@ def contrastive_loss(
     for row, t in enumerate(masked):
         candidates[row, 1:] = sample_distractors(masked, int(t), k, rng)
 
-    c_hat = T.l2_normalize_rows(context)
-    z_hat = T.l2_normalize_rows(latents)
-    sims = T.matmul(T.take_rows(c_hat, masked), T.transpose(z_hat))
-    if temperature != 1.0:
-        sims = T.mul(sims, 1.0 / temperature)
-    scores = T.gather_cols(sims, candidates)
-    true_score = T.col_slice(scores, 0, 1)
-    return T.reduce_mean(T.sub(T.logsumexp(scores, axis=1), true_score))
+    return T.info_nce(
+        T.l2_normalize_rows(context), T.l2_normalize_rows(latents), candidates, 1.0 / temperature
+    )
 
 
 class Adam:

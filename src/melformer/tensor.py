@@ -2,9 +2,11 @@
 
 Provides the primitive set needed by a conformer encoder and its training
 losses: matmul, the fused affine map ``linear`` (x @ W + b as one node),
-elementwise arithmetic, slice/gather, normalizations, logsumexp,
-fused multi-head attention, gated activations, dropout, depthwise 1-D
-convolution, and a finite-difference gradient checker.
+elementwise arithmetic, reductions, normalizations, fused multi-head
+attention, gated activations, dropout, depthwise 1-D convolution, the three
+training losses as one node each (masked contrastive ``info_nce``,
+``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and a
+finite-difference gradient checker.
 
 Tensors store float32 or float64 values (float32 is the training default,
 float64 exists for gradient checking). Every primitive validates that its
@@ -33,30 +35,24 @@ __all__ = [
     "no_grad",
     "backward",
     "add",
-    "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "linear",
-    "transpose",
-    "col_slice",
-    "take_rows",
-    "gather_cols",
     "reduce_sum",
     "reduce_mean",
-    "log",
-    "clamp",
     "sigmoid",
     "swish",
     "glu",
-    "logsumexp",
     "attention",
     "layer_norm",
     "batch_norm",
     "dropout",
     "conv1d",
     "l2_normalize_rows",
+    "info_nce",
+    "binary_cross_entropy",
+    "symmetric_bernoulli_kl",
     "grad_check",
 ]
 
@@ -122,40 +118,8 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.values.dtype}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; scalars are folded into the op, not wrapped.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(values, dtype=None) -> Tensor:
@@ -195,7 +159,7 @@ def backward(loss: Tensor):
 
     Gradients accumulate additively across fan-out and across calls, so the
     losses of several graphs may be back-propagated one after another into
-    the same leaves. Call ``zero_grad`` on the leaves between steps.
+    the same leaves. Reset the leaves' ``grad`` to None between steps.
 
     The graph is consumed: every interior node releases its gradient, its
     backward closure and its parent links once visited. Calling ``backward``
@@ -245,7 +209,7 @@ def _topological_order(root: Tensor):
 
 
 def add(a: Tensor, b) -> Tensor:
-    """a + b with b a tensor of the same shape, a trailing-dim bias, or a scalar."""
+    """a + b with b a tensor of the same shape or a scalar."""
     if not isinstance(b, Tensor):
         s = float(b)
 
@@ -260,27 +224,7 @@ def add(a: Tensor, b) -> Tensor:
             _accum(b, g.copy())
 
         return _make(a.values + b.values, (a, b), bwd_same, "add")
-    if b.values.ndim == 1 and a.values.ndim == 2 and a.values.shape[1] == b.values.shape[0]:
-
-        def bwd_bias(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0))
-
-        return _make(a.values + b.values, (a, b), bwd_bias, "add")
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accum(a, -g)
-
-    return _make(-a.values, (a,), bwd, "neg")
-
-
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        return add(a, neg(b))
-    return add(a, -float(b))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -321,7 +265,7 @@ def div(a: Tensor, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra and shape ops
+# Linear algebra and reductions
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -366,60 +310,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out, parents, bwd, "linear")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-
-    def bwd(g):
-        _accum(a, g.T)
-
-    return _make(a.values.T.copy(), (a,), bwd, "transpose")
-
-
-def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Columns [start, stop) of a 2-D tensor."""
-    if a.values.ndim != 2:
-        raise ShapeError("col_slice expects a 2-D tensor")
-    if not (0 <= start < stop <= a.values.shape[1]):
-        raise ShapeError(f"col_slice [{start}:{stop}] out of range for {a.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(a.values)
-        full[:, start:stop] = g
-        _accum(a, full)
-
-    return _make(a.values[:, start:stop].copy(), (a,), bwd, "col_slice")
-
-
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Rows of a 2-D tensor selected by an integer index array."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if a.values.ndim != 2:
-        raise ShapeError("take_rows expects a 2-D tensor")
-
-    def bwd(g):
-        full = np.zeros_like(a.values)
-        np.add.at(full, idx, g)
-        _accum(a, full)
-
-    return _make(a.values[idx].copy(), (a,), bwd, "take_rows")
-
-
-def gather_cols(a: Tensor, index_matrix) -> Tensor:
-    """out[i, j] = a[i, index_matrix[i, j]] for a 2-D tensor."""
-    idx = np.asarray(index_matrix, dtype=np.intp)
-    if a.values.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.values.shape[0]:
-        raise ShapeError("gather_cols: index matrix must have one row per tensor row")
-    rows = np.arange(idx.shape[0])[:, None]
-
-    def bwd(g):
-        full = np.zeros_like(a.values)
-        np.add.at(full, (rows, idx), g)
-        _accum(a, full)
-
-    return _make(a.values[rows, idx], (a,), bwd, "gather_cols")
-
-
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.values.shape
 
@@ -445,27 +335,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Pointwise nonlinearities
-
-
-def log(a: Tensor) -> Tensor:
-    av = a.values
-
-    def bwd(g):
-        _accum(a, g / av)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.log(av)
-    return _make(values, (a,), bwd, "log")
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient is zero where the clamp is active."""
-    inside = (a.values > lo) & (a.values < hi)
-
-    def bwd(g):
-        _accum(a, g * inside)
-
-    return _make(np.clip(a.values, lo, hi), (a,), bwd, "clamp")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -514,19 +383,6 @@ def glu(a: Tensor, axis: int = 1) -> Tensor:
         _accum(a, full)
 
     return _make(va * s, (a,), bwd, "glu")
-
-
-def logsumexp(a: Tensor, axis: int = 1) -> Tensor:
-    """log(sum(exp(a))) along axis, keepdims, computed stably."""
-    m = a.values.max(axis=axis, keepdims=True)
-    e = np.exp(a.values - m)
-    s = e.sum(axis=axis, keepdims=True)
-    w = e / s
-
-    def bwd(g):
-        _accum(a, g * w)
-
-    return _make(np.log(s) + m, (a,), bwd, "logsumexp")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
@@ -731,6 +587,116 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-8) -> Tensor:
         _accum(x, g / denom - x.values * (dot / (safe * denom * denom)))
 
     return _make(y, (x,), bwd, "l2_normalize_rows")
+
+
+# ---------------------------------------------------------------------------
+# Training losses
+
+
+def info_nce(c_hat: Tensor, z_hat: Tensor, candidates, scale: float) -> Tensor:
+    """Masked contrastive NLL: mean over rows i of -log softmax(scores_i)[0].
+
+    ``candidates`` is an integer (m, K+1) matrix. Row i scores context row
+    r = candidates[i, 0] against latent rows candidates[i, :], the first of
+    which is the true latent: scores_i = scale * c_hat[r] · z_hat[candidates[i]].
+    With K = 0 every row has one candidate and the loss is exactly 0.
+    """
+    cv, zv = c_hat.values, z_hat.values
+    if cv.ndim != 2 or cv.shape != zv.shape:
+        raise ShapeError(f"info_nce: context {c_hat.shape} vs latents {z_hat.shape}")
+    idx = np.asarray(candidates, dtype=np.intp)
+    if idx.ndim != 2 or idx.size == 0:
+        raise ShapeError(f"info_nce: candidates {idx.shape} is not a non-empty matrix")
+    m = idx.shape[0]
+    rows = np.arange(m)[:, None]
+    picked = cv[idx[:, 0]]
+    # Seeded logs depend on these exact GEMMs: a contiguous copy of zᵀ and the
+    # full (m, T) similarity matrix, not just the K+1 scored columns.
+    zt = zv.T.copy()
+    sims = picked @ zt
+    sims *= scale
+    scores = sims[rows, idx]
+    top = scores.max(axis=1, keepdims=True)
+    w = np.exp(scores - top)
+    total = w.sum(axis=1, keepdims=True)
+    w /= total
+    nll = np.log(total) + top
+    nll -= scores[:, :1]
+
+    def bwd(g):
+        gr = np.broadcast_to(g / m, (m, 1)).astype(nll.dtype)
+        gs = gr * w
+        gs[:, :1] -= gr
+        gsims = np.zeros_like(sims)
+        np.add.at(gsims, (rows, idx), gs)
+        gsims *= scale
+        if c_hat.requires_grad:
+            gc = np.zeros_like(cv)
+            np.add.at(gc, idx[:, 0], gsims @ zt.T)
+            _accum(c_hat, gc)
+        if z_hat.requires_grad:
+            _accum(z_hat, (picked.T @ gsims).T)
+
+    return _make(nll.mean(), (c_hat, z_hat), bwd, "info_nce")
+
+
+_PROB_CLIP = 1e-7
+
+
+def _clip_probs(v: np.ndarray):
+    """v clipped to [1e-7, 1 - 1e-7], and the mask of entries the clip left alone."""
+    lo, hi = _PROB_CLIP, 1.0 - _PROB_CLIP
+    return np.clip(v, lo, hi), (v > lo) & (v < hi)
+
+
+def binary_cross_entropy(probs: Tensor, targets) -> Tensor:
+    """Mean of -[t log p + (1 - t) log(1 - p)], p = probs clipped to [1e-7, 1 - 1e-7].
+
+    ``targets`` is a constant array with one entry per prob; 1 - t is formed
+    in float64 before the cast to the probs' dtype. Entries where the clip is
+    active get a zero gradient.
+    """
+    pv = probs.values
+    tv = np.asarray(targets, dtype=np.float64)
+    if tv.size != pv.size:
+        raise ShapeError(f"binary_cross_entropy: probs {probs.shape} vs targets {tv.shape}")
+    tv = tv.reshape(pv.shape)
+    p, inside = _clip_probs(pv)
+    q = 1.0 - p
+    t = tv.astype(p.dtype)
+    u = (1.0 - tv).astype(p.dtype)
+    ll = t * np.log(p) + u * np.log(q)
+
+    def bwd(g):
+        gl = np.broadcast_to(-g / ll.size, ll.shape).astype(ll.dtype)
+        _accum(probs, (gl * t / p - gl * u / q) * inside)
+
+    return _make(-ll.mean(), (probs,), bwd, "binary_cross_entropy")
+
+
+def symmetric_bernoulli_kl(p: Tensor, q: Tensor) -> Tensor:
+    """Mean of (p - q)(logit p - logit q), KL(p||q) + KL(q||p) per Bernoulli.
+
+    Both inputs are clipped to [1e-7, 1 - 1e-7]; entries where a clip is
+    active get a zero gradient.
+    """
+    if p.shape != q.shape:
+        raise ShapeError(f"symmetric_bernoulli_kl: {p.shape} vs {q.shape}")
+    pv, inside_p = _clip_probs(p.values)
+    qv, inside_q = _clip_probs(q.values)
+    op, oq = 1.0 - pv, 1.0 - qv
+    diff = pv - qv
+    dlogit = (np.log(pv) - np.log(op)) - (np.log(qv) - np.log(oq))
+
+    def bwd(g):
+        gm = np.broadcast_to(g / diff.size, diff.shape).astype(diff.dtype)
+        gd = gm * dlogit
+        gl = gm * diff
+        # Keep this summation order: seeded training logs depend on its bits.
+        _accum(p, (gd + gl / pv + gl / op) * inside_p)
+        _accum(q, -(gd + gl / qv + gl / oq) * inside_q)
+
+    return _make((diff * dlogit).mean(), (p, q), bwd, "symmetric_bernoulli_kl")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert not any(tmp_path.iterdir()), "demo left files in the temp dir"
 
 
 @pytest.mark.parametrize("module", [melformer, T], ids=lambda m: m.__name__)

@@ -56,16 +56,14 @@ class TestForwardValues:
         y = T.glu(x, axis=1)
         np.testing.assert_allclose(y.values, [[0.5, 1.0]])
 
+    def test_add_rejects_a_trailing_dim_bias(self):
+        # Biases ride on ``linear``; ``add`` takes same-shape tensors or scalars.
+        with pytest.raises(ShapeError):
+            T.add(Tensor(np.ones((4, 3))), Tensor(np.ones(3)))
+
     def test_non_finite_output_raises(self):
         with pytest.raises(NumericError):
-            T.log(Tensor(np.array([0.0])))
-
-    def test_logsumexp_matches_naive(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 7))
-        got = T.logsumexp(Tensor(x, dtype=np.float64)).values
-        want = np.log(np.exp(x).sum(axis=1, keepdims=True))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+            T.div(Tensor(np.array([1.0])), Tensor(np.array([0.0])))
 
 
 def attention_reference(q, k, v, g, num_heads):
@@ -170,16 +168,18 @@ class TestLinear:
         if not with_bias:
             arrays = arrays[:2]
         fused = [parameter(a.copy()) for a in arrays]
-        split = [parameter(a.copy()) for a in arrays]
+        split = [parameter(a.copy()) for a in arrays[:2]]
         out_fused = T.linear(*fused)
-        out_split = T.matmul(split[0], split[1])
-        if with_bias:
-            out_split = T.add(out_split, split[2])
-        assert_same_bits(out_fused.values, out_split.values)
+        out_split = T.matmul(*split)
+        # The bias add as the retired trailing-dim ``add`` formed it.
+        want_out = out_split.values + arrays[2] if with_bias else out_split.values
+        assert_same_bits(out_fused.values, want_out)
         backward(_sum_against(out_fused, g))
         backward(_sum_against(out_split, g))
         for a, b in zip(fused, split):
             assert_same_bits(a.grad, b.grad)
+        if with_bias:
+            assert_same_bits(fused[2].grad, g.sum(axis=0))
 
     def test_one_node_per_projection(self):
         x = parameter(np.ones((3, 4)))
@@ -288,6 +288,148 @@ class TestKernelsKeepTheirBits:
         assert_same_bits(running_var, want_var)
 
 
+def _candidates(rng, t, num_distractors):
+    """(m, K+1) candidate rows as contrastive_loss draws them: true step first."""
+    masked = np.sort(rng.choice(t, size=max(2, int(0.3 * t)), replace=False))
+    k = min(num_distractors, masked.size - 1)
+    return np.stack(
+        [np.concatenate(([s], rng.choice(masked[masked != s], k, replace=False))) for s in masked]
+    ).astype(np.intp)
+
+
+def _retired_info_nce(c, z, candidates, scale, g):
+    """Loss and (c, z) grads of the unfused chain take_rows, transpose, matmul,
+    scalar mul, gather_cols, logsumexp and col_slice, sub, mean."""
+    masked = candidates[:, 0]
+    rows = np.arange(masked.size)[:, None]
+    cm, zt = c[masked].copy(), z.T.copy()
+    sims = (cm @ zt) * scale
+    scores = sims[rows, candidates]
+    top = scores.max(axis=1, keepdims=True)
+    e = np.exp(scores - top)
+    s = e.sum(axis=1, keepdims=True)
+    w = e / s
+    nll = (np.log(s) + top) + -scores[:, 0:1].copy()
+    g_nll = np.broadcast_to(g / nll.size, nll.shape).astype(nll.dtype)
+    g_true = np.zeros_like(scores)
+    g_true[:, 0:1] = -g_nll.copy()
+    g_scores = g_nll * w + g_true
+    g_sims = np.zeros_like(sims)
+    np.add.at(g_sims, (rows, candidates), g_scores)
+    g_sims = g_sims * scale
+    g_c = np.zeros_like(c)
+    np.add.at(g_c, masked, g_sims @ zt.T)
+    return nll.mean(), g_c, (cm.T @ g_sims).T
+
+
+def _clamped(x):
+    return np.clip(x, 1e-7, 1.0 - 1e-7), (x > 1e-7) & (x < 1.0 - 1e-7)
+
+
+def _retired_bce(probs, targets, g):
+    """Loss and grad of clamp, log, neg/add(1), log, mul, mul, add, mean, neg."""
+    p, inside = _clamped(probs)
+    t = targets.astype(p.dtype).reshape(p.shape)
+    u = (1.0 - targets).astype(p.dtype).reshape(p.shape)
+    q = -p + 1.0
+    ll = t * np.log(p) + u * np.log(q)
+    g_ll = np.broadcast_to(-g / ll.size, ll.shape).astype(ll.dtype)
+    g_p = (g_ll * t) / p + -((g_ll.copy() * u) / q)
+    return -ll.mean(), g_p * inside
+
+
+def _retired_kl(a, b, g):
+    """Loss and grads of the 20-node clamp/log/neg/add/sub chain, with each
+    input's three gradient terms summed in the order backward visited them:
+    from p - q, from log p, then from log(1 - p)."""
+    p, inside_p = _clamped(a)
+    q, inside_q = _clamped(b)
+    one_p, one_q = -p + 1.0, -q + 1.0
+    diff = p + -q
+    dl = (np.log(p) + -np.log(one_p)) + -(np.log(q) + -np.log(one_q))
+    g_m = np.broadcast_to(g / diff.size, diff.shape).astype(diff.dtype)
+    g_diff, g_dl = g_m * dl, g_m * diff
+    g_p = g_diff.copy()
+    g_p += g_dl / p
+    g_p += -((-g_dl) / one_p)
+    g_q = -g_diff
+    g_q += (-g_dl) / q
+    g_q += -(g_dl / one_q)
+    return (diff * dl).mean(), g_p * inside_p, g_q * inside_q
+
+
+def _probs(rng, shape, dtype):
+    """Uniform probabilities with some entries pushed past either clip."""
+    x = rng.uniform(size=shape)
+    flat = x.reshape(-1)
+    flat[:: 7] = 0.0
+    flat[3 :: 11] = 1.0
+    return x.astype(dtype)
+
+
+def _backward_scaled(loss):
+    """Back-propagate loss/3, as a training step scales a clip's loss by 1/B."""
+    backward(T.mul(loss, 1.0 / 3.0))
+    return np.ones((), dtype=loss.dtype) * (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(25, 64), (7, 5), (125, 256)])
+class TestLossPrimitives:
+    """Each loss as one node, bit for bit the unfused chain it replaced."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 / 0.1])
+    def test_info_nce(self, dtype, shape, scale):
+        rng = np.random.default_rng(40)
+        c, z = (rng.normal(size=shape) for _ in range(2))
+        c, z = (a / (np.linalg.norm(a, axis=1, keepdims=True) + 1e-8) for a in (c, z))
+        c, z = c.astype(dtype), z.astype(dtype)
+        candidates = _candidates(rng, shape[0], 10)
+        leaves = [parameter(a.copy()) for a in (c, z)]
+        loss = T.info_nce(*leaves, candidates, scale)
+        assert len(T._topological_order(loss)) == 3
+        g = _backward_scaled(loss)
+        want_loss, want_c, want_z = _retired_info_nce(c, z, candidates, scale, g)
+        assert_same_bits(loss.values, want_loss)
+        assert_same_bits(leaves[0].grad, want_c)
+        assert_same_bits(leaves[1].grad, want_z)
+
+    def test_info_nce_without_distractors_is_zero(self, dtype, shape):
+        rng = np.random.default_rng(41)
+        leaves = [parameter(rng.normal(size=shape).astype(dtype)) for _ in range(2)]
+        loss = T.info_nce(*leaves, _candidates(rng, shape[0], 0), 1.0)
+        assert loss.values == 0.0
+        backward(loss)
+        for leaf in leaves:
+            assert not leaf.grad.any()
+
+    def test_binary_cross_entropy(self, dtype, shape):
+        rng = np.random.default_rng(42)
+        probs = _probs(rng, shape, dtype)
+        targets = rng.uniform(size=probs.size)
+        leaf = parameter(probs.copy())
+        loss = T.binary_cross_entropy(leaf, targets)
+        assert len(T._topological_order(loss)) == 2
+        g = _backward_scaled(loss)
+        want_loss, want_grad = _retired_bce(probs, targets, g)
+        assert_same_bits(loss.values, want_loss)
+        assert_same_bits(leaf.grad, want_grad)
+        assert not leaf.grad[(probs <= 1e-7) | (probs >= 1.0 - 1e-7)].any()
+
+    def test_symmetric_bernoulli_kl(self, dtype, shape):
+        rng = np.random.default_rng(43)
+        a, b = _probs(rng, shape, dtype), rng.uniform(size=shape).astype(dtype)
+        leaves = [parameter(x.copy()) for x in (a, b)]
+        loss = T.symmetric_bernoulli_kl(*leaves)
+        assert len(T._topological_order(loss)) == 3
+        g = _backward_scaled(loss)
+        want_loss, want_a, want_b = _retired_kl(a, b, g)
+        assert_same_bits(loss.values, want_loss)
+        assert_same_bits(leaves[0].grad, want_a)
+        assert_same_bits(leaves[1].grad, want_b)
+        assert not leaves[0].grad[(a <= 1e-7) | (a >= 1.0 - 1e-7)].any()
+
+
 class TestBackward:
     def test_product_rule(self):
         x = parameter([2.0])
@@ -331,12 +473,6 @@ class TestBackward:
         loss = T.reduce_sum(T.add(y, y))
         backward(loss)
         np.testing.assert_allclose(x.grad, [4.0])
-
-    def test_bias_add_reduces_over_rows(self):
-        a = parameter(np.zeros((4, 3)))
-        b = parameter(np.ones(3))
-        backward(T.reduce_sum(T.add(a, b)))
-        np.testing.assert_allclose(b.grad, [4.0, 4.0, 4.0])
 
     def test_interior_nodes_released_after_backward(self):
         x = parameter([1.0, 2.0])

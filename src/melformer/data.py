@@ -349,11 +349,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def latest_checkpoint(out_dir: str | Path) -> Path | None:
-    """Highest-step ckpt-NNNNNNNN directory under out_dir (never .tmp or -final)."""
+    """Highest-step ckpt-NNNNNNNN directory under out_dir (never .tmp or -final).
+
+    A save that crashed between its two renames leaves the checkpoint it was
+    replacing only at ``ckpt-NNNNNNNN.old``; such a lone ``.old`` is renamed
+    back first. An ``.old`` beside its ``ckpt-NNNNNNNN`` is left alone.
+    """
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
         return None
-    candidates = sorted(p for p in out_dir.glob("ckpt-" + "[0-9]" * 8) if p.is_dir())
+    pattern = "ckpt-" + "[0-9]" * 8
+    for aside in out_dir.glob(pattern + ".old"):
+        if aside.is_dir() and not aside.with_suffix("").exists():
+            aside.rename(aside.with_suffix(""))
+    candidates = sorted(p for p in out_dir.glob(pattern) if p.is_dir())
     return candidates[-1] if candidates else None
 
 

@@ -122,6 +122,11 @@ def _windowed_frames(samples: np.ndarray, num_frames: int) -> np.ndarray:
     return windows[::HOP_SAMPLES][:num_frames] * _HANN
 
 
+def frame_count(num_samples: int) -> int:
+    """Logmel frames of a waveform: ceil(num_samples / 320)."""
+    return -(-num_samples // HOP_SAMPLES)
+
+
 def logmel(waveform: Waveform, filterbank: np.ndarray | None = None) -> LogmelSpectrogram:
     """Log mel-filterbank energies of a 16 kHz waveform.
 
@@ -134,7 +139,7 @@ def logmel(waveform: Waveform, filterbank: np.ndarray | None = None) -> LogmelSp
         )
     if filterbank is None:
         filterbank = mel_filterbank()
-    num_frames = -(-waveform.samples.size // HOP_SAMPLES)
+    num_frames = frame_count(waveform.samples.size)
     power = np.abs(np.fft.rfft(_windowed_frames(waveform.samples, num_frames), axis=1))
     np.square(power, out=power)
     # One matmul over all frames: a row-blocked product rounds differently.

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .dsp import Waveform, logmel
+from .dsp import Waveform, frame_count, logmel
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import EvalReport, evaluate_scores
-from .model import ConformerModel, Linear, Module
+from .model import ConformerModel, Linear, Module, clip_groups
 from .pretrain import Adam, global_grad_norm, last_step, step_rng, training_loop
 from .tensor import Tensor, backward
 
@@ -165,10 +165,11 @@ class FramewiseHead(Module):
     def __init__(self, latent_dim, num_classes, rng, dtype=np.float32):
         self.proj = Linear(latent_dim, num_classes, rng, dtype)
 
-    def __call__(self, context: Tensor) -> Tensor:
+    def __call__(self, context: Tensor, clips: int = 1) -> Tensor:
+        """(num_classes,) probabilities, or one row per clip of a stack."""
         y = T.sigmoid(self.proj(context))
-        num = T.reduce_sum(T.mul(y, y), axis=0)
-        den = T.reduce_sum(y, axis=0)
+        num = T.reduce_sum(T.mul(y, y), axis=0, clips=clips)
+        den = T.reduce_sum(y, axis=0, clips=clips)
         # Sigmoid outputs are strictly positive; the epsilon only guards the
         # graph against pathological saturation.
         return T.div(num, T.add(den, 1e-12))
@@ -182,10 +183,11 @@ class MeanPoolHead(Module):
     def __init__(self, latent_dim, num_classes, rng, dtype=np.float32):
         self.proj = Linear(latent_dim, num_classes, rng, dtype)
 
-    def __call__(self, context: Tensor) -> Tensor:
+    def __call__(self, context: Tensor, clips: int = 1) -> Tensor:
+        """(1, num_classes) probabilities, one row per clip of a stack."""
         if context.shape[0] < 1:
             raise ShapeError("empty context sequence")
-        pooled = T.reduce_mean(context, axis=0, keepdims=True)
+        pooled = T.reduce_mean(context, axis=0, keepdims=True, clips=clips)
         return T.sigmoid(self.proj(pooled))
 
 
@@ -277,14 +279,15 @@ def _augmented_views(batch, config, step, filterbank):
     return views
 
 
-def _clip_probs(model, head, frames, config, dropout_rng) -> Tensor:
-    context = model.contextualize(model.encode_features(frames), rng=dropout_rng)
+def _group_probs(model, head, frames, config, dropout_rngs) -> Tensor:
+    """Class probabilities of equal-length clips, one row per clip; clip i
+    draws its dropout masks from ``dropout_rngs[i]``."""
+    context = model.contextualize(model.encode_features(frames), rng=dropout_rngs)
     if config.output_dropout > 0.0:
         context = T.dropout(
-            context, config.output_dropout, dropout_rng, training=model.training
+            context, config.output_dropout, dropout_rngs, training=model.training
         )
-    probs = head(context)
-    return probs
+    return head(context, clips=len(dropout_rngs))
 
 
 def finetune_step(
@@ -298,32 +301,40 @@ def finetune_step(
 ) -> dict:
     """Two augmented views -> BCE(view1) + consistency_weight * symKL.
 
-    Each clip's graph is built and back-propagated (scaled by 1/B) before the
-    next clip's, so only one clip's graph is alive at a time; the parameter
-    gradients add up over the clips. The logged ``bce`` and ``consistency``
-    are the means of the clip terms.
+    The batch runs as groups of equal-length clips (``model.clip_groups``,
+    counting both views' rows when the consistency term spans them), one
+    graph per group and view. Each group's loss, the mean of its clip terms,
+    is back-propagated scaled by group size / B before the next group's
+    graph is built, so only one group's graph is alive at a time; the
+    parameter gradients add up over the groups. Every clip draws its
+    augmentations and dropout masks from its own streams, as it would alone.
+    The logged ``bce`` and ``consistency`` are the means of the clip terms.
     """
     if not batch:
         raise ConfigError("empty batch")
     optimizer.zero_grad()
     view_a, view_b = _augmented_views(batch, config, step, filterbank)
+    views = (view_a, view_b) if config.consistency_weight > 0.0 else (view_a,)
+    stack = model.config.stack_factor
+    frame_counts = [tuple(len(v[i]) // stack for v in views) for i in range(len(batch))]
     scale = 1.0 / len(batch)
     bce_sum = consistency_sum = 0.0
-    for i, ex in enumerate(batch):
-        probs_a = _clip_probs(
-            model, head, view_a[i], config, step_rng(config.seed, RNG_HEAD_DROPOUT_A, step, i)
+    for group in clip_groups(frame_counts, model.config):
+        probs_a = _group_probs(
+            model, head, [view_a[i] for i in group], config,
+            [step_rng(config.seed, RNG_HEAD_DROPOUT_A, step, i) for i in group],
         )
-        loss = bce_loss(probs_a, ex.targets)
-        bce_sum += float(loss.values)
+        loss = bce_loss(probs_a, np.stack([batch[i].targets for i in group]))
+        bce_sum += float(loss.values) * len(group)
         if config.consistency_weight > 0.0:
-            probs_b = _clip_probs(
-                model, head, view_b[i], config,
-                step_rng(config.seed, RNG_HEAD_DROPOUT_B, step, i),
+            probs_b = _group_probs(
+                model, head, [view_b[i] for i in group], config,
+                [step_rng(config.seed, RNG_HEAD_DROPOUT_B, step, i) for i in group],
             )
             consistency = consistency_loss(probs_a, probs_b)
-            consistency_sum += float(consistency.values)
+            consistency_sum += float(consistency.values) * len(group)
             loss = T.add(loss, T.mul(consistency, config.consistency_weight))
-        backward(T.mul(loss, scale))
+        backward(T.mul(loss, len(group) / len(batch)))
     grad_norm = global_grad_norm(optimizer.named_params)
     lr = three_stage_lr(step, config)
     optimizer.step(lr)
@@ -340,19 +351,30 @@ def finetune_step(
 
 
 def evaluate_model(model, head, examples, filterbank=None) -> EvalReport:
-    """Score every example in eval mode and summarize."""
+    """Score every example in eval mode and summarize.
+
+    Consecutive examples of equal length are scored as one stack, in the
+    groups ``model.clip_groups`` forms in training.
+    """
     model.eval()
-    scores, targets = [], []
+    stack = model.config.stack_factor
+    frame_counts = [(frame_count(ex.waveform.size) // stack,) for ex in examples]
+    scores = []
     try:
         with T.no_grad():
-            for ex in examples:
-                frames = _clip_frames(ex, jitter=False, rng=None, filterbank=filterbank)
-                probs = head(model.contextualize(model.encode_features(frames)))
-                scores.append(probs.values.reshape(-1).astype(np.float64))
-                targets.append(ex.targets)
+            for group in clip_groups(frame_counts, model.config):
+                frames = [
+                    _clip_frames(examples[i], jitter=False, rng=None, filterbank=filterbank)
+                    for i in group
+                ]
+                context = model.contextualize(
+                    model.encode_features(frames), rng=[None] * len(group)
+                )
+                probs = head(context, clips=len(group))
+                scores.extend(probs.values.reshape(len(group), -1).astype(np.float64))
     finally:
         model.train()
-    return evaluate_scores(np.stack(scores), np.stack(targets))
+    return evaluate_scores(np.stack(scores), np.stack([ex.targets for ex in examples]))
 
 
 def run_finetuning(

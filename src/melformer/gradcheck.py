@@ -1,6 +1,7 @@
 """Finite-difference verification suite.
 
-Checks every autodiff primitive, one full conformer block, and the
+Checks every autodiff primitive (the per-clip ones also on a stack of two
+clips), one full conformer block, and the
 end-to-end contrastive loss of a two-block model against central
 differences, in both single and double precision. Thresholds: 1e-3 for
 float32 graphs, 1e-5 for float64 graphs, at eps=1e-4.
@@ -136,6 +137,10 @@ def primitive_cases():
     pair("matmul", T.matmul, shape_b=(4, 2))
     pair("linear", T.linear, shape_b=(4, 2))
     pair("conv1d_depthwise", T.conv1d, shape_a=(7, 3), shape_b=(5, 3))
+    pair(
+        "conv1d_depthwise_2clips", lambda x, k: T.conv1d(x, k, clips=2),
+        shape_a=(8, 3), shape_b=(5, 3),
+    )
 
     def linear_bias_case(rng, dtype):
         x, w, b = (Tensor(rng.normal(size=n).astype(dtype)) for n in ((3, 4), (4, 2), (2,)))
@@ -170,12 +175,16 @@ def primitive_cases():
 
     cases["symmetric_bernoulli_kl"] = kl_case
 
-    def attention_case(rng, dtype):
-        q, k, v = (Tensor(rng.normal(size=(5, 8)).astype(dtype)) for _ in range(3))
-        ro = _readout(rng, (5, 8), dtype)
-        return (lambda a, b, c: ro(T.attention(a, b, c, num_heads=2))), [q, k, v]
+    def attention_case(rows, clips):
+        def build(rng, dtype):
+            q, k, v = (Tensor(rng.normal(size=(rows, 8)).astype(dtype)) for _ in range(3))
+            ro = _readout(rng, (rows, 8), dtype)
+            return (lambda a, b, c: ro(T.attention(a, b, c, num_heads=2, clips=clips))), [q, k, v]
 
-    cases["attention"] = attention_case
+        return build
+
+    cases["attention"] = attention_case(5, 1)
+    cases["attention_2clips"] = attention_case(6, 2)
 
     def layer_norm_case(rng, dtype):
         x = Tensor(rng.normal(size=(3, 8)).astype(dtype))
@@ -186,20 +195,24 @@ def primitive_cases():
 
     cases["layer_norm"] = layer_norm_case
 
-    def batch_norm_train_case(rng, dtype):
-        x = Tensor(rng.normal(size=(6, 5)).astype(dtype))
-        g = Tensor((rng.normal(size=5) * 0.2 + 1.0).astype(dtype))
-        b = Tensor(rng.normal(size=5).astype(dtype))
-        ro = _readout(rng, (6, 5), dtype)
+    def batch_norm_train_case(rows, clips):
+        def build(rng, dtype):
+            x = Tensor(rng.normal(size=(rows, 5)).astype(dtype))
+            g = Tensor((rng.normal(size=5) * 0.2 + 1.0).astype(dtype))
+            b = Tensor(rng.normal(size=5).astype(dtype))
+            ro = _readout(rng, (rows, 5), dtype)
 
-        def fn(xx, gg, bb):
-            rm = np.zeros(5, dtype=np.float64)
-            rv = np.ones(5, dtype=np.float64)
-            return ro(T.batch_norm(xx, gg, bb, rm, rv, training=True))
+            def fn(xx, gg, bb):
+                rm = np.zeros(5, dtype=np.float64)
+                rv = np.ones(5, dtype=np.float64)
+                return ro(T.batch_norm(xx, gg, bb, rm, rv, training=True, clips=clips))
 
-        return fn, [x, g, b]
+            return fn, [x, g, b]
 
-    cases["batch_norm_train"] = batch_norm_train_case
+        return build
+
+    cases["batch_norm_train"] = batch_norm_train_case(6, 1)
+    cases["batch_norm_train_2clips"] = batch_norm_train_case(8, 2)
 
     def batch_norm_eval_case(rng, dtype):
         x = Tensor(rng.normal(size=(6, 5)).astype(dtype))

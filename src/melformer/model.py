@@ -6,6 +6,11 @@ latent frames is replaced by a single learned embedding before the context
 encoder (linear -> conformer blocks -> linear) runs. Blocks place the
 convolution module before self-attention so the depthwise convolution doubles
 as positional encoding; there is no explicit positional term.
+
+The encoders also run on a stack of equal-length clips, one graph for all of
+them: the dropout ``rng`` is then a list with one generator per clip, and
+its length is the clip count that the per-clip primitives receive.
+``clip_groups`` chooses which clips of a batch share a graph.
 """
 
 from __future__ import annotations
@@ -184,9 +189,10 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, clips: int = 1) -> Tensor:
         return T.batch_norm(
-            x, self.gain, self.bias, self.running_mean, self.running_var, self.training
+            x, self.gain, self.bias, self.running_mean, self.running_var, self.training,
+            clips=clips,
         )
 
 
@@ -224,9 +230,10 @@ class ConvolutionModule(Module):
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng) -> Tensor:
+        clips = len(T.clip_rngs(rng))
         h = T.glu(self.pointwise_in(self.norm(x)), axis=1)
-        h = T.conv1d(h, self.depthwise)
-        h = T.swish(self.batch_norm(h))
+        h = T.conv1d(h, self.depthwise, clips=clips)
+        h = T.swish(self.batch_norm(h, clips))
         return T.dropout(self.pointwise_out(h), self.dropout, rng, self.training)
 
 
@@ -251,12 +258,13 @@ class SelfAttention(Module):
         self.out = Linear(dim, dim, rng, dtype)
         self.dropout = dropout
 
-    def attend(self, x: Tensor) -> Tensor:
+    def attend(self, x: Tensor, clips: int = 1) -> Tensor:
         """Attention without the pre-norm/dropout wrapper."""
-        return self.out(T.attention(self.query(x), self.key(x), self.value(x), self.num_heads))
+        heads = T.attention(self.query(x), self.key(x), self.value(x), self.num_heads, clips)
+        return self.out(heads)
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        h = self.attend(self.norm(x))
+        h = self.attend(self.norm(x), len(T.clip_rngs(rng)))
         return T.dropout(h, self.dropout, rng, self.training)
 
 
@@ -309,6 +317,42 @@ class ContextEncoder(Module):
         return self.proj_out(h)
 
 
+# Largest activation, in float32 elements, that one stacked graph may hold:
+# rows x max(ffn_dim, num_heads x T), the FFN hidden layer or the attention
+# weights. Toy fine-tune step (batch 16 x 2 s, both views, so 6.4k elements
+# a clip), one BLAS thread, medians of 10 runs at 1/2/4/8/16 clips a graph:
+# 243/187/138/130/125 ms a step, peak RSS +0/+1.1/+3.9/+10.3/+22.1 MB. Past
+# 2^15 (4 clips there) a step gains under 10% while the graph's memory keeps
+# growing. A cf_S clip (125 frames x 1024) is 128k elements on its own, so
+# cf_S keeps one clip a graph.
+GROUP_CAP = 2**15
+
+
+def clip_groups(frame_counts, config: ModelConfig) -> list[range]:
+    """Runs of consecutive clips to stack into one graph each, in batch order.
+
+    ``frame_counts[i]`` is a tuple of clip i's latent frame counts, one per
+    view that the same backward spans. Each run of consecutive clips with
+    equal counts splits into the fewest near-equal groups whose
+    rows x max(ffn_dim, num_heads x T) stays within ``GROUP_CAP``; a clip
+    over the cap forms a group by itself.
+    """
+    groups, start, n = [], 0, len(frame_counts)
+    while start < n:
+        stop = start + 1
+        while stop < n and frame_counts[stop] == frame_counts[start]:
+            stop += 1
+        counts = frame_counts[start]
+        clip_cost = max(1, sum(counts) * max(config.ffn_dim, config.num_heads * max(counts)))
+        parts = -(-(stop - start) // max(1, GROUP_CAP // clip_cost))
+        size, extra = divmod(stop - start, parts)
+        for part in range(parts):
+            end = start + size + (part < extra)
+            groups.append(range(start, end))
+            start = end
+    return groups
+
+
 def time_stack(frames: np.ndarray, stack_factor: int) -> np.ndarray:
     """Concatenate every ``stack_factor`` consecutive rows; drop the remainder."""
     t, d = frames.shape
@@ -325,8 +369,13 @@ class FeatureEncoder(Module):
         self.stack_factor = config.stack_factor
         self.proj = Linear(input_dim * config.stack_factor, config.latent_dim, rng, dtype)
 
-    def __call__(self, frames: np.ndarray) -> Tensor:
-        stacked = time_stack(np.asarray(frames), self.stack_factor)
+    def __call__(self, frames) -> Tensor:
+        """One logmel matrix, or a list of clips' that stack to equal lengths."""
+        clips = frames if isinstance(frames, list) else [frames]
+        stacked = [time_stack(np.asarray(f), self.stack_factor) for f in clips]
+        if len({s.shape[0] for s in stacked}) > 1:
+            raise ShapeError(f"clips of unequal latent lengths {[s.shape[0] for s in stacked]}")
+        stacked = np.concatenate(stacked)
         return self.proj(Tensor(stacked.astype(self.proj.weight.values.dtype)))
 
 
@@ -379,12 +428,23 @@ class ConformerModel(Module):
         )
         self.context_encoder = ContextEncoder(config, rng, dtype)
 
-    def encode_features(self, frames: np.ndarray) -> Tensor:
-        """Latent frames Z, (T // stack_factor) x latent_dim."""
+    def encode_features(self, frames) -> Tensor:
+        """Latent frames Z, (T // stack_factor) x latent_dim.
+
+        ``frames`` may be a list of equal-length clips' logmels; their latent
+        frames are stacked in list order.
+        """
         return self.feature_encoder(frames)
 
     def contextualize(self, z: Tensor, rng=None) -> Tensor:
-        """Context outputs, same shape as z."""
+        """Context outputs, same shape as z.
+
+        ``rng`` draws the dropout masks of one clip. When z stacks B
+        equal-length clips, it is a list of B generators, one per clip, and
+        every clip's output equals that of the clip alone with its generator;
+        in evaluation mode nothing is drawn, so the list may hold None.
+        Default: a fresh generator, one clip.
+        """
         if rng is None:
             rng = np.random.default_rng()
         return self.context_encoder(z, rng)

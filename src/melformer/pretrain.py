@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .data import latest_checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, NumericError, ShapeError
-from .model import ConformerModel, apply_mask, sample_mask
+from .model import ConformerModel, apply_mask, clip_groups, sample_mask
 from .tensor import Tensor, backward
 
 # Purpose tags for derived RNG streams; every draw is seeded by
@@ -106,22 +106,40 @@ def contrastive_loss(
     of the same clip; sim is cosine similarity (eps 1e-8 in the norms).
     Steps with no available distractors are skipped unless K=0, where the
     single-candidate loss is exactly zero.
+
+    When context and latents stack B equal-length clips, ``rng`` is a list
+    of B generators and ``mask`` covers all rows. Each clip draws its
+    distractors from its own masked steps with its own generator, and the
+    loss is the mean of the clip losses.
     """
     if context.shape != latents.shape:
         raise ShapeError(f"context {context.shape} vs latents {latents.shape}")
     mask = np.asarray(mask, dtype=bool)
-    masked = np.flatnonzero(mask)
-    if masked.size == 0:
-        raise ShapeError("contrastive loss needs at least one masked step")
-    k = min(num_distractors, masked.size - 1)
-    if k == 0 and num_distractors > 0:
-        # No candidates to draw; every step is skipped.
+    rngs = T.clip_rngs(rng)
+    if mask.shape != context.shape[:1] or mask.size % len(rngs):
+        raise ShapeError(
+            f"mask {mask.shape} does not split {context.shape[0]} rows into {len(rngs)} clips"
+        )
+    clip_masks = mask.reshape(len(rngs), -1)
+    candidates = []
+    for offset, clip_mask, clip_rng in zip(
+        range(0, mask.size, clip_masks.shape[1]), clip_masks, rngs
+    ):
+        masked = np.flatnonzero(clip_mask)
+        if masked.size == 0:
+            raise ShapeError("contrastive loss needs at least one masked step")
+        k = min(num_distractors, masked.size - 1)
+        if k == 0 and num_distractors > 0:
+            # No candidates to draw; every step of the clip is skipped.
+            candidates.append(np.empty((0, 1), dtype=np.intp))
+            continue
+        clip = np.empty((masked.size, k + 1), dtype=np.intp)
+        clip[:, 0] = masked
+        for row, t in enumerate(masked):
+            clip[row, 1:] = sample_distractors(masked, int(t), k, clip_rng)
+        candidates.append(clip + offset)
+    if not any(c.size for c in candidates):
         return Tensor(np.zeros((), dtype=context.values.dtype))
-    candidates = np.empty((masked.size, k + 1), dtype=np.intp)
-    candidates[:, 0] = masked
-    for row, t in enumerate(masked):
-        candidates[row, 1:] = sample_distractors(masked, int(t), k, rng)
-
     return T.info_nce(
         T.l2_normalize_rows(context), T.l2_normalize_rows(latents), candidates, 1.0 / temperature
     )
@@ -225,36 +243,48 @@ def pretrain_step(
 ) -> dict:
     """One full training step over a batch of logmel matrices.
 
-    Per clip: feature-encode, mask, contextualize, contrastive loss, then
-    back-propagate loss/B at once, so only one clip's graph is alive at a
-    time; the parameter gradients add up over the clips. The logged loss is
-    the mean of the clip losses. Aborts atomically on numeric errors.
+    The batch runs as groups of equal-length clips (``model.clip_groups``:
+    consecutive clips, each group's activations within ``GROUP_CAP``), one
+    graph per group. Per group: feature-encode the stacked clips, mask each
+    clip, contextualize, contrastive loss (the mean of the clip losses),
+    then back-propagate it scaled by group size / B, so only one group's
+    graph is alive at a time and the parameter gradients add up over the
+    groups. Every clip draws its mask, dropout and distractors from its own
+    streams, as it would alone. The logged loss is the mean of the clip
+    losses. Aborts atomically on numeric errors.
     """
     if not batch_logmels:
         raise ConfigError("empty batch")
     optimizer.zero_grad()
     scale = 1.0 / len(batch_logmels)
     loss_sum = 0.0
-    for i, frames in enumerate(batch_logmels):
-        z = model.encode_features(frames)
-        mask = sample_mask(
-            z.shape[0],
-            rate=config.mask_rate,
-            span_length=min(config.mask_span, z.shape[0]),
-            rng=step_rng(config.seed, RNG_MASK, step, i),
-        )
+    frame_counts = [(len(f) // model.config.stack_factor,) for f in batch_logmels]
+    for group in clip_groups(frame_counts, model.config):
+        z = model.encode_features([batch_logmels[i] for i in group])
+        t = z.shape[0] // len(group)
+        mask = np.concatenate([
+            sample_mask(
+                t,
+                rate=config.mask_rate,
+                span_length=min(config.mask_span, t),
+                rng=step_rng(config.seed, RNG_MASK, step, i),
+            )
+            for i in group
+        ])
         zm = apply_mask(z, mask, model.mask_embedding)
-        c = model.contextualize(zm, rng=step_rng(config.seed, RNG_DROPOUT, step, i))
+        c = model.contextualize(
+            zm, rng=[step_rng(config.seed, RNG_DROPOUT, step, i) for i in group]
+        )
         loss = contrastive_loss(
             c,
             z,
             mask,
             config.num_distractors,
-            rng=step_rng(config.seed, RNG_DISTRACTOR, step, i),
+            rng=[step_rng(config.seed, RNG_DISTRACTOR, step, i) for i in group],
             temperature=config.temperature,
         )
-        loss_sum += float(loss.values)
-        backward(T.mul(loss, scale))
+        loss_sum += float(loss.values) * len(group)
+        backward(T.mul(loss, len(group) / len(batch_logmels)))
     if config.grad_clip is not None:
         grad_norm = clip_gradients(optimizer.named_params, config.grad_clip)
     else:

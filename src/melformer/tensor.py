@@ -15,6 +15,15 @@ graph is recorded implicitly through parent links; ``backward`` topologically
 sorts the reachable subgraph and visits each node exactly once, accumulating
 gradients additively across fan-out.
 
+A T x D tensor may stack several equal-length clips: ``clips`` row blocks of
+T / clips frames each, in clip order. Per-frame primitives need not know.
+The primitives that mix frames take the clip count and act on each clip on
+its own, exactly as on a single clip: ``attention`` attends within a clip,
+``conv1d`` zero-pads each clip, training ``batch_norm`` normalizes by each
+clip's statistics, ``reduce_sum``/``reduce_mean`` pool each clip to one row,
+``dropout`` draws each clip's mask from that clip's generator, and
+``info_nce`` averages the clips' losses.
+
 ``backward`` consumes the graph: each interior node drops its gradient, its
 backward closure and its parent links as soon as it has been visited, so the
 forward arrays the closures hold are freed during the sweep. A released node
@@ -152,6 +161,19 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad = np.asarray(g, dtype=t.values.dtype)
     else:
         t.grad += g
+
+
+def clip_rngs(rng) -> list:
+    """A dropout generator argument as one generator per clip: a list or
+    tuple holds one per clip of a stack, anything else serves one clip."""
+    return list(rng) if isinstance(rng, (list, tuple)) else [rng]
+
+
+def _by_clip(values: np.ndarray, clips: int, op: str) -> np.ndarray:
+    """A stack of ``clips`` equal-length clips, (clips * T, ...) viewed as (clips, T, ...)."""
+    if clips < 1 or values.shape[0] % clips:
+        raise ShapeError(f"{op}: {values.shape[0]} rows do not split into {clips} equal clips")
+    return values.reshape(clips, values.shape[0] // clips, *values.shape[1:])
 
 
 def backward(loss: Tensor):
@@ -310,27 +332,39 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out, parents, bwd, "linear")
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.values.shape
+def _reduction(a: Tensor, axis, keepdims: bool, clips: int, op: str):
+    """(values, axis, keepdims) to reduce; with ``clips`` > 1, axis 0 of each clip."""
+    if clips == 1:
+        return a.values, axis, keepdims
+    if axis != 0:
+        raise ShapeError(f"{op}: a per-clip reduction runs over axis 0, not {axis}")
+    return _by_clip(a.values, clips, op), 1, False
+
+
+def reduce_sum(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
+    """Sum over ``axis``. With ``clips`` > 1 (axis 0 only), each clip of the
+    stack sums to one row, so the result has one row per clip."""
+    v, axis, keepdims = _reduction(a, axis, keepdims, clips, "sum")
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, shape).astype(a.values.dtype))
+        _accum(a, np.broadcast_to(g, v.shape).astype(v.dtype).reshape(a.values.shape))
 
-    return _make(a.values.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
+    return _make(v.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.values.shape
-    n = a.values.size if axis is None else shape[axis]
+def reduce_mean(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
+    """Mean over ``axis``; ``clips`` as in :func:`reduce_sum`."""
+    v, axis, keepdims = _reduction(a, axis, keepdims, clips, "mean")
+    n = v.size if axis is None else v.shape[axis]
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g / n, shape).astype(a.values.dtype))
+        _accum(a, np.broadcast_to(g / n, v.shape).astype(v.dtype).reshape(a.values.shape))
 
-    return _make(a.values.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
+    return _make(v.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -385,38 +419,47 @@ def glu(a: Tensor, axis: int = 1) -> Tensor:
     return _make(va * s, (a,), bwd, "glu")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention over T x D projections.
 
     Head h owns columns [h*dh, (h+1)*dh) of q, k and v, with dh = D / num_heads.
     The output holds each head's softmax(q_h k_hᵀ / sqrt(dh)) v_h side by side,
-    computed for all heads at once as one (H, T, dh) batched matmul.
+    computed for all clips and heads at once as one (clips, H, T, dh) batched
+    matmul; each clip's frames attend only to frames of the same clip.
     """
     if q.values.ndim != 2 or not q.values.shape == k.values.shape == v.values.shape:
         raise ShapeError(f"attention: q/k/v shapes disagree {q.shape}, {k.shape}, {v.shape}")
-    t, d = q.values.shape
+    n, d = q.values.shape
     if num_heads < 1 or d % num_heads != 0:
         raise ShapeError(f"attention: dim {d} not divisible by {num_heads} heads")
+    t = _by_clip(q.values, clips, "attention").shape[1]
     dh = d // num_heads
     scale = dh**-0.5
-    qh, kh, vh = (x.values.reshape(t, num_heads, dh).transpose(1, 0, 2) for x in (q, k, v))
-    w = qh @ kh.transpose(0, 2, 1)
+
+    def heads(a):  # (clips * T, D) -> (clips, H, T, dh)
+        return a.reshape(clips, t, num_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (clips, H, T, dh) -> (clips * T, D)
+        return a.transpose(0, 2, 1, 3).reshape(n, d)
+
+    qh, kh, vh = (heads(x.values) for x in (q, k, v))
+    w = qh @ kh.swapaxes(-1, -2)
     w *= scale
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        gh = g.reshape(t, num_heads, dh).transpose(1, 0, 2)
-        dw = gh @ vh.transpose(0, 2, 1)
+        gh = heads(g)
+        dw = gh @ vh.swapaxes(-1, -2)
         dw -= (dw * w).sum(axis=-1, keepdims=True)
         dw *= w
         dw *= scale
-        grads = (dw @ kh, dw.transpose(0, 2, 1) @ qh, w.transpose(0, 2, 1) @ gh)
+        grads = (dw @ kh, dw.swapaxes(-1, -2) @ qh, w.swapaxes(-1, -2) @ gh)
         for x, dx in zip((q, k, v), grads):
-            _accum(x, dx.transpose(1, 0, 2).reshape(t, d))
+            _accum(x, merge(dx))
 
-    return _make((w @ vh).transpose(1, 0, 2).reshape(t, d), (q, k, v), bwd, "attention")
+    return _make(merge(w @ vh), (q, k, v), bwd, "attention")
 
 
 # ---------------------------------------------------------------------------
@@ -457,36 +500,43 @@ def batch_norm(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
+    clips: int = 1,
 ) -> Tensor:
     """Per-channel normalization over axis 0 (frames).
 
-    Training mode normalizes by batch statistics and folds them into the
-    running buffers with the given momentum; evaluation mode uses the running
-    statistics, which then act as constants.
+    Training mode normalizes each clip by that clip's statistics and folds
+    them into the running buffers with the given momentum, once per clip in
+    clip order; evaluation mode uses the running statistics, which then act
+    as constants.
     """
     if x.values.ndim != 2:
         raise ShapeError("batch_norm expects a 2-D tensor")
     gv = gain.values
     if training:
-        mu = x.values.mean(axis=0)
-        xhat = x.values - mu
-        var = np.square(xhat).sum(axis=0) / x.values.shape[0]
-        running_mean[...] = ((1.0 - momentum) * running_mean + momentum * mu).astype(
-            running_mean.dtype, copy=False
-        )
-        running_var[...] = ((1.0 - momentum) * running_var + momentum * var).astype(
-            running_var.dtype, copy=False
-        )
+        shape = x.values.shape
+        xc = _by_clip(x.values, clips, "batch_norm")
+        mu = xc.mean(axis=1, keepdims=True)
+        xhat = xc - mu
+        var = np.square(xhat).sum(axis=1, keepdims=True) / xc.shape[1]
+        for clip_mu, clip_var in zip(mu[:, 0], var[:, 0]):
+            running_mean[...] = ((1.0 - momentum) * running_mean + momentum * clip_mu).astype(
+                running_mean.dtype, copy=False
+            )
+            running_var[...] = ((1.0 - momentum) * running_var + momentum * clip_var).astype(
+                running_var.dtype, copy=False
+            )
         inv = 1.0 / np.sqrt(var + eps)
         xhat *= inv
+        xhat = xhat.reshape(shape)
 
         def bwd(g):
             _accum(gain, (g * xhat).sum(axis=0))
             _accum(bias, g.sum(axis=0))
             gx = g * gv
-            m1 = gx.mean(axis=0)
-            m2 = (gx * xhat).mean(axis=0)
-            _accum(x, (gx - m1 - xhat * m2) * inv)
+            gxc, xhc = gx.reshape(xc.shape), xhat.reshape(xc.shape)
+            m1 = gxc.mean(axis=1, keepdims=True)
+            m2 = (gxc * xhc).mean(axis=1, keepdims=True)
+            _accum(x, ((gxc - m1 - xhc * m2) * inv).reshape(shape))
 
         return _make(xhat * gv + bias.values, (x, gain, bias), bwd, "batch_norm")
 
@@ -505,13 +555,20 @@ def batch_norm(
 # Regularization
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; the mask is drawn from ``rng`` and kept for backward."""
+def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
+    """Inverted dropout; the mask is drawn from ``rng`` and kept for backward.
+
+    ``rng`` is a Generator, or a list with one Generator per clip of a stack
+    of equal-length clips, each of which draws its own clip's mask.
+    """
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate {rate} outside [0, 1)")
     if not training or rate == 0.0:
         return x
-    keep = rng.random(x.values.shape) >= rate
+    rngs = clip_rngs(rng)
+    keep = np.empty(x.values.shape, dtype=bool)
+    for clip_rng, clip_keep in zip(rngs, _by_clip(keep, len(rngs), "dropout")):
+        np.greater_equal(clip_rng.random(clip_keep.shape), rate, out=clip_keep)
     scale = x.values.dtype.type(1.0 / (1.0 - rate))
 
     def bwd(g):
@@ -528,45 +585,49 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = T
 # Convolution
 
 
-def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
     """Same-padded depthwise 1-D cross-correlation over a T x C input.
 
     Each channel has its own filter: ``kernel`` is (k, C). Kernels must
     have odd length so "same" zero padding is symmetric and output length
-    equals input length. (A kernel-1 conv over all channels is a matmul;
+    equals input length. Each clip of a stack is padded on its own, so no
+    frame sees another clip. (A kernel-1 conv over all channels is a matmul;
     use ``linear``.)
     """
     if x.values.ndim != 2:
         raise ShapeError("conv1d expects a T x C input")
-    t, c = x.values.shape
+    n, c = x.values.shape
     kv = kernel.values
     k = kv.shape[0]
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     if kv.ndim != 2 or kv.shape[1] != c:
         raise ShapeError(f"conv1d: depthwise kernel {kv.shape} incompatible with {c} channels")
-    if t < 1:
+    if n < 1:
         raise ShapeError("conv1d: empty input")
+    xc = _by_clip(x.values, clips, "conv1d")
+    t = xc.shape[1]
     pad = k // 2
-    xp = np.zeros((t + 2 * pad, c), dtype=x.values.dtype)
-    xp[pad : pad + t] = x.values
-    out = np.zeros((t, c), dtype=np.result_type(x.values, kv))
+    xp = np.zeros((clips, t + 2 * pad, c), dtype=x.values.dtype)
+    xp[:, pad : pad + t] = xc
+    out = np.zeros(xc.shape, dtype=np.result_type(x.values, kv))
     for dt in range(k):
-        out += xp[dt : dt + t] * kv[dt]
+        out += xp[:, dt : dt + t] * kv[dt]
 
     def bwd(g):
+        gc = g.reshape(xc.shape)
         if kernel.requires_grad:
             dk = np.zeros_like(kv)
             for dt in range(k):
-                dk[dt] = (xp[dt : dt + t] * g).sum(axis=0)
+                dk[dt] = (xp[:, dt : dt + t] * gc).reshape(n, c).sum(axis=0)
             _accum(kernel, dk)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for dt in range(k):
-                dxp[dt : dt + t] += g * kv[dt]
-            _accum(x, dxp[pad : pad + t])
+                dxp[:, dt : dt + t] += gc * kv[dt]
+            _accum(x, dxp[:, pad : pad + t].reshape(n, c))
 
-    return _make(out, (x, kernel), bwd, "conv1d")
+    return _make(out.reshape(n, c), (x, kernel), bwd, "conv1d")
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +661,29 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates, scale: float) -> Tensor:
     r = candidates[i, 0] against latent rows candidates[i, :], the first of
     which is the true latent: scores_i = scale * c_hat[r] · z_hat[candidates[i]].
     With K = 0 every row has one candidate and the loss is exactly 0.
+
+    ``candidates`` may also be a list of such matrices, one per clip of a
+    stack, holding row indices into the whole stack. Their K may differ, and
+    a clip's matrix may have no rows. The loss is then the mean over clips of
+    each clip's mean NLL, a clip without rows counting as 0.
     """
     cv, zv = c_hat.values, z_hat.values
     if cv.ndim != 2 or cv.shape != zv.shape:
         raise ShapeError(f"info_nce: context {c_hat.shape} vs latents {z_hat.shape}")
-    idx = np.asarray(candidates, dtype=np.intp)
-    if idx.ndim != 2 or idx.size == 0:
-        raise ShapeError(f"info_nce: candidates {idx.shape} is not a non-empty matrix")
-    m = idx.shape[0]
+    if not isinstance(candidates, list):
+        candidates = [candidates]
+    clips = len(candidates)
+    per_clip = [np.asarray(c, dtype=np.intp) for c in candidates]
+    if any(c.ndim != 2 for c in per_clip) or not sum(c.size for c in per_clip):
+        raise ShapeError("info_nce: candidates are not non-empty matrices")
+    filled = [c for c in per_clip if c.size]
+    spans, m = [], 0
+    for c in filled:
+        spans.append((m, m + c.shape[0]))
+        m += c.shape[0]
+    # A clip with fewer candidates repeats its last one, scored as -inf.
+    width = max(c.shape[1] for c in filled)
+    idx = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), "edge") for c in filled])
     rows = np.arange(m)[:, None]
     picked = cv[idx[:, 0]]
     # Seeded logs depend on these exact GEMMs: a contiguous copy of zᵀ and the
@@ -616,15 +692,20 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates, scale: float) -> Tensor:
     sims = picked @ zt
     sims *= scale
     scores = sims[rows, idx]
+    widths = np.repeat([c.shape[1] for c in filled], [c.shape[0] for c in filled])
+    scores[np.arange(width) >= widths[:, None]] = -np.inf
     top = scores.max(axis=1, keepdims=True)
     w = np.exp(scores - top)
     total = w.sum(axis=1, keepdims=True)
     w /= total
     nll = np.log(total) + top
     nll -= scores[:, :1]
+    clip_losses = np.array([nll[a:b].mean() for a, b in spans], dtype=nll.dtype)
 
     def bwd(g):
-        gr = np.broadcast_to(g / m, (m, 1)).astype(nll.dtype)
+        gr = np.empty((m, 1), dtype=nll.dtype)
+        for a, b in spans:
+            gr[a:b] = g / clips / (b - a)
         gs = gr * w
         gs[:, :1] -= gr
         gsims = np.zeros_like(sims)
@@ -637,7 +718,7 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates, scale: float) -> Tensor:
         if z_hat.requires_grad:
             _accum(z_hat, (picked.T @ gsims).T)
 
-    return _make(nll.mean(), (c_hat, z_hat), bwd, "info_nce")
+    return _make(clip_losses.sum() / clips, (c_hat, z_hat), bwd, "info_nce")
 
 
 _PROB_CLIP = 1e-7

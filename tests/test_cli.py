@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from melformer.cli import main
-from melformer.data import load_checkpoint
+from melformer.data import load_checkpoint, save_checkpoint
+from melformer.model import ConformerModel, ModelConfig
 
 TOY_MODEL = dict(
     num_blocks=1,
@@ -185,6 +186,39 @@ class TestPretrainCommand:
         shutil.rmtree(part / "ckpt-00000007")
         assert main(base + ["--out-dir", str(part), "--max-steps", "10"]) == 0
         assert [r["step"] for r in read_metrics(part)] == list(range(1, 11))
+        full_log = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+        assert (part / "metrics.jsonl").read_bytes() == full_log
+
+    def test_resume_after_a_crash_between_the_renames_of_a_save(
+        self, dataset, toy_config, tmp_path, monkeypatch, capsys
+    ):
+        config = json.loads(toy_config.read_text())
+        config["pretrain"]["checkpoint_interval"] = 5
+        (tmp_path / "every5.json").write_text(json.dumps(config))
+        base = [
+            "pretrain", "--config", str(tmp_path / "every5.json"),
+            "--manifest", str(dataset / "manifest.tsv"), "--seed", "1", "--deterministic",
+        ]
+        assert main(base + ["--out-dir", str(tmp_path / "full"), "--max-steps", "10"]) == 0
+        part = tmp_path / "part"
+        assert main(base + ["--out-dir", str(part), "--max-steps", "7"]) == 0
+        # Overwriting ckpt-00000007 crashes once the old copy is at .old.
+        real_rename = Path.rename
+
+        def crash_before_staging_moves_in(self, target):
+            if self.name.endswith(".tmp"):
+                raise OSError("simulated crash")
+            return real_rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", crash_before_staging_moves_in)
+        with pytest.raises(OSError):
+            model = ConformerModel(ModelConfig(**TOY_MODEL))
+            save_checkpoint(part / "ckpt-00000007", model, step=7, seed=1)
+        monkeypatch.undo()
+        assert not (part / "ckpt-00000007").exists()
+        capsys.readouterr()
+        assert main(base + ["--out-dir", str(part), "--max-steps", "10"]) == 0
+        assert f"resuming from {part / 'ckpt-00000007'} at step 7" in capsys.readouterr().out
         full_log = (tmp_path / "full" / "metrics.jsonl").read_bytes()
         assert (part / "metrics.jsonl").read_bytes() == full_log
 

@@ -27,6 +27,24 @@ from melformer.model import ConformerModel, ModelConfig
 from melformer.pretrain import Adam
 
 
+def crash_between_renames(path, model, monkeypatch):
+    """Overwrite the checkpoint at ``path``, crashing after the old copy has
+    moved to ``<name>.old`` and before the staged copy takes its name."""
+    real_rename = Path.rename
+
+    def crash_before_staging_moves_in(self, target):
+        if self.name.endswith(".tmp"):
+            raise OSError("simulated crash")
+        return real_rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", crash_before_staging_moves_in)
+    try:
+        with pytest.raises(OSError, match="simulated crash"):
+            save_checkpoint(path, model, step=99, seed=0)
+    finally:
+        monkeypatch.undo()
+
+
 def tiny_model(seed=0):
     cfg = ModelConfig(
         num_blocks=1, embed_dim=8, num_heads=2, ffn_dim=12,
@@ -277,17 +295,7 @@ class TestCheckpoint:
     def test_crash_while_overwriting_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         old, new = tiny_model(seed=14), tiny_model(seed=15)
         save_checkpoint(tmp_path / "ck", old, step=1, seed=14)
-        real_rename = Path.rename
-
-        def crash_before_staging_moves_in(self, target):
-            if self.name.endswith(".tmp"):
-                raise OSError("simulated crash")
-            return real_rename(self, target)
-
-        monkeypatch.setattr(Path, "rename", crash_before_staging_moves_in)
-        with pytest.raises(OSError, match="simulated crash"):
-            save_checkpoint(tmp_path / "ck", new, step=2, seed=15)
-        monkeypatch.undo()
+        crash_between_renames(tmp_path / "ck", new, monkeypatch)
         survivor = load_checkpoint(tmp_path / "ck.old")
         assert survivor.step == 1
         for name, arr in old.state_arrays().items():
@@ -297,6 +305,27 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck", new, step=2, seed=15)
         assert load_checkpoint(tmp_path / "ck").step == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    def test_latest_checkpoint_recovers_a_lone_old_copy(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=17)
+        for step in (5, 10):
+            save_checkpoint(tmp_path / f"ckpt-{step:08d}", model, step=step, seed=17)
+        crash_between_renames(tmp_path / "ckpt-00000010", model, monkeypatch)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt-00000005", "ckpt-00000010.old", "ckpt-00000010.tmp"
+        ]
+        assert latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000010"
+        assert load_checkpoint(tmp_path / "ckpt-00000010").step == 10
+        assert not (tmp_path / "ckpt-00000010.old").exists()
+
+    def test_latest_checkpoint_leaves_an_old_copy_beside_its_checkpoint(self, tmp_path):
+        model = tiny_model(seed=18)
+        save_checkpoint(tmp_path / "ckpt-00000003", model, step=3, seed=18)
+        save_checkpoint(tmp_path / "ckpt-00000004", model, step=4, seed=18)
+        save_checkpoint(tmp_path / "ckpt-00000004.old", model, step=1, seed=18)
+        assert latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000004"
+        assert load_checkpoint(tmp_path / "ckpt-00000004").step == 4
+        assert load_checkpoint(tmp_path / "ckpt-00000004.old").step == 1
 
     def test_overwrite_leaves_one_directory(self, tmp_path):
         model = tiny_model(seed=16)

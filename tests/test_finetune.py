@@ -8,8 +8,12 @@ from scipy import stats
 
 from melformer import finetune as finetune_module
 from melformer import tensor as T
+from melformer import model as model_module
 from melformer.errors import ConfigError, DataError, ShapeError
 from melformer.finetune import (
+    HEAD_KINDS,
+    RNG_HEAD_DROPOUT_A,
+    RNG_HEAD_DROPOUT_B,
     FinetuneConfig,
     LabeledExample,
     balance_weights,
@@ -23,8 +27,8 @@ from melformer.finetune import (
     three_stage_lr,
     time_mask_augment,
 )
-from melformer.model import ConformerModel, ModelConfig
-from melformer.pretrain import Adam
+from melformer.model import GROUP_CAP, ConformerModel, ModelConfig
+from melformer.pretrain import Adam, step_rng
 from melformer.tensor import Tensor, backward, grad_check
 
 
@@ -372,22 +376,113 @@ class TestFinetuneStep:
 
 
 
-class TestStreamedBackward:
-    def test_finetune_grads_equal_whole_batch_graph(self, setup, check_streamed_grads):
-        cfg, examples = setup
+def per_clip_finetune_step(batch, model, head, config, step):
+    """The step as one graph and one backward per clip, from the single-clip
+    call forms; returns the logged loss, summed as the step sums it."""
+    view_a, view_b = finetune_module._augmented_views(batch, config, step, None)
+    total = 0.0
+    for i, ex in enumerate(batch):
+        probs = []
+        for view, purpose in ((view_a, RNG_HEAD_DROPOUT_A), (view_b, RNG_HEAD_DROPOUT_B)):
+            rng = step_rng(config.seed, purpose, step, i)
+            context = model.contextualize(model.encode_features(view[i]), rng=rng)
+            probs.append(head(T.dropout(context, config.output_dropout, rng)))
+        bce, consistency = bce_loss(probs[0], ex.targets), consistency_loss(*probs)
+        loss = T.add(bce, T.mul(consistency, config.consistency_weight))
+        T.backward(T.mul(loss, 1.0 / len(batch)))
+        total += bce.item() + config.consistency_weight * consistency.item()
+    return total / len(batch)
+
+
+def named_grads(model, head):
+    return list(model.named_parameters()) + list(head.named_parameters())
+
+
+def assert_same_grads(got, want, **tolerance):
+    for (name, p), (_, q) in zip(got, want):
+        if q.grad is None:  # the mask embedding is not used in fine-tuning
+            assert p.grad is None, name
+        elif tolerance:
+            np.testing.assert_allclose(p.grad, q.grad, **tolerance, err_msg=name)
+        else:
+            np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
+
+
+class TestGroupedStep:
+    """A step stacks equal-length clips into one graph per group and still
+    computes what one graph per clip computes."""
+
+    CFG = ModelConfig(
+        num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=24,
+        stack_factor=2, kernel_first=3, kernel_rest=3, dropout=0.1,
+    )
+
+    @staticmethod
+    def batch(lengths, seed=45):
+        rng = np.random.default_rng(seed)
+        return [
+            LabeledExample(targets=np.eye(3)[i % 3], waveform=rng.normal(scale=0.1, size=n))
+            for i, n in enumerate(lengths)
+        ]
+
+    def build(self, cfg, head_kind):
+        model = ConformerModel(cfg, seed=31, dtype=np.float64)
+        head = make_head(head_kind, cfg.latent_dim, 3, seed=32, dtype=np.float64)
+        return model, head
+
+    @pytest.mark.parametrize("head_kind", HEAD_KINDS)
+    @pytest.mark.parametrize("mixup", [True, False], ids=["mixup", "two-lengths"])
+    def test_grads_equal_one_graph_per_clip(self, backward_calls, head_kind, mixup):
+        # 25 and 28 logmel frames: 12 and 14 latent frames. Mixup trims a
+        # view to its shortest clip, so only without it do the lengths mix.
+        batch = self.batch([8000, 8000, 8960, 8960, 8000])
         fcfg = FinetuneConfig(
-            num_classes=3, peak_lr=1e-3, total_steps=100, batch_size=3, output_dropout=0.1
+            num_classes=3, total_steps=100, batch_size=5, output_dropout=0.1,
+            mixup_enabled=mixup,
+        )
+        grouped, grouped_head = self.build(self.CFG, head_kind)
+        calls = backward_calls(finetune_module)
+        opt = Adam(named_grads(grouped, grouped_head))
+        # Step 0 has learning rate 0, so the parameters stay put.
+        record = finetune_step(batch, grouped, grouped_head, opt, fcfg, step=0)
+        assert len(calls) == (1 if mixup else 3)
+        oracle, oracle_head = self.build(self.CFG, head_kind)
+        want = per_clip_finetune_step(batch, oracle, oracle_head, fcfg, step=0)
+        assert record["loss"] == pytest.approx(want, rel=1e-10)
+        assert_same_grads(
+            named_grads(grouped, grouped_head), named_grads(oracle, oracle_head),
+            rtol=1e-10, atol=1e-13,
         )
 
-        def make():
-            model = ConformerModel(cfg, seed=31, dtype=np.float64)
-            head = make_head("linear-softmax-pool", cfg.latent_dim, 3, seed=32, dtype=np.float64)
-            opt = Adam(
-                list(model.named_parameters())
-                + [(f"head.{n}", p) for n, p in head.named_parameters()]
-            )
-            # Step 0 has learning rate 0, so the parameters stay put.
-            step = lambda: finetune_step(examples[:3], model, head, opt, fcfg, step=0)
-            return step, opt.named_params
+    def test_clips_over_the_cap_backpropagate_one_at_a_time(self, backward_calls):
+        cfg = ModelConfig(
+            num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=2048,
+            stack_factor=2, kernel_first=3, kernel_rest=3, dropout=0.1,
+        )
+        # One view's 12 rows would fit; a group counts both views' rows.
+        assert 12 * cfg.ffn_dim <= GROUP_CAP < (12 + 12) * cfg.ffn_dim
+        batch = self.batch([8000] * 3)
+        fcfg = FinetuneConfig(num_classes=3, total_steps=100, batch_size=3, output_dropout=0.1)
+        grouped, grouped_head = self.build(cfg, "mean-pool")
+        calls = backward_calls(finetune_module)
+        opt = Adam(named_grads(grouped, grouped_head))
+        record = finetune_step(batch, grouped, grouped_head, opt, fcfg, step=0)
+        assert len(calls) == 3
+        oracle, oracle_head = self.build(cfg, "mean-pool")
+        assert record["loss"] == pytest.approx(
+            per_clip_finetune_step(batch, oracle, oracle_head, fcfg, step=0), rel=1e-14
+        )
+        assert_same_grads(named_grads(grouped, grouped_head), named_grads(oracle, oracle_head))
 
-        assert check_streamed_grads(finetune_module, make) == 3
+    @pytest.mark.parametrize("head_kind", HEAD_KINDS)
+    def test_eval_scores_equal_one_clip_at_a_time(self, monkeypatch, head_kind):
+        batch = self.batch([8000, 8000, 8960, 8000, 8000, 8000])
+        model, head = self.build(self.CFG, head_kind)
+        seen = []
+        monkeypatch.setattr(
+            finetune_module, "evaluate_scores", lambda scores, targets: seen.append(scores)
+        )
+        finetune_module.evaluate_model(model, head, batch)
+        monkeypatch.setattr(model_module, "GROUP_CAP", 0)
+        finetune_module.evaluate_model(model, head, batch)
+        np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12)

@@ -5,12 +5,15 @@ import pytest
 
 from melformer import tensor as T
 from melformer.errors import ConfigError, ShapeError
+from melformer import model as model_module
 from melformer.model import (
+    GROUP_CAP,
     ConformerBlock,
     ConformerModel,
     ModelConfig,
     SelfAttention,
     apply_mask,
+    clip_groups,
     param_count,
     sample_mask,
     time_stack,
@@ -84,6 +87,51 @@ class TestFeatureEncoder:
         w0 = Tensor(model.feature_encoder.proj.weight.values.astype(np.float64))
         err = grad_check(fn, w0, rng=np.random.default_rng(0), max_coords_per_tensor=64)
         assert err < 1e-5
+
+
+class TestStackedClips:
+    TOY = ModelConfig(num_blocks=2, embed_dim=64, num_heads=4, ffn_dim=128)
+
+    def test_toy_pretrain_batch_is_one_graph(self):
+        assert clip_groups([(25,)] * 8, self.TOY) == [range(0, 8)]
+
+    def test_toy_finetune_batch_runs_as_four_groups_of_four(self):
+        # Both views count: 50 rows x 128 a clip, so 5 fit; 16 clips need 4.
+        groups = clip_groups([(25, 25)] * 16, self.TOY)
+        assert [len(g) for g in groups] == [4, 4, 4, 4]
+        assert [i for g in groups for i in g] == list(range(16))
+
+    def test_cf_s_clip_is_alone_in_its_graph(self):
+        cfg = ModelConfig.preset("cf_S")
+        assert 125 * max(cfg.ffn_dim, cfg.num_heads * 125) > GROUP_CAP
+        assert clip_groups([(125,)] * 4, cfg) == [range(i, i + 1) for i in range(4)]
+
+    def test_runs_of_equal_lengths_split_near_equally_in_batch_order(self):
+        cfg = tiny_config(ffn_dim=64, num_heads=4)  # T = 16: 1024 a clip, 32 a graph
+        counts = [(16,)] * 70 + [(8,)] * 2 + [(16,)]
+        sizes = [(g.start, len(g)) for g in clip_groups(counts, cfg)]
+        assert sizes == [(0, 24), (24, 23), (47, 23), (70, 2), (72, 1)]
+
+    def test_stack_equals_each_clip_alone(self):
+        cfg = tiny_config(dropout=0.1)
+        model = ConformerModel(cfg, seed=4, dtype=np.float64)
+        rng = np.random.default_rng(17)
+        clips = [rng.normal(size=(20, 64)) for _ in range(3)]
+        stacked = model.contextualize(
+            model.encode_features(clips), [np.random.default_rng(s) for s in range(3)]
+        )
+        alone = [
+            model.contextualize(model.encode_features(c), np.random.default_rng(s)).values
+            for s, c in enumerate(clips)
+        ]
+        np.testing.assert_allclose(stacked.values, np.concatenate(alone), rtol=1e-12)
+
+    def test_clips_of_unequal_latent_length_rejected(self):
+        model = ConformerModel(tiny_config(), seed=0)
+        with pytest.raises(ShapeError, match="unequal"):
+            model.encode_features([np.zeros((20, 64)), np.zeros((24, 64))])
+        # 20 and 23 frames both stack to 5 latent frames.
+        assert model.encode_features([np.zeros((20, 64)), np.zeros((23, 64))]).shape == (10, 32)
 
 
 class TestSampleMask:

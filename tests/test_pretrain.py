@@ -8,14 +8,25 @@ import pytest
 from melformer import pretrain as pretrain_module
 from melformer import tensor as T
 from melformer.errors import ConfigError, NumericError, ShapeError
-from melformer.model import ConformerModel, ModelConfig
+from melformer.model import (
+    GROUP_CAP,
+    ConformerModel,
+    ModelConfig,
+    apply_mask,
+    clip_groups,
+    sample_mask,
+)
 from melformer.pretrain import (
+    RNG_DISTRACTOR,
+    RNG_DROPOUT,
+    RNG_MASK,
     Adam,
     PretrainConfig,
     contrastive_loss,
     pretrain_lr,
     pretrain_step,
     sample_distractors,
+    step_rng,
 )
 from melformer.tensor import Tensor
 
@@ -277,23 +288,121 @@ class TestPretrainStep:
 
 
 
-class TestStreamedBackward:
-    def test_pretrain_grads_equal_whole_batch_graph(self, check_streamed_grads):
+def per_clip_pretrain_step(clips, model, config, step):
+    """The step as one graph and one backward per clip, from the single-clip
+    call forms; returns the mean clip loss, summed as the step sums it."""
+    losses = []
+    for i, frames in enumerate(clips):
+        z = model.encode_features(frames)
+        t = z.shape[0]
+        mask = sample_mask(
+            t, config.mask_rate, min(config.mask_span, t),
+            rng=step_rng(config.seed, RNG_MASK, step, i),
+        )
+        c = model.contextualize(
+            apply_mask(z, mask, model.mask_embedding),
+            rng=step_rng(config.seed, RNG_DROPOUT, step, i),
+        )
+        loss = contrastive_loss(
+            c, z, mask, config.num_distractors,
+            rng=step_rng(config.seed, RNG_DISTRACTOR, step, i),
+            temperature=config.temperature,
+        )
+        T.backward(T.mul(loss, 1.0 / len(clips)))
+        losses.append(loss.item())
+    return sum(losses) * (1.0 / len(clips))
+
+
+class TestGroupedStep:
+    """A step stacks equal-length clips into one graph per group and still
+    computes what one graph per clip computes."""
+
+    CFG = ModelConfig(
+        num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=24,
+        stack_factor=2, kernel_first=3, kernel_rest=3, dropout=0.1,
+    )
+
+    def models(self, cfg):
+        """Two equal float64 models, one to step grouped and one per clip."""
+        return [ConformerModel(cfg, seed=42, dtype=np.float64) for _ in range(2)]
+
+    def test_grads_equal_one_graph_per_clip(self, backward_calls):
+        rng = np.random.default_rng(41)
+        # Two latent lengths (20 and 24 frames), in three runs.
+        clips = [rng.normal(size=(n, 64)) for n in (40, 40, 40, 48, 48, 40, 40)]
+        pcfg = toy_pretrain_config(seed=5, batch_size=len(clips), mask_span=3)
+        counts = [(len(c) // 2,) for c in clips]
+        assert clip_groups(counts, self.CFG) == [range(0, 3), range(3, 5), range(5, 7)]
+        masked = [
+            sample_mask(n, 0.3, 3, rng=step_rng(5, RNG_MASK, 0, i)).sum()
+            for i, (n,) in enumerate(counts)
+        ]
+        assert len(set(masked)) > 1  # K = masked - 1 differs between clips
+
+        grouped, oracle = self.models(self.CFG)
+        opt = Adam(list(grouped.named_parameters()))
+        calls = backward_calls(pretrain_module)
+        # Step 0 has learning rate 0, so the parameters stay put.
+        record = pretrain_step(clips, grouped, opt, pcfg, step=0)
+        assert len(calls) == 3
+        want = per_clip_pretrain_step(clips, oracle, pcfg, step=0)
+        assert record["loss"] == pytest.approx(want, rel=1e-10)
+        for (name, p), q in zip(grouped.named_parameters(), oracle.parameters()):
+            np.testing.assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-13, err_msg=name)
+        for (name, a), b in zip(grouped.named_buffers(), dict(oracle.named_buffers()).values()):
+            np.testing.assert_allclose(a, b, rtol=1e-10, err_msg=name)
+
+    def test_clips_over_the_cap_backpropagate_one_at_a_time(self, backward_calls):
         cfg = ModelConfig(
-            num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=24,
+            num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=2048,
             stack_factor=2, kernel_first=3, kernel_rest=3, dropout=0.1,
         )
-        rng = np.random.default_rng(41)
-        clips = [rng.normal(size=(20, 64)) for _ in range(3)]
-        pcfg = toy_pretrain_config(seed=5, num_distractors=4, batch_size=3)
+        assert 20 * cfg.ffn_dim > GROUP_CAP
+        rng = np.random.default_rng(43)
+        clips = [rng.normal(size=(40, 64)) for _ in range(3)]
+        pcfg = toy_pretrain_config(seed=6, batch_size=3)
+        grouped, oracle = self.models(cfg)
+        calls = backward_calls(pretrain_module)
+        record = pretrain_step(clips, grouped, Adam(list(grouped.named_parameters())), pcfg, 0)
+        assert len(calls) == 3
+        # Alone in its graph, a clip runs the single-clip arithmetic exactly.
+        assert record["loss"] == per_clip_pretrain_step(clips, oracle, pcfg, step=0)
+        for p, q in zip(grouped.parameters(), oracle.parameters()):
+            np.testing.assert_array_equal(p.grad, q.grad)
 
-        def make():
-            model = ConformerModel(cfg, seed=42, dtype=np.float64)
-            opt = Adam(list(model.named_parameters()))
-            # Step 0 has learning rate 0, so the parameters stay put.
-            return lambda: pretrain_step(clips, model, opt, pcfg, step=0), opt.named_params
 
-        assert check_streamed_grads(pretrain_module, make) == 3
+class TestStackedContrastiveLoss:
+    def test_mean_of_clip_losses_with_a_skipped_clip(self):
+        rng = np.random.default_rng(44)
+        c, z = rng.normal(size=(18, 5)), rng.normal(size=(18, 5))
+        mask = np.zeros(18, dtype=bool)
+        mask[[0, 2, 3, 4]] = True  # clip 0: K = 3
+        mask[[7]] = True  # clip 1: one masked step, so it is skipped
+        mask[[12, 15]] = True  # clip 2: K = 1
+        leaves = [T.parameter(a) for a in (c, z)]
+        loss = contrastive_loss(*leaves, mask, 5, [np.random.default_rng(s) for s in range(3)])
+        T.backward(loss)
+        want, grads = 0.0, [np.zeros_like(c), np.zeros_like(z)]
+        for j in range(3):
+            rows = slice(6 * j, 6 * j + 6)
+            alone = [T.parameter(a[rows]) for a in (c, z)]
+            clip_loss = contrastive_loss(*alone, mask[rows], 5, np.random.default_rng(j))
+            want += clip_loss.item() / 3
+            if clip_loss.requires_grad:
+                T.backward(T.mul(clip_loss, 1.0 / 3))
+                for acc, leaf in zip(grads, alone):
+                    acc[rows] += leaf.grad
+        assert loss.item() == pytest.approx(want, rel=1e-12)
+        for leaf, ref in zip(leaves, grads):
+            np.testing.assert_allclose(leaf.grad, ref, rtol=1e-12, atol=1e-15)
+
+    def test_mask_must_cover_the_stack(self):
+        x = Tensor(np.ones((6, 2)))
+        with pytest.raises(ShapeError):
+            contrastive_loss(x, x, np.ones(4, dtype=bool), 2, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            rngs = [np.random.default_rng(s) for s in range(4)]
+            contrastive_loss(x, x, np.ones(6, dtype=bool), 2, rngs)
 
 
 class TestMetricsLogCut:

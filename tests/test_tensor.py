@@ -154,6 +154,141 @@ class TestConv1d:
             T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 3))))
 
 
+def _assert_stack_matches_alone(op, stacked, shared=(), clips=3):
+    """``op(xs, params, clips)`` on a stack of clips equals ``op`` on each clip alone.
+
+    ``stacked`` holds (clips * T, ...) inputs and ``shared`` parameters that
+    every clip uses. Both back-propagate sum(out * g) for the same g. Outputs
+    and input grads must match clip by clip, parameter grads the lone clips'
+    sum.
+    """
+    xs, ps = [parameter(a) for a in stacked], [parameter(a) for a in shared]
+    out = op(xs, ps, clips)
+    g = np.random.default_rng(0).normal(size=out.shape)
+    backward(_sum_against(out, g))
+    want_out, want_grads = [], [[] for _ in xs]
+    want_param_grads = [np.zeros_like(a) for a in shared]
+    for j in range(clips):
+        xj = [parameter(np.split(a, clips)[j]) for a in stacked]
+        pj = [parameter(a) for a in shared]
+        alone = op(xj, pj, 1)
+        backward(_sum_against(alone, g.reshape(clips, -1)[j].reshape(alone.shape)))
+        want_out.append(alone.values.ravel())
+        for acc, x in zip(want_grads, xj):
+            acc.append(x.grad)
+        for acc, p in zip(want_param_grads, pj):
+            acc += p.grad
+    np.testing.assert_allclose(out.values.ravel(), np.concatenate(want_out), rtol=1e-12, atol=1e-14)
+    for x, want in zip(xs, want_grads):
+        np.testing.assert_allclose(x.grad, np.concatenate(want), rtol=1e-12, atol=1e-13)
+    for p, want in zip(ps, want_param_grads):
+        np.testing.assert_allclose(p.grad, want, rtol=1e-12, atol=1e-13)
+
+
+class TestPerClipPrimitives:
+    """A primitive on a stack of equal-length clips acts on each clip alone."""
+
+    rng = np.random.default_rng(60)
+
+    def normal(self, *shape):
+        return self.rng.normal(size=shape)
+
+    def test_attention_stays_within_each_clip(self):
+        _assert_stack_matches_alone(
+            lambda xs, ps, clips: T.attention(*xs, num_heads=2, clips=clips),
+            [self.normal(15, 8) for _ in range(3)],
+        )
+
+    def test_conv1d_pads_each_clip(self):
+        _assert_stack_matches_alone(
+            lambda xs, ps, clips: T.conv1d(xs[0], ps[0], clips=clips),
+            [self.normal(12, 3)], [self.normal(5, 3)],
+        )
+
+    def test_conv1d_kernel_longer_than_a_clip(self):
+        _assert_stack_matches_alone(
+            lambda xs, ps, clips: T.conv1d(xs[0], ps[0], clips=clips),
+            [self.normal(6, 2)], [self.normal(7, 2)],
+        )
+
+    def test_batch_norm_uses_each_clips_statistics(self):
+        _assert_stack_matches_alone(
+            lambda xs, ps, clips: T.batch_norm(
+                xs[0], ps[0], ps[1], np.zeros(4), np.ones(4), training=True, clips=clips
+            ),
+            [self.normal(15, 4) * 3.0 + np.arange(15)[:, None]],
+            [self.normal(4), self.normal(4)],
+        )
+
+    def test_batch_norm_folds_running_stats_once_per_clip_in_order(self):
+        x = self.normal(12, 4) + np.repeat(np.arange(3.0), 4)[:, None]
+        mean, var = np.zeros(4), np.ones(4)
+        T.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), mean, var, True, clips=3)
+        want_mean, want_var = np.zeros(4), np.ones(4)
+        for clip in np.split(x, 3):
+            T.batch_norm(Tensor(clip), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                         want_mean, want_var, True)
+        assert_same_bits(mean, want_mean)
+        assert_same_bits(var, want_var)
+
+    @pytest.mark.parametrize("reduce", [T.reduce_sum, T.reduce_mean])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_reductions_pool_each_clip_to_a_row(self, reduce, keepdims):
+        x = self.normal(12, 5)
+        _assert_stack_matches_alone(
+            lambda xs, ps, clips: reduce(xs[0], axis=0, keepdims=keepdims, clips=clips), [x]
+        )
+        assert reduce(Tensor(x), axis=0, keepdims=keepdims, clips=3).shape == (3, 5)
+
+    def test_per_clip_reduction_only_over_rows(self):
+        with pytest.raises(ShapeError):
+            T.reduce_sum(Tensor(np.ones((4, 2))), axis=1, clips=2)
+
+    @pytest.mark.parametrize("op", [
+        lambda x: T.attention(x, x, x, num_heads=1, clips=3),
+        lambda x: T.conv1d(x, Tensor(np.ones((3, 2))), clips=3),
+        lambda x: T.reduce_mean(x, axis=0, clips=3),
+        lambda x: T.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                               np.zeros(2), np.ones(2), True, clips=3),
+    ])
+    def test_rows_that_do_not_split_into_the_clips_rejected(self, op):
+        with pytest.raises(ShapeError, match="equal clips"):
+            op(Tensor(np.ones((8, 2))))
+
+    def test_dropout_draws_each_clip_from_its_own_generator(self):
+        x = self.normal(12, 6)
+        stacked = T.dropout(Tensor(x), 0.4, [np.random.default_rng(s) for s in (1, 2, 3)])
+        alone = [
+            T.dropout(Tensor(clip), 0.4, np.random.default_rng(s)).values
+            for clip, s in zip(np.split(x, 3), (1, 2, 3))
+        ]
+        assert_same_bits(stacked.values, np.concatenate(alone))
+
+    def test_info_nce_is_the_mean_of_the_clip_losses(self):
+        rng = np.random.default_rng(61)
+        c, z = rng.normal(size=(30, 6)), rng.normal(size=(30, 6))
+        # Three clips of 10 rows: K = 4, K = 1 and a clip with no rows.
+        alone_candidates = [_candidates(rng, 10, 4), _candidates(rng, 10, 1)]
+        assert alone_candidates[0].shape[1] != alone_candidates[1].shape[1]
+        stacked = alone_candidates + [np.empty((0, 1), dtype=np.intp)]
+        stacked = [cand + 10 * j for j, cand in enumerate(stacked)]
+        leaves = [parameter(a) for a in (c, z)]
+        loss = T.info_nce(*leaves, stacked, 1.3)
+        backward(loss)
+        want, want_grads = 0.0, [np.zeros_like(c), np.zeros_like(z)]
+        for j, cand in enumerate(alone_candidates):
+            rows = slice(10 * j, 10 * j + 10)
+            alone = [parameter(a[rows]) for a in (c, z)]
+            clip_loss = T.info_nce(*alone, cand, 1.3)
+            backward(T.mul(clip_loss, 1.0 / 3))
+            want += clip_loss.item() / 3
+            for acc, leaf in zip(want_grads, alone):
+                acc[rows] += leaf.grad
+        assert loss.item() == pytest.approx(want, rel=1e-12)
+        for leaf, ref in zip(leaves, want_grads):
+            np.testing.assert_allclose(leaf.grad, ref, rtol=1e-12, atol=1e-15)
+
+
 def _sum_against(out, g):
     """sum(out * g): back-propagates exactly ``g`` into ``out``."""
     return T.reduce_sum(T.mul(out, Tensor(g)))

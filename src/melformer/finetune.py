@@ -320,15 +320,20 @@ def finetune_step(
     scale = 1.0 / len(batch)
     bce_sum = consistency_sum = 0.0
     for group in clip_groups(frame_counts, model.config):
+        # A group's graph keeps float32 copies of its logmels, so the step
+        # drops them here and holds one group's graph and the logmels to come.
+        frames_a = [view_a[i] for i in group]
+        frames_b = [view_b[i] for i in group]
+        view_a[group.start : group.stop] = view_b[group.start : group.stop] = [None] * len(group)
         probs_a = _group_probs(
-            model, head, [view_a[i] for i in group], config,
+            model, head, frames_a, config,
             [step_rng(config.seed, RNG_HEAD_DROPOUT_A, step, i) for i in group],
         )
         loss = bce_loss(probs_a, np.stack([batch[i].targets for i in group]))
         bce_sum += float(loss.values) * len(group)
         if config.consistency_weight > 0.0:
             probs_b = _group_probs(
-                model, head, [view_b[i] for i in group], config,
+                model, head, frames_b, config,
                 [step_rng(config.seed, RNG_HEAD_DROPOUT_B, step, i) for i in group],
             )
             consistency = consistency_loss(probs_a, probs_b)

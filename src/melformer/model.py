@@ -371,11 +371,13 @@ class FeatureEncoder(Module):
 
     def __call__(self, frames) -> Tensor:
         """One logmel matrix, or a list of clips' that stack to equal lengths."""
-        clips = frames if isinstance(frames, list) else [frames]
-        stacked = [time_stack(np.asarray(f), self.stack_factor) for f in clips]
-        if len({s.shape[0] for s in stacked}) > 1:
-            raise ShapeError(f"clips of unequal latent lengths {[s.shape[0] for s in stacked]}")
-        stacked = np.concatenate(stacked)
+        if isinstance(frames, list):
+            stacked = [time_stack(np.asarray(f), self.stack_factor) for f in frames]
+            if len({s.shape[0] for s in stacked}) > 1:
+                raise ShapeError(f"clips of unequal latent lengths {[len(s) for s in stacked]}")
+            stacked = np.concatenate(stacked)
+        else:
+            stacked = time_stack(np.asarray(frames), self.stack_factor)
         return self.proj(Tensor(stacked.astype(self.proj.weight.values.dtype)))
 
 

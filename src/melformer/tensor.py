@@ -435,12 +435,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -
     t = _by_clip(q.values, clips, "attention").shape[1]
     dh = d // num_heads
     scale = dh**-0.5
+    # A lone clip keeps a 3-D (H, T, dh) batch, which numpy multiplies
+    # faster than a (1, H, T, dh) one.
+    split = (t, num_heads, dh) if clips == 1 else (clips, t, num_heads, dh)
 
-    def heads(a):  # (clips * T, D) -> (clips, H, T, dh)
-        return a.reshape(clips, t, num_heads, dh).transpose(0, 2, 1, 3)
+    def heads(a):  # (clips * T, D) -> ([clips,] H, T, dh)
+        return a.reshape(split).swapaxes(-3, -2)
 
-    def merge(a):  # (clips, H, T, dh) -> (clips * T, D)
-        return a.transpose(0, 2, 1, 3).reshape(n, d)
+    def merge(a):  # ([clips,] H, T, dh) -> (clips * T, D)
+        return a.swapaxes(-3, -2).reshape(n, d)
 
     qh, kh, vh = (heads(x.values) for x in (q, k, v))
     w = qh @ kh.swapaxes(-1, -2)
@@ -590,44 +593,52 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
 
     Each channel has its own filter: ``kernel`` is (k, C). Kernels must
     have odd length so "same" zero padding is symmetric and output length
-    equals input length. Each clip of a stack is padded on its own, so no
-    frame sees another clip. (A kernel-1 conv over all channels is a matmul;
-    use ``linear``.)
+    equals input length. The clips of a stack run side by side as extra
+    channels, so each is padded on its own and no frame sees another clip.
+    (A kernel-1 conv over all channels is a matmul; use ``linear``.)
     """
     if x.values.ndim != 2:
         raise ShapeError("conv1d expects a T x C input")
     n, c = x.values.shape
-    kv = kernel.values
-    k = kv.shape[0]
+    k = kernel.values.shape[0]
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
-    if kv.ndim != 2 or kv.shape[1] != c:
-        raise ShapeError(f"conv1d: depthwise kernel {kv.shape} incompatible with {c} channels")
+    if kernel.values.ndim != 2 or kernel.values.shape[1] != c:
+        raise ShapeError(
+            f"conv1d: depthwise kernel {kernel.values.shape} incompatible with {c} channels"
+        )
     if n < 1:
         raise ShapeError("conv1d: empty input")
-    xc = _by_clip(x.values, clips, "conv1d")
-    t = xc.shape[1]
+    t = _by_clip(x.values, clips, "conv1d").shape[1]
+
+    def side_by_side(a):  # (clips * T, C) -> (T, clips * C)
+        return a.reshape(clips, t, c).transpose(1, 0, 2).reshape(t, clips * c)
+
+    def stacked(a):  # (T, clips * C) -> (clips * T, C)
+        return a.reshape(t, clips, c).transpose(1, 0, 2).reshape(n, c)
+
+    kv = np.tile(kernel.values, clips)
     pad = k // 2
-    xp = np.zeros((clips, t + 2 * pad, c), dtype=x.values.dtype)
-    xp[:, pad : pad + t] = xc
-    out = np.zeros(xc.shape, dtype=np.result_type(x.values, kv))
+    xp = np.zeros((t + 2 * pad, clips * c), dtype=x.values.dtype)
+    xp[pad : pad + t] = side_by_side(x.values)
+    out = np.zeros((t, clips * c), dtype=np.result_type(x.values, kv))
     for dt in range(k):
-        out += xp[:, dt : dt + t] * kv[dt]
+        out += xp[dt : dt + t] * kv[dt]
 
     def bwd(g):
-        gc = g.reshape(xc.shape)
+        g = side_by_side(g)
         if kernel.requires_grad:
             dk = np.zeros_like(kv)
             for dt in range(k):
-                dk[dt] = (xp[:, dt : dt + t] * gc).reshape(n, c).sum(axis=0)
-            _accum(kernel, dk)
+                dk[dt] = (xp[dt : dt + t] * g).sum(axis=0)
+            _accum(kernel, dk.reshape(k, clips, c).sum(axis=1))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for dt in range(k):
-                dxp[:, dt : dt + t] += gc * kv[dt]
-            _accum(x, dxp[:, pad : pad + t].reshape(n, c))
+                dxp[dt : dt + t] += g * kv[dt]
+            _accum(x, stacked(dxp[pad : pad + t]))
 
-    return _make(out.reshape(n, c), (x, kernel), bwd, "conv1d")
+    return _make(stacked(out), (x, kernel), bwd, "conv1d")
 
 
 # ---------------------------------------------------------------------------

@@ -593,7 +593,7 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
 
     Each channel has its own filter: ``kernel`` is (k, C). Kernels must
     have odd length so "same" zero padding is symmetric and output length
-    equals input length. The clips of a stack run side by side as extra
+    equals input length. The clips of a stack lie side by side, like extra
     channels, so each is padded on its own and no frame sees another clip.
     (A kernel-1 conv over all channels is a matmul; use ``linear``.)
     """
@@ -604,41 +604,33 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     if kernel.values.ndim != 2 or kernel.values.shape[1] != c:
-        raise ShapeError(
-            f"conv1d: depthwise kernel {kernel.values.shape} incompatible with {c} channels"
-        )
+        raise ShapeError(f"conv1d: depthwise kernel {kernel.shape} incompatible with {c} channels")
     if n < 1:
         raise ShapeError("conv1d: empty input")
     t = _by_clip(x.values, clips, "conv1d").shape[1]
-
-    def side_by_side(a):  # (clips * T, C) -> (T, clips * C)
-        return a.reshape(clips, t, c).transpose(1, 0, 2).reshape(t, clips * c)
-
-    def stacked(a):  # (T, clips * C) -> (clips * T, C)
-        return a.reshape(t, clips, c).transpose(1, 0, 2).reshape(n, c)
-
-    kv = np.tile(kernel.values, clips)
+    kv = kernel.values
     pad = k // 2
-    xp = np.zeros((t + 2 * pad, clips * c), dtype=x.values.dtype)
-    xp[pad : pad + t] = side_by_side(x.values)
-    out = np.zeros((t, clips * c), dtype=np.result_type(x.values, kv))
+    # Frames x clips x channels: the clips lie side by side, like channels.
+    xp = np.zeros((t + 2 * pad, clips, c), dtype=x.values.dtype)
+    xp[pad : pad + t] = x.values.reshape(clips, t, c).swapaxes(0, 1)
+    out = np.zeros((t, clips, c), dtype=np.result_type(x.values, kv))
     for dt in range(k):
         out += xp[dt : dt + t] * kv[dt]
 
     def bwd(g):
-        g = side_by_side(g)
+        g = g.reshape(clips, t, c).swapaxes(0, 1)
         if kernel.requires_grad:
             dk = np.zeros_like(kv)
             for dt in range(k):
-                dk[dt] = (xp[dt : dt + t] * g).sum(axis=0)
-            _accum(kernel, dk.reshape(k, clips, c).sum(axis=1))
+                dk[dt] = (xp[dt : dt + t] * g).sum(axis=(0, 1))
+            _accum(kernel, dk)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for dt in range(k):
                 dxp[dt : dt + t] += g * kv[dt]
-            _accum(x, stacked(dxp[pad : pad + t]))
+            _accum(x, dxp[pad : pad + t].swapaxes(0, 1).reshape(n, c))
 
-    return _make(stacked(out), (x, kernel), bwd, "conv1d")
+    return _make(out.swapaxes(0, 1).reshape(n, c), (x, kernel), bwd, "conv1d")
 
 
 # ---------------------------------------------------------------------------

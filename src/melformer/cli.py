@@ -279,10 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--deterministic",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="derive every random stream from --seed (and drop wall-clock from logs)",
+        help="drop wall-clock times from the metrics log, so seeded runs log identical bytes"
+        " (random streams always derive from --seed)",
     )
     shared.add_argument("--out-dir")
-    shared.add_argument("--max-steps", type=int)
+    shared.add_argument(
+        "--max-steps", type=int, help="stop after this step (0 or unset: run to total_steps)"
+    )
     shared.add_argument("--preset", choices=sorted(["cf_S", "cf_L"]))
     shared.add_argument("--init-checkpoint")
     shared.add_argument("--head", choices=["linear-softmax-pool", "mean-pool"])
@@ -330,6 +333,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_steps is not None and args.max_steps < 0:
+            raise ConfigError(f"--max-steps {args.max_steps} is negative (0 means no cap)")
         return args.fn(args)
     except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -301,10 +301,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint directory back, validating sizes and version.
+    """Read a checkpoint directory back, validating version, sizes and layout.
 
     The blob is read once; the arrays are writable, non-overlapping views
-    of that one buffer.
+    of that one buffer. A header with missing or mistyped fields raises
+    :class:`StorageError`.
     """
     path = Path(path)
     header_path = path / "header.json"
@@ -315,21 +316,34 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(header_path.read_text())
     except json.JSONDecodeError as exc:
         raise StorageError(f"{path}: corrupt header ({exc})") from exc
+    blob = np.fromfile(blob_path, dtype=np.uint8)
+    try:
+        return _parse_checkpoint(path, header, blob)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"{path}: malformed header ({exc!r})") from exc
+
+
+def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
+    """The checkpoint a parsed header describes; each entry must start where
+    the previous one ends, as ``save_checkpoint`` lays them out."""
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise StorageError(
             f"{path}: unsupported format version {header.get('format_version')}"
             f" (this build reads version {CHECKPOINT_VERSION})"
         )
-    blob = np.fromfile(blob_path, dtype=np.uint8)
     expected = sum(e["nbytes"] for e in header["arrays"])
     if blob.size != expected:
         raise StorageError(f"{path}: blob is {blob.size} bytes, header says {expected}")
     arrays = {}
+    offset = 0
     for entry in header["arrays"]:
         start, nbytes = entry["offset"], entry["nbytes"]
-        if nbytes != 4 * math.prod(entry["shape"]) or start + nbytes > blob.size:
+        if start != offset:
+            raise StorageError(f"{path}: '{entry['name']}' starts at {start}, not {offset}")
+        if nbytes < 0 or nbytes != 4 * math.prod(entry["shape"]):
             raise StorageError(f"{path}: shape/byte mismatch for '{entry['name']}'")
         arrays[entry["name"]] = blob[start : start + nbytes].view("<f4").reshape(entry["shape"])
+        offset += nbytes
     opt_header = header.get("optimizer")
     optimizer_arrays = None
     optimizer_step = 0

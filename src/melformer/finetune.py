@@ -21,7 +21,7 @@ from .dsp import Waveform, frame_count, logmel
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import EvalReport, evaluate_scores
 from .model import ConformerModel, Linear, Module, clip_groups
-from .pretrain import Adam, global_grad_norm, last_step, step_rng, training_loop
+from .pretrain import Adam, last_step, step_rng, training_loop
 from .tensor import Tensor, backward
 
 HEAD_KINDS = ("linear-softmax-pool", "mean-pool")
@@ -340,9 +340,8 @@ def finetune_step(
             consistency_sum += float(consistency.values) * len(group)
             loss = T.add(loss, T.mul(consistency, config.consistency_weight))
         backward(T.mul(loss, len(group) / len(batch)))
-    grad_norm = global_grad_norm(optimizer.named_params)
     lr = three_stage_lr(step, config)
-    optimizer.step(lr)
+    grad_norm = optimizer.step(lr)
     bce = bce_sum * scale
     consistency = consistency_sum * scale
     return {

@@ -92,132 +92,99 @@ def _readout(rng, shape, dtype):
 
 
 def primitive_cases():
-    """name -> (rng, dtype) -> (fn, points); fn is deterministic across calls."""
+    """name -> (rng, dtype) -> (fn, points); fn is deterministic across calls.
+
+    Most cases are a row of an input table: one draw per input, in order,
+    each a shape (standard normal) or a function of the generator. With a
+    readout, weights w of the output's shape are drawn next and the case
+    checks sum(op(...) * w); without one, op itself returns the scalar.
+    Cases that also draw constants (candidates, targets, running statistics,
+    a dropout seed) have builders of their own, so every draw keeps its
+    place in the generator's stream.
+    """
     cases = {}
 
-    def simple(name, op, shape=(3, 4), transform=None):
+    def draw(rng, dtype, *draws):
+        return [
+            Tensor((rng.normal(size=d) if isinstance(d, tuple) else d(rng)).astype(dtype))
+            for d in draws
+        ]
+
+    def case(name, op, *draws, readout=True):
         def build(rng, dtype):
-            vals = rng.normal(size=shape)
-            if transform is not None:
-                vals = transform(vals)
-            x = Tensor(vals.astype(dtype))
+            points = draw(rng, dtype, *draws)
+            if not readout:
+                return op, points
             with T.no_grad():
-                out_shape = op(Tensor(x.values)).shape
+                out_shape = op(*(Tensor(p.values) for p in points)).shape
             ro = _readout(rng, out_shape, dtype)
-            return (lambda t: ro(op(t))), [x]
+            return (lambda *xs: ro(op(*xs))), points
 
         cases[name] = build
 
-    simple("sigmoid", T.sigmoid)
-    simple("swish", T.swish)
-    simple("glu", T.glu, shape=(3, 6))
-    simple("l2_normalize_rows", T.l2_normalize_rows)
-    simple("sum_all", lambda t: T.reduce_sum(t))
-    simple("sum_axis0", lambda t: T.reduce_sum(t, axis=0))
-    simple("mean_axis1", lambda t: T.reduce_mean(t, axis=1, keepdims=True))
-    simple("scale", lambda t: T.mul(t, 1.7))
+    def special(build):
+        cases[build.__name__] = build
+        return build
 
-    def pair(name, op, shape_a=(3, 4), shape_b=(3, 4), transform_b=None):
-        def build(rng, dtype):
-            a = Tensor(rng.normal(size=shape_a).astype(dtype))
-            bv = rng.normal(size=shape_b)
-            if transform_b is not None:
-                bv = transform_b(bv)
-            b = Tensor(bv.astype(dtype))
-            with T.no_grad():
-                out_shape = op(Tensor(a.values), Tensor(b.values)).shape
-            ro = _readout(rng, out_shape, dtype)
-            return (lambda x, y: ro(op(x, y))), [a, b]
+    def gain(n):
+        return lambda rng: rng.normal(size=n) * 0.2 + 1.0
 
-        cases[name] = build
+    case("sigmoid", T.sigmoid, (3, 4))
+    case("swish", T.swish, (3, 4))
+    case("glu", T.glu, (3, 6))
+    case("l2_normalize_rows", T.l2_normalize_rows, (3, 4))
+    case("sum_all", lambda t: T.reduce_sum(t), (3, 4))
+    case("sum_axis0", lambda t: T.reduce_sum(t, axis=0), (3, 4))
+    case("mean_axis1", lambda t: T.reduce_mean(t, axis=1, keepdims=True), (3, 4))
+    case("scale", lambda t: T.mul(t, 1.7), (3, 4))
+    case("add", T.add, (3, 4), (3, 4))
+    case("mul", T.mul, (3, 4), (3, 4))
+    case("div", T.div, (3, 4), lambda rng: np.abs(rng.normal(size=(3, 4))) + 0.5)
+    case("linear", T.linear, (3, 4), (4, 2))
+    case("conv1d_depthwise", T.conv1d, (7, 3), (5, 3))
+    case("conv1d_depthwise_2clips", lambda x, k: T.conv1d(x, k, clips=2), (8, 3), (5, 3))
+    case("linear_bias", T.linear, (3, 4), (4, 2), (2,))
 
-    pair("add", T.add)
-    pair("mul", T.mul)
-    pair("div", T.div, transform_b=lambda v: np.abs(v) + 0.5)
-    pair("matmul", T.matmul, shape_b=(4, 2))
-    pair("linear", T.linear, shape_b=(4, 2))
-    pair("conv1d_depthwise", T.conv1d, shape_a=(7, 3), shape_b=(5, 3))
-    pair(
-        "conv1d_depthwise_2clips", lambda x, k: T.conv1d(x, k, clips=2),
-        shape_a=(8, 3), shape_b=(5, 3),
-    )
-
-    def linear_bias_case(rng, dtype):
-        x, w, b = (Tensor(rng.normal(size=n).astype(dtype)) for n in ((3, 4), (4, 2), (2,)))
-        ro = _readout(rng, (3, 2), dtype)
-        return (lambda xx, ww, bb: ro(T.linear(xx, ww, bb))), [x, w, b]
-
-    cases["linear_bias"] = linear_bias_case
-
-    def info_nce_case(rng, dtype):
-        c, z = (Tensor(rng.normal(size=(6, 4)).astype(dtype)) for _ in range(2))
+    @special
+    def info_nce(rng, dtype):
+        points = draw(rng, dtype, (6, 4), (6, 4))
         masked = np.array([0, 2, 3, 5])
         candidates = np.array(
             [[t, *rng.choice(masked[masked != t], 2, replace=False)] for t in masked]
         )
-        return (lambda cc, zz: T.info_nce(cc, zz, candidates, 1.7)), [c, z]
-
-    cases["info_nce"] = info_nce_case
+        return (lambda c, z: T.info_nce(c, z, candidates, 1.7)), points
 
     # Hard targets and well-separated views keep every gradient away from 0,
     # where the relative error would measure only truncation noise.
-    def bce_case(rng, dtype):
+    @special
+    def binary_cross_entropy(rng, dtype):
         probs = Tensor(rng.uniform(0.1, 0.9, size=(2, 5)).astype(dtype))
         targets = rng.integers(0, 2, size=10).astype(np.float64)
         return (lambda p: T.binary_cross_entropy(p, targets)), [probs]
 
-    cases["binary_cross_entropy"] = bce_case
+    case(
+        "symmetric_bernoulli_kl", T.symmetric_bernoulli_kl,
+        lambda rng: rng.uniform(0.1, 0.4, size=5), lambda rng: rng.uniform(0.6, 0.9, size=5),
+        readout=False,
+    )
+    for name, rows, clips in (("attention", 5, 1), ("attention_2clips", 6, 2)):
+        case(
+            name, lambda a, b, c, clips=clips: T.attention(a, b, c, num_heads=2, clips=clips),
+            (rows, 8), (rows, 8), (rows, 8),
+        )
+    case("layer_norm", T.layer_norm, (3, 8), gain(8), (8,))
+    for name, rows, clips in (("batch_norm_train", 6, 1), ("batch_norm_train_2clips", 8, 2)):
+        case(
+            name,
+            lambda x, g, b, clips=clips: T.batch_norm(
+                x, g, b, np.zeros(5), np.ones(5), training=True, clips=clips
+            ),
+            (rows, 5), gain(5), (5,),
+        )
 
-    def kl_case(rng, dtype):
-        p = Tensor(rng.uniform(0.1, 0.4, size=5).astype(dtype))
-        q = Tensor(rng.uniform(0.6, 0.9, size=5).astype(dtype))
-        return T.symmetric_bernoulli_kl, [p, q]
-
-    cases["symmetric_bernoulli_kl"] = kl_case
-
-    def attention_case(rows, clips):
-        def build(rng, dtype):
-            q, k, v = (Tensor(rng.normal(size=(rows, 8)).astype(dtype)) for _ in range(3))
-            ro = _readout(rng, (rows, 8), dtype)
-            return (lambda a, b, c: ro(T.attention(a, b, c, num_heads=2, clips=clips))), [q, k, v]
-
-        return build
-
-    cases["attention"] = attention_case(5, 1)
-    cases["attention_2clips"] = attention_case(6, 2)
-
-    def layer_norm_case(rng, dtype):
-        x = Tensor(rng.normal(size=(3, 8)).astype(dtype))
-        g = Tensor((rng.normal(size=8) * 0.2 + 1.0).astype(dtype))
-        b = Tensor(rng.normal(size=8).astype(dtype))
-        ro = _readout(rng, (3, 8), dtype)
-        return (lambda xx, gg, bb: ro(T.layer_norm(xx, gg, bb))), [x, g, b]
-
-    cases["layer_norm"] = layer_norm_case
-
-    def batch_norm_train_case(rows, clips):
-        def build(rng, dtype):
-            x = Tensor(rng.normal(size=(rows, 5)).astype(dtype))
-            g = Tensor((rng.normal(size=5) * 0.2 + 1.0).astype(dtype))
-            b = Tensor(rng.normal(size=5).astype(dtype))
-            ro = _readout(rng, (rows, 5), dtype)
-
-            def fn(xx, gg, bb):
-                rm = np.zeros(5, dtype=np.float64)
-                rv = np.ones(5, dtype=np.float64)
-                return ro(T.batch_norm(xx, gg, bb, rm, rv, training=True, clips=clips))
-
-            return fn, [x, g, b]
-
-        return build
-
-    cases["batch_norm_train"] = batch_norm_train_case(6, 1)
-    cases["batch_norm_train_2clips"] = batch_norm_train_case(8, 2)
-
-    def batch_norm_eval_case(rng, dtype):
-        x = Tensor(rng.normal(size=(6, 5)).astype(dtype))
-        g = Tensor((rng.normal(size=5) * 0.2 + 1.0).astype(dtype))
-        b = Tensor(rng.normal(size=5).astype(dtype))
+    @special
+    def batch_norm_eval(rng, dtype):
+        points = draw(rng, dtype, (6, 5), gain(5), (5,))
         rm = rng.normal(size=5)
         rv = np.abs(rng.normal(size=5)) + 0.5
         ro = _readout(rng, (6, 5), dtype)
@@ -225,18 +192,15 @@ def primitive_cases():
         def fn(xx, gg, bb):
             return ro(T.batch_norm(xx, gg, bb, rm.copy(), rv.copy(), training=False))
 
-        return fn, [x, g, b]
+        return fn, points
 
-    cases["batch_norm_eval"] = batch_norm_eval_case
-
-    def dropout_case(rng, dtype):
-        x = Tensor(rng.normal(size=(4, 5)).astype(dtype))
+    @special
+    def dropout_fixed_mask(rng, dtype):
+        x = draw(rng, dtype, (4, 5))
         seed = int(rng.integers(0, 1 << 30))
         ro = _readout(rng, (4, 5), dtype)
         # Fresh identically-seeded stream per call keeps the mask fixed.
-        return (lambda t: ro(T.dropout(t, 0.4, np.random.default_rng(seed)))), [x]
-
-    cases["dropout_fixed_mask"] = dropout_case
+        return (lambda t: ro(T.dropout(t, 0.4, np.random.default_rng(seed)))), x
 
     return cases
 

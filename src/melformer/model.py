@@ -415,7 +415,7 @@ def apply_mask(z: Tensor, mask: np.ndarray, mask_embedding: Tensor) -> Tensor:
     dtype = z.values.dtype
     keep = Tensor(np.repeat((~mask)[:, None], z.shape[1], axis=1).astype(dtype))
     column = Tensor(mask[:, None].astype(dtype))
-    return T.add(T.mul(z, keep), T.matmul(column, mask_embedding))
+    return T.add(T.mul(z, keep), T.linear(column, mask_embedding))
 
 
 class ConformerModel(Module):

@@ -148,8 +148,8 @@ def contrastive_loss(
 class Adam:
     """Bias-corrected Adam with decoupled weight decay.
 
-    The update is atomic: gradients are validated finite before any
-    parameter or moment buffer is touched.
+    The update is atomic: a gradient that is not finite aborts the step
+    before any parameter or moment buffer is touched.
     """
 
     def __init__(
@@ -167,20 +167,29 @@ class Adam:
         self.m = {name: np.zeros_like(p.values) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.values) for name, p in self.named_params}
 
-    def step(self, lr: float):
+    def step(self, lr: float, max_norm: float | None = None) -> float:
+        """One update; returns the global gradient norm before clipping.
+
+        With ``max_norm``, gradients whose global norm exceeds it are scaled
+        by max_norm / norm, in place, as they are applied.
+        """
         if lr < 0:
             raise ConfigError(f"negative learning rate {lr}")
-        grads = {}
-        for name, p in self.named_params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.values)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for '{name}'; step aborted")
-            grads[name] = g
+        norm = global_grad_norm(self.named_params)
+        if not np.isfinite(norm):
+            # A finite norm proves every gradient finite; only now look for
+            # the culprit (float64 squares can also overflow on their own).
+            for name, p in self.named_params:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise NumericError(f"non-finite gradient for '{name}'; step aborted")
+        scale = max_norm / norm if max_norm is not None and norm > max_norm else None
         self.step_count += 1
         c1 = 1.0 - self.beta1**self.step_count
         c2 = 1.0 - self.beta2**self.step_count
         for name, p in self.named_params:
-            g = grads[name]
+            g = p.grad if p.grad is not None else np.zeros_like(p.values)
+            if scale is not None:
+                g *= scale
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
@@ -191,6 +200,7 @@ class Adam:
             if self.weight_decay:
                 update = update + self.weight_decay * p.values
             p.values = p.values - (lr * update).astype(p.values.dtype, copy=False)
+        return norm
 
     def zero_grad(self):
         for _, p in self.named_params:
@@ -222,16 +232,6 @@ def global_grad_norm(named_params) -> float:
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     return float(np.sqrt(total))
-
-
-def clip_gradients(named_params, max_norm: float) -> float:
-    norm = global_grad_norm(named_params)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for _, p in named_params:
-            if p.grad is not None:
-                p.grad *= scale
-    return norm
 
 
 def pretrain_step(
@@ -285,12 +285,8 @@ def pretrain_step(
         )
         loss_sum += float(loss.values) * len(group)
         backward(T.mul(loss, len(group) / len(batch_logmels)))
-    if config.grad_clip is not None:
-        grad_norm = clip_gradients(optimizer.named_params, config.grad_clip)
-    else:
-        grad_norm = global_grad_norm(optimizer.named_params)
     lr = pretrain_lr(step, config)
-    optimizer.step(lr)
+    grad_norm = optimizer.step(lr, config.grad_clip)
     return {"step": step, "loss": loss_sum * scale, "lr": lr, "grad_norm": grad_norm}
 
 

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Provides the primitive set needed by a conformer encoder and its training
-losses: matmul, the fused affine map ``linear`` (x @ W + b as one node),
+losses: the affine map ``linear`` (x @ W, plus an optional bias, as one node),
 elementwise arithmetic, reductions, normalizations, fused multi-head
 attention, gated activations, dropout, depthwise 1-D convolution, the three
 training losses as one node each (masked contrastive ``info_nce``,
@@ -46,7 +46,6 @@ __all__ = [
     "add",
     "mul",
     "div",
-    "matmul",
     "linear",
     "reduce_sum",
     "reduce_mean",
@@ -290,22 +289,6 @@ def div(a: Tensor, b) -> Tensor:
 # Linear algebra and reductions
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree {a.shape} @ {b.shape}")
-    av, bv = a.values, b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ bv.T)
-        if b.requires_grad:
-            _accum(b, av.T @ g)
-
-    return _make(av @ bv, (a, b), bwd, "matmul")
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias) as one node; bias is a (out,) vector added to every row."""
     if x.values.ndim != 2 or weight.values.ndim != 2:
@@ -332,39 +315,37 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out, parents, bwd, "linear")
 
 
-def _reduction(a: Tensor, axis, keepdims: bool, clips: int, op: str):
-    """(values, axis, keepdims) to reduce; with ``clips`` > 1, axis 0 of each clip."""
-    if clips == 1:
-        return a.values, axis, keepdims
-    if axis != 0:
-        raise ShapeError(f"{op}: a per-clip reduction runs over axis 0, not {axis}")
-    return _by_clip(a.values, clips, op), 1, False
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
-    """Sum over ``axis``. With ``clips`` > 1 (axis 0 only), each clip of the
-    stack sums to one row, so the result has one row per clip."""
-    v, axis, keepdims = _reduction(a, axis, keepdims, clips, "sum")
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, v.shape).astype(v.dtype).reshape(a.values.shape))
-
-    return _make(v.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
-    """Mean over ``axis``; ``clips`` as in :func:`reduce_sum`."""
-    v, axis, keepdims = _reduction(a, axis, keepdims, clips, "mean")
+def _reduce(a: Tensor, axis, keepdims: bool, clips: int, mean: bool) -> Tensor:
+    """Sum, or with ``mean`` the mean, over ``axis``. With ``clips`` > 1
+    (axis 0 only), each clip of the stack reduces to one row."""
+    op = "mean" if mean else "sum"
+    v = a.values
+    if clips != 1:
+        if axis != 0:
+            raise ShapeError(f"{op}: a per-clip reduction runs over axis 0, not {axis}")
+        v, axis, keepdims = _by_clip(v, clips, op), 1, False
     n = v.size if axis is None else v.shape[axis]
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g / n, v.shape).astype(v.dtype).reshape(a.values.shape))
+        if mean:
+            g = g / n
+        _accum(a, np.broadcast_to(g, v.shape).astype(v.dtype).reshape(a.values.shape))
 
-    return _make(v.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
+    reduce = v.mean if mean else v.sum
+    return _make(reduce(axis=axis, keepdims=keepdims), (a,), bwd, op)
+
+
+def reduce_sum(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
+    """Sum over ``axis``. With ``clips`` > 1 (axis 0 only), each clip of the
+    stack sums to one row, so the result has one row per clip."""
+    return _reduce(a, axis, keepdims, clips, mean=False)
+
+
+def reduce_mean(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
+    """Mean over ``axis``; ``clips`` as in :func:`reduce_sum`."""
+    return _reduce(a, axis, keepdims, clips, mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +450,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -
 # Normalizations
 
 
+def _standardize(x: Tensor, gain: Tensor, bias: Tensor, view, eps: float, op: str):
+    """Standardize ``x`` along axis 1 of its reshape to ``view``, then scale by
+    ``gain`` and shift by ``bias`` per feature (last axis).
+
+    Returns the output tensor and the (view[0], 1, ...) mean and variance.
+    """
+    shape = x.values.shape
+    xv = x.values.reshape(view)
+    mu = xv.mean(axis=1, keepdims=True)
+    xhat = xv - mu
+    # The variance exactly as np.var forms it from the centred input.
+    var = np.square(xhat).sum(axis=1, keepdims=True) / view[1]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    xhat = xhat.reshape(shape)
+    gv = gain.values
+
+    def bwd(g):
+        _accum(gain, (g * xhat).sum(axis=0))
+        _accum(bias, g.sum(axis=0))
+        gx, xh = (g * gv).reshape(view), xhat.reshape(view)
+        m1 = gx.mean(axis=1, keepdims=True)
+        m2 = (gx * xh).mean(axis=1, keepdims=True)
+        _accum(x, ((gx - m1 - xh * m2) * inv).reshape(shape))
+
+    return _make(xhat * gv + bias.values, (x, gain, bias), bwd, op), mu, var
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
     if x.values.ndim != 2:
@@ -476,22 +485,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.values.shape[1]
     if gain.values.shape != (d,) or bias.values.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the feature dim")
-    xhat = x.values - x.values.mean(axis=1, keepdims=True)
-    # The variance exactly as np.var forms it from the centred input.
-    var = np.square(xhat).sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    gv = gain.values
-
-    def bwd(g):
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
-        gx = g * gv
-        m1 = gx.mean(axis=1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=1, keepdims=True)
-        _accum(x, (gx - m1 - xhat * m2) * inv)
-
-    return _make(xhat * gv + bias.values, (x, gain, bias), bwd, "layer_norm")
+    return _standardize(x, gain, bias, x.values.shape, eps, "layer_norm")[0]
 
 
 def batch_norm(
@@ -514,13 +508,9 @@ def batch_norm(
     """
     if x.values.ndim != 2:
         raise ShapeError("batch_norm expects a 2-D tensor")
-    gv = gain.values
     if training:
-        shape = x.values.shape
-        xc = _by_clip(x.values, clips, "batch_norm")
-        mu = xc.mean(axis=1, keepdims=True)
-        xhat = xc - mu
-        var = np.square(xhat).sum(axis=1, keepdims=True) / xc.shape[1]
+        view = _by_clip(x.values, clips, "batch_norm").shape
+        out, mu, var = _standardize(x, gain, bias, view, eps, "batch_norm")
         for clip_mu, clip_var in zip(mu[:, 0], var[:, 0]):
             running_mean[...] = ((1.0 - momentum) * running_mean + momentum * clip_mu).astype(
                 running_mean.dtype, copy=False
@@ -528,21 +518,9 @@ def batch_norm(
             running_var[...] = ((1.0 - momentum) * running_var + momentum * clip_var).astype(
                 running_var.dtype, copy=False
             )
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv
-        xhat = xhat.reshape(shape)
+        return out
 
-        def bwd(g):
-            _accum(gain, (g * xhat).sum(axis=0))
-            _accum(bias, g.sum(axis=0))
-            gx = g * gv
-            gxc, xhc = gx.reshape(xc.shape), xhat.reshape(xc.shape)
-            m1 = gxc.mean(axis=1, keepdims=True)
-            m2 = (gxc * xhc).mean(axis=1, keepdims=True)
-            _accum(x, ((gxc - m1 - xhc * m2) * inv).reshape(shape))
-
-        return _make(xhat * gv + bias.values, (x, gain, bias), bwd, "batch_norm")
-
+    gv = gain.values
     inv = 1.0 / np.sqrt(running_var + eps)
     xhat = (x.values - running_mean) * inv
 

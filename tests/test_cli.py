@@ -412,6 +412,16 @@ class TestEvaluateAndExtract:
         # 0.5 s at 16 kHz -> 25 frames -> 6 latent frames of latent_dim
         assert emb.shape == (6, TOY_MODEL["embed_dim"])
 
+    def test_extract_with_malformed_header_is_io_error(self, finetuned, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(finetuned, ckpt)
+        header = json.loads((ckpt / "header.json").read_text())
+        del header["arrays"]
+        (ckpt / "header.json").write_text(json.dumps(header))
+        code = main(["extract", "--init-checkpoint", str(ckpt), "--out-dir", str(tmp_path / "emb")])
+        assert code == 5
+        assert "malformed header" in capsys.readouterr().err
+
     def test_evaluate_with_pretrain_checkpoint_is_config_error(
         self, dataset, toy_config, tmp_path
     ):
@@ -473,3 +483,22 @@ class TestSmallCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"pretraining": {}}))
         assert main(["pretrain", "--config", str(bad), "--max-steps", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_negative_max_steps_is_config_error(self, dataset, toy_config, tmp_path, command):
+        out = tmp_path / "run"
+        code = main(
+            [
+                command,
+                "--config",
+                str(toy_config),
+                "--manifest",
+                str(dataset / "manifest.tsv"),
+                "--out-dir",
+                str(out),
+                "--max-steps",
+                "-3",
+            ]
+        )
+        assert code == 2
+        assert not out.exists()

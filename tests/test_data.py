@@ -1,5 +1,6 @@
 """Data IO: WAV round trips, manifests, synthetic clips, checkpoints."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,51 @@ class TestCheckpoint:
         header["format_version"] = 99
         (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
         with pytest.raises(StorageError, match="version"):
+            load_checkpoint(tmp_path / "ck")
+
+    @staticmethod
+    def edit_header(path, edit):
+        header = json.loads((path / "header.json").read_text())
+        edit(header)
+        (path / "header.json").write_text(json.dumps(header))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("arrays"),
+            lambda h: h.pop("step"),
+            lambda h: h["arrays"][0].pop("offset"),
+            lambda h: h["arrays"][0].update(shape="4"),
+            lambda h: h.update(optimizer={"names": ["adam.m.missing"], "step_count": 1}),
+        ],
+        ids=["no-arrays", "no-step", "no-offset", "string-shape", "unknown-optimizer-name"],
+    )
+    def test_malformed_header_is_storage_error(self, tmp_path, edit):
+        save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
+        self.edit_header(tmp_path / "ck", edit)
+        with pytest.raises(StorageError):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_negative_size_rejected(self, tmp_path):
+        # Entry 0 claims -4 bytes and entry 1 starts 4 bytes before the
+        # blob: offsets chain and sizes still sum to the blob size.
+        def edit(h):
+            a, b = h["arrays"][:2]
+            nbytes = b["nbytes"] + a["nbytes"] + 4
+            b.update(offset=-4, nbytes=nbytes, shape=[nbytes // 4])
+            a.update(nbytes=-4, shape=[-1])
+
+        save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
+        self.edit_header(tmp_path / "ck", edit)
+        with pytest.raises(StorageError, match="shape/byte mismatch"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_overlapping_entries_rejected(self, tmp_path):
+        # Entry 1 moved back over the tail of entry 0: the sizes still sum
+        # to the blob size, but the two arrays would alias each other.
+        save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
+        self.edit_header(tmp_path / "ck", lambda h: h["arrays"][1].update(offset=4))
+        with pytest.raises(StorageError, match="starts at"):
             load_checkpoint(tmp_path / "ck")
 
     def test_version_1_checkpoint_rejected(self, tmp_path):

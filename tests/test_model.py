@@ -82,7 +82,7 @@ class TestFeatureEncoder:
 
         def fn(w):
             stacked = Tensor(time_stack(x, 4).astype(np.float64))
-            return T.reduce_sum(T.swish(T.matmul(stacked, w)))
+            return T.reduce_sum(T.swish(T.linear(stacked, w)))
 
         w0 = Tensor(model.feature_encoder.proj.weight.values.astype(np.float64))
         err = grad_check(fn, w0, rng=np.random.default_rng(0), max_coords_per_tensor=64)

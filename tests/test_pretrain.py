@@ -231,11 +231,23 @@ class TestAdam:
         p.grad = np.array([np.nan])
         q.grad = np.array([1.0])
         opt = Adam([("p", p), ("q", q)])
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="'p'"):
             opt.step(lr=1e-3)
+        np.testing.assert_array_equal(p.values, [1.0])
         np.testing.assert_array_equal(q.values, [2.0])
         assert opt.step_count == 0
-        assert np.all(opt.m["q"] == 0.0)
+        assert all(np.all(opt.m[n] == 0.0) and np.all(opt.v[n] == 0.0) for n in "pq")
+
+    def test_overflowing_norm_of_finite_grads_still_steps(self):
+        # Finite float64 gradients whose squares overflow: the norm is inf,
+        # but no gradient is at fault, so the step goes ahead.
+        p = T.parameter(np.array([1.0, 2.0]))
+        p.grad = np.array([1e200, -1e200])
+        opt = Adam([("p", p)])
+        with np.errstate(over="ignore"):
+            assert opt.step(lr=1e-3) == math.inf
+        assert opt.step_count == 1
+        np.testing.assert_allclose(opt.m["p"], [1e199, -1e199])
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +297,52 @@ class TestPretrainStep:
         opt = Adam(list(model.named_parameters()))
         with pytest.raises(ConfigError):
             pretrain_step([], model, opt, pcfg, step=1)
+
+
+class TestGradClip:
+    """``PretrainConfig.grad_clip`` scales the gradients by max_norm / norm
+    when their global norm exceeds it; the logged norm is the one before."""
+
+    STEP = 3
+
+    def step(self, cfg, clips, grad_clip):
+        """One step of a fresh model; returns the record, model and optimizer."""
+        model = ConformerModel(cfg, seed=123)
+        pcfg = toy_pretrain_config(seed=4, num_distractors=4, grad_clip=grad_clip)
+        opt = Adam(list(model.named_parameters()), weight_decay=pcfg.weight_decay)
+        return pretrain_step(clips, model, opt, pcfg, self.STEP), model, opt
+
+    @staticmethod
+    def assert_same_state(a, b):
+        (_, model_a, opt_a), (_, model_b, opt_b) = a, b
+        for (name, p), q in zip(model_a.named_parameters(), model_b.parameters()):
+            np.testing.assert_array_equal(p.values, q.values, err_msg=name)
+        for store_a, store_b in ((opt_a.m, opt_b.m), (opt_a.v, opt_b.v)):
+            for name in store_a:
+                np.testing.assert_array_equal(store_a[name], store_b[name], err_msg=name)
+        assert opt_a.step_count == opt_b.step_count
+
+    def test_clip_below_the_norm_steps_on_scaled_gradients(self, toy_setup):
+        cfg, clips = toy_setup
+        free = self.step(cfg, clips, None)
+        norm = free[0]["grad_norm"]
+        max_norm = norm / 4
+        clipped = self.step(cfg, clips, max_norm)
+        assert clipped[0]["grad_norm"] == norm  # logged before clipping
+        # An unclipped Adam step on the unclipped gradients times max_norm / norm.
+        model = ConformerModel(cfg, seed=123)
+        opt = Adam(list(model.named_parameters()), weight_decay=toy_pretrain_config().weight_decay)
+        for p, raw in zip(model.parameters(), free[1].parameters()):
+            p.grad = raw.grad * (max_norm / norm)
+        opt.step(pretrain_lr(self.STEP, toy_pretrain_config()))
+        self.assert_same_state(clipped, (None, model, opt))
+
+    def test_clip_above_the_norm_is_no_clip(self, toy_setup):
+        cfg, clips = toy_setup
+        free = self.step(cfg, clips, None)
+        loose = self.step(cfg, clips, 2 * free[0]["grad_norm"])
+        assert loose[0] == free[0]
+        self.assert_same_state(loose, free)
 
 
 

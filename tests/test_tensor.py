@@ -33,15 +33,6 @@ def assert_same_bits(got, want):
 
 
 class TestForwardValues:
-    def test_matmul_shape(self):
-        a = Tensor(np.ones((2, 3)))
-        b = Tensor(np.ones((3, 4)))
-        assert T.matmul(a, b).shape == (2, 4)
-
-    def test_matmul_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
-
     def test_layer_norm_standardizes_rows(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 16)), dtype=np.float64)
@@ -303,16 +294,13 @@ class TestLinear:
         if not with_bias:
             arrays = arrays[:2]
         fused = [parameter(a.copy()) for a in arrays]
-        split = [parameter(a.copy()) for a in arrays[:2]]
+        x, w = arrays[:2]
         out_fused = T.linear(*fused)
-        out_split = T.matmul(*split)
         # The bias add as the retired trailing-dim ``add`` formed it.
-        want_out = out_split.values + arrays[2] if with_bias else out_split.values
-        assert_same_bits(out_fused.values, want_out)
+        assert_same_bits(out_fused.values, x @ w + arrays[2] if with_bias else x @ w)
         backward(_sum_against(out_fused, g))
-        backward(_sum_against(out_split, g))
-        for a, b in zip(fused, split):
-            assert_same_bits(a.grad, b.grad)
+        assert_same_bits(fused[0].grad, g @ w.T)
+        assert_same_bits(fused[1].grad, x.T @ g)
         if with_bias:
             assert_same_bits(fused[2].grad, g.sum(axis=0))
 
@@ -594,10 +582,10 @@ class TestBackward:
         rng = np.random.default_rng(6)
         v = rng.normal(size=(3, 3))
         shared = parameter(v, dtype=np.float64)
-        backward(T.reduce_sum(T.matmul(shared, shared)))
+        backward(T.reduce_sum(T.linear(shared, shared)))
         a = parameter(v, dtype=np.float64)
         b = parameter(v, dtype=np.float64)
-        backward(T.reduce_sum(T.matmul(a, b)))
+        backward(T.reduce_sum(T.linear(a, b)))
         np.testing.assert_allclose(shared.grad, a.grad + b.grad, rtol=1e-12)
 
     def test_each_node_visited_once(self):
@@ -734,6 +722,25 @@ class TestGradCheck:
                 err = grad_check(fn, points, eps=1e-4, rng=np.random.default_rng(0))
                 worst = max(worst, err)
             assert worst < tol, f"{name}: {worst:.3g} at {np.dtype(dtype).name}"
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("case", ["block", "end_to_end"])
+    def test_composite_cases(self, case, precision):
+        """The suite's conformer block and end-to-end contrastive loss (which
+        covers apply_mask, both normalizations and info_nce) at their first
+        two points."""
+        from melformer import gradcheck
+
+        check, base = {
+            "block": (gradcheck.check_block, 2000),
+            "end_to_end": (gradcheck.check_end_to_end, 3000),
+        }[case]
+        dtype, tol = {
+            "single": (np.float32, gradcheck.SINGLE_TOLERANCE),
+            "double": (np.float64, gradcheck.DOUBLE_TOLERANCE),
+        }[precision]
+        worst = max(check(base + point, dtype) for point in range(2))
+        assert worst < tol, f"{case}: {worst:.3g} in {precision} precision"
 
     def test_deterministic_forward_backward(self):
         def run():

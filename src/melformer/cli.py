@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +185,7 @@ def cmd_finetune(args) -> int:
 
 def _restore_finetuned(checkpoint_path):
     ck = load_checkpoint(checkpoint_path)
-    if "head_kind" not in ck.extra:
+    if "head_kind" not in ck.extra or "vocabulary" not in ck.extra:
         raise ConfigError(f"{checkpoint_path} has no fine-tuned head (use a finetune checkpoint)")
     model = restore_model(ck)
     head = make_head(
@@ -200,9 +200,10 @@ def _restore_finetuned(checkpoint_path):
 
 def cmd_evaluate(args) -> int:
     file_config = _load_config_file(args.config)
-    model, head, _ = _restore_finetuned(_require(args.init_checkpoint, "--init-checkpoint"))
+    model, head, ck = _restore_finetuned(_require(args.init_checkpoint, "--init-checkpoint"))
     manifest_path = Path(_require(args.manifest or file_config.get("manifest"), "--manifest"))
-    manifest = read_manifest(manifest_path)
+    # Score columns follow the labels the head was trained on, in their order.
+    manifest = replace(read_manifest(manifest_path), vocabulary=tuple(ck.extra["vocabulary"]))
     eval_set = load_examples(manifest, manifest_path.parent, args.split)
     if not eval_set:
         raise DataError(f"manifest has no '{args.split}' records")
@@ -333,8 +334,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.max_steps is not None and args.max_steps < 0:
-            raise ConfigError(f"--max-steps {args.max_steps} is negative (0 means no cap)")
         return args.fn(args)
     except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

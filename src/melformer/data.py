@@ -86,6 +86,8 @@ class Manifest:
         index = {name: i for i, name in enumerate(self.vocabulary)}
         multi_hot = np.zeros(len(self.vocabulary))
         for label in record.labels:
+            if label not in index:
+                raise DataError(f"{record.audio_path}: label '{label}' is not in the vocabulary")
             multi_hot[index[label]] = 1.0
         return multi_hot
 

@@ -68,6 +68,10 @@ class FinetuneConfig:
             raise ConfigError("consistency_weight must be >= 0")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
+        if self.peak_lr < 0 or self.final_lr_factor <= 0:
+            raise ConfigError("peak_lr must be >= 0 and final_lr_factor > 0")
+        if min(self.batch_size, self.total_steps) < 1:
+            raise ConfigError("batch_size and total_steps must be >= 1")
         if not 0.0 <= self.output_dropout < 1.0:
             raise ConfigError("output_dropout outside [0, 1)")
 
@@ -397,6 +401,7 @@ def run_finetuning(
     A rerun into the same ``out_dir`` starts ``metrics.jsonl`` afresh.
     """
     out_dir = Path(out_dir)
+    end_step = last_step(config.total_steps, max_steps)
     optimizer = Adam(
         list(model.named_parameters()) + [(f"head.{n}", p) for n, p in head.named_parameters()]
     )
@@ -416,7 +421,6 @@ def run_finetuning(
         batch = [train_examples[i] for i in picks]
         return finetune_step(batch, model, head, optimizer, config, step)
 
-    end_step = last_step(config.total_steps, max_steps)
     training_loop(step_fn, out_dir, 0, end_step, deterministic, log)
     if eval_examples:
         report = evaluate_model(model, head, eval_examples)

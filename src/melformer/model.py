@@ -51,14 +51,16 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        if min(self.embed_dim, self.num_heads, self.ffn_dim, self.latent_dim) < 1:
+            raise ConfigError("embed_dim, num_heads, ffn_dim and latent_dim must be >= 1")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads"
             )
         if self.stack_factor < 1:
             raise ConfigError("stack_factor must be >= 1")
-        if self.kernel_first % 2 == 0 or self.kernel_rest % 2 == 0:
-            raise ConfigError("conformer kernels must be odd")
+        if any(k < 1 or k % 2 == 0 for k in (self.kernel_first, self.kernel_rest)):
+            raise ConfigError("conformer kernels must be odd and positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         if self.num_blocks < 0:

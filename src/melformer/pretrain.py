@@ -55,14 +55,18 @@ class PretrainConfig:
         self.validate()
 
     def validate(self):
-        if self.warmup_steps >= self.total_steps:
-            raise ConfigError("warmup_steps must be below total_steps")
-        if self.num_distractors < 0:
-            raise ConfigError("num_distractors must be >= 0")
+        if not 0 <= self.warmup_steps < self.total_steps:
+            raise ConfigError("warmup_steps must be >= 0 and below total_steps")
+        if min(self.num_distractors, self.peak_lr, self.weight_decay) < 0:
+            raise ConfigError("num_distractors, peak_lr and weight_decay must be >= 0")
+        if min(self.batch_size, self.mask_span, self.checkpoint_interval) < 1:
+            raise ConfigError("batch_size, mask_span and checkpoint_interval must be >= 1")
         if not 0.0 < self.mask_rate < 1.0:
             raise ConfigError(f"mask_rate {self.mask_rate} outside (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if self.temperature <= 0 or (self.grad_clip is not None and self.grad_clip <= 0):
+            raise ConfigError("temperature and grad_clip (unless null) must be > 0")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -80,16 +84,17 @@ def pretrain_lr(step: int, config: PretrainConfig) -> float:
     return 0.0
 
 
-def sample_distractors(mask_indices, t: int, num_distractors: int, rng) -> np.ndarray:
-    """min(K, m-1) distinct indices from the other masked steps."""
-    mask_indices = np.asarray(mask_indices)
-    others = mask_indices[mask_indices != t]
-    if others.size == mask_indices.size:
-        raise ShapeError(f"step {t} is not among the masked indices")
-    k = min(num_distractors, others.size)
-    if k == 0:
-        return np.empty(0, dtype=np.intp)
-    return rng.choice(others, size=k, replace=False).astype(np.intp)
+def sample_distractors(masked, num_distractors: int, rng) -> np.ndarray:
+    """(M, k) distractors for the M masked steps of a clip, k = min(K, M-1).
+
+    Row i holds k distinct masked steps other than ``masked[i]``, every
+    k-subset equally likely: the first k of a random order of the others.
+    """
+    masked = np.asarray(masked, dtype=np.intp)
+    keys = rng.random((masked.size, masked.size))
+    np.fill_diagonal(keys, np.inf)
+    k = min(num_distractors, masked.size - 1)
+    return masked[np.argsort(keys, axis=1)[:, :k]]
 
 
 def contrastive_loss(
@@ -103,9 +108,9 @@ def contrastive_loss(
     """Mean over masked steps of -log softmax(sim) at the true latent.
 
     Candidates are the true latent plus distractors from other masked steps
-    of the same clip; sim is cosine similarity (eps 1e-8 in the norms).
-    Steps with no available distractors are skipped unless K=0, where the
-    single-candidate loss is exactly zero.
+    of the same clip; sim is cosine similarity (eps 1e-8 in the norms). A
+    step with no other masked step in its clip scores only itself, so its
+    loss and gradient are exactly zero.
 
     When context and latents stack B equal-length clips, ``rng`` is a list
     of B generators and ``mask`` covers all rows. Each clip draws its
@@ -128,18 +133,8 @@ def contrastive_loss(
         masked = np.flatnonzero(clip_mask)
         if masked.size == 0:
             raise ShapeError("contrastive loss needs at least one masked step")
-        k = min(num_distractors, masked.size - 1)
-        if k == 0 and num_distractors > 0:
-            # No candidates to draw; every step of the clip is skipped.
-            candidates.append(np.empty((0, 1), dtype=np.intp))
-            continue
-        clip = np.empty((masked.size, k + 1), dtype=np.intp)
-        clip[:, 0] = masked
-        for row, t in enumerate(masked):
-            clip[row, 1:] = sample_distractors(masked, int(t), k, clip_rng)
-        candidates.append(clip + offset)
-    if not any(c.size for c in candidates):
-        return Tensor(np.zeros((), dtype=context.values.dtype))
+        distractors = sample_distractors(masked, num_distractors, clip_rng)
+        candidates.append(np.column_stack([masked, distractors]) + offset)
     return T.info_nce(
         T.l2_normalize_rows(context), T.l2_normalize_rows(latents), candidates, 1.0 / temperature
     )
@@ -322,6 +317,8 @@ def _drop_records_after(metrics_path: Path, step: int):
 
 def last_step(total_steps: int, max_steps: int | None) -> int:
     """The step a run ends on: ``total_steps``, capped by a positive ``max_steps``."""
+    if max_steps is not None and max_steps < 0:
+        raise ConfigError(f"max_steps {max_steps} is negative (0 or None means no cap)")
     return min(total_steps, max_steps) if max_steps else total_steps
 
 
@@ -371,6 +368,7 @@ def run_pretraining(
     ``resuming from`` line is printed. Returns the optimizer.
     """
     out_dir = Path(out_dir)
+    end_step = last_step(config.total_steps, max_steps)
     optimizer = Adam(
         list(model.named_parameters()),
         beta1=config.beta1,
@@ -391,7 +389,6 @@ def run_pretraining(
         start_step = ck.step
         print(f"resuming from {resume_from} at step {start_step}")
     model.train()
-    end_step = last_step(config.total_steps, max_steps)
 
     def step_fn(step):
         rng = step_rng(config.seed, RNG_BATCH, step)

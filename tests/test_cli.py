@@ -394,6 +394,48 @@ class TestEvaluateAndExtract:
         out = json.loads(capsys.readouterr().out)
         assert "map" in out
 
+    def renamed(self, dataset, tmp_path, old, new):
+        """A copy of the dataset's manifest with label ``old`` renamed to ``new``."""
+        manifest = tmp_path / "renamed.tsv"
+        rows = [
+            f"{dataset / audio}\t{labels.replace(old, new)}\t{split}"
+            for audio, labels, split in (
+                row.split("\t") for row in (dataset / "manifest.tsv").read_text().splitlines()
+            )
+        ]
+        manifest.write_text("\n".join(rows) + "\n")
+        return manifest
+
+    def evaluate(self, checkpoint, manifest, capsys):
+        code = main(["evaluate", "--init-checkpoint", str(checkpoint), "--manifest", str(manifest)])
+        return code, capsys.readouterr()
+
+    def test_evaluate_scores_by_the_checkpoints_vocabulary(
+        self, dataset, finetuned, tmp_path, capsys
+    ):
+        """Renaming a label in the checkpoint and the manifest alike changes
+        the manifest's sorted order but not the report."""
+        code, want = self.evaluate(finetuned, dataset / "manifest.tsv", capsys)
+        assert code == 0
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(finetuned, ckpt)
+        header = json.loads((ckpt / "header.json").read_text())
+        assert header["extra"]["vocabulary"] == ["class_0", "class_1", "class_2"]
+        header["extra"]["vocabulary"][0] = "z_0"
+        (ckpt / "header.json").write_text(json.dumps(header))
+        manifest = self.renamed(dataset, tmp_path, "class_0", "z_0")
+        code, got = self.evaluate(ckpt, manifest, capsys)
+        assert code == 0
+        assert json.loads(got.out) == json.loads(want.out)
+
+    def test_evaluate_label_outside_the_vocabulary_is_data_error(
+        self, dataset, finetuned, tmp_path, capsys
+    ):
+        manifest = self.renamed(dataset, tmp_path, "class_0", "z_0")
+        code, out = self.evaluate(finetuned, manifest, capsys)
+        assert code == 3
+        assert "z_0" in out.err
+
     def test_extract_embedding_shape(self, dataset, finetuned, tmp_path):
         wav = sorted(dataset.glob("*.wav"))[0]
         out_dir = tmp_path / "emb"
@@ -498,6 +540,54 @@ class TestSmallCommands:
                 str(out),
                 "--max-steps",
                 "-3",
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("pretrain", "checkpoint_interval", 0),
+            ("pretrain", "temperature", 0),
+            ("pretrain", "temperature", -1.0),
+            ("pretrain", "warmup_steps", -1),
+            ("pretrain", "peak_lr", -1e-3),
+            ("pretrain", "mask_span", 0),
+            ("pretrain", "beta1", 1.0),
+            ("pretrain", "weight_decay", -1.0),
+            ("pretrain", "grad_clip", -1.0),
+            ("model", "num_heads", 0),
+            ("model", "embed_dim", 0),
+            ("model", "ffn_dim", 0),
+            ("model", "kernel_first", -1),
+            ("finetune", "peak_lr", -1e-3),
+            ("finetune", "batch_size", 0),
+            ("finetune", "total_steps", -5),
+            ("finetune", "final_lr_factor", 0),
+            ("finetune", "final_lr_factor", -0.5),
+        ],
+    )
+    def test_bad_config_value_is_config_error(
+        self, dataset, toy_config, tmp_path, section, key, value
+    ):
+        config = json.loads(toy_config.read_text())
+        config[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        command = "finetune" if section == "finetune" else "pretrain"
+        code = main(
+            [
+                command,
+                "--config",
+                str(bad),
+                "--manifest",
+                str(dataset / "manifest.tsv"),
+                "--out-dir",
+                str(out),
+                "--max-steps",
+                "2",
             ]
         )
         assert code == 2

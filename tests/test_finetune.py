@@ -23,6 +23,7 @@ from melformer.finetune import (
     linear_softmax_pool,
     make_head,
     mixup_batch,
+    run_finetuning,
     temporal_jitter,
     three_stage_lr,
     time_mask_augment,
@@ -373,6 +374,14 @@ class TestFinetuneStep:
             ]
 
         assert run() == run()
+
+    def test_negative_max_steps_rejected_before_out_dir(self, setup, tmp_path):
+        cfg, examples = setup
+        model, head, _, fcfg = self.make(cfg)
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError):
+            run_finetuning(model, head, examples, fcfg, out, max_steps=-3)
+        assert not out.exists()
 
 
 

@@ -25,6 +25,7 @@ from melformer.pretrain import (
     contrastive_loss,
     pretrain_lr,
     pretrain_step,
+    run_pretraining,
     sample_distractors,
     step_rng,
 )
@@ -47,36 +48,42 @@ def toy_pretrain_config(**overrides):
 
 
 class TestSampleDistractors:
+    @staticmethod
+    def assert_rows_valid(masked, got):
+        for step, row in zip(masked, got):
+            assert step not in row
+            assert len(set(row.tolist())) == row.size
+            assert set(row.tolist()) <= set(masked.tolist())
+
     def test_shrinks_to_available_candidates(self):
-        masked = np.arange(40)
-        got = sample_distractors(masked, t=7, num_distractors=100, rng=np.random.default_rng(0))
-        assert got.size == 39
-        assert 7 not in got
-        assert len(set(got.tolist())) == 39
+        masked = np.arange(40) * 3
+        got = sample_distractors(masked, num_distractors=100, rng=np.random.default_rng(0))
+        assert got.shape == (40, 39)
+        self.assert_rows_valid(masked, got)
+        lone = sample_distractors(np.array([4]), num_distractors=5, rng=np.random.default_rng(3))
+        assert lone.shape == (1, 0)
 
     def test_exactly_k_when_enough_masked(self):
         masked = np.arange(150)
-        got = sample_distractors(masked, t=3, num_distractors=100, rng=np.random.default_rng(1))
-        assert got.size == 100
-        assert 3 not in got
+        got = sample_distractors(masked, num_distractors=100, rng=np.random.default_rng(1))
+        assert got.shape == (150, 100)
+        self.assert_rows_valid(masked, got)
 
     def test_k_zero_gives_empty_set(self):
-        got = sample_distractors(np.arange(10), t=2, num_distractors=0, rng=np.random.default_rng(2))
-        assert got.size == 0
-
-    def test_t_must_be_masked(self):
-        with pytest.raises(ShapeError):
-            sample_distractors(np.array([1, 2, 3]), t=9, num_distractors=5, rng=np.random.default_rng(3))
+        got = sample_distractors(np.arange(10), num_distractors=0, rng=np.random.default_rng(2))
+        assert got.shape == (10, 0)
 
     def test_draws_cover_candidates_uniformly(self):
         masked = np.arange(6)
-        counts = np.zeros(6)
+        counts = np.zeros((6, 6))
         rng = np.random.default_rng(4)
         for _ in range(4000):
-            counts[sample_distractors(masked, t=0, num_distractors=2, rng=rng)] += 1
-        assert counts[0] == 0
-        # Each of the other 5 indices appears ~ 4000 * 2/5 times.
-        np.testing.assert_allclose(counts[1:] / 4000.0, 0.4, atol=0.05)
+            got = sample_distractors(masked, num_distractors=2, rng=rng)
+            np.add.at(counts, (np.repeat(masked, 2), got.ravel()), 1)
+        assert np.all(np.diag(counts) == 0)
+        # Each row picks each of its 5 other steps ~ 4000 * 2/5 times.
+        off_diagonal = counts[~np.eye(6, dtype=bool)]
+        np.testing.assert_allclose(off_diagonal / 4000.0, 0.4, atol=0.05)
 
 
 class TestContrastiveLoss:
@@ -122,13 +129,16 @@ class TestContrastiveLoss:
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_single_masked_step_is_skipped(self):
+        """A lone masked step scores only itself: zero loss, zero gradient."""
         rng = np.random.default_rng(11)
-        z = Tensor(rng.normal(size=(6, 4)))
-        c = Tensor(rng.normal(size=(6, 4)))
+        z = T.parameter(rng.normal(size=(6, 4)))
+        c = T.parameter(rng.normal(size=(6, 4)))
         mask = np.zeros(6, dtype=bool)
         mask[2] = True
         loss = contrastive_loss(c, z, mask, 100, np.random.default_rng(12))
         assert loss.item() == 0.0
+        T.backward(loss)
+        assert not c.grad.any() and not z.grad.any()
 
     def test_empty_mask_rejected(self):
         z = Tensor(np.ones((4, 2)))
@@ -298,6 +308,13 @@ class TestPretrainStep:
         with pytest.raises(ConfigError):
             pretrain_step([], model, opt, pcfg, step=1)
 
+    def test_negative_max_steps_rejected_before_out_dir(self, toy_setup, tmp_path):
+        cfg, clips = toy_setup
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError):
+            run_pretraining(ConformerModel(cfg, seed=9), clips, toy_pretrain_config(), out, -3)
+        assert not out.exists()
+
 
 class TestGradClip:
     """``PretrainConfig.grad_clip`` scales the gradients by max_norm / norm
@@ -453,6 +470,20 @@ class TestStackedContrastiveLoss:
         assert loss.item() == pytest.approx(want, rel=1e-12)
         for leaf, ref in zip(leaves, grads):
             np.testing.assert_allclose(leaf.grad, ref, rtol=1e-12, atol=1e-15)
+
+    def test_one_distractor_draw_per_clip(self, monkeypatch):
+        draws = []
+
+        def counted(masked, num_distractors, rng):
+            draws.append(masked.size)
+            return sample_distractors(masked, num_distractors, rng)
+
+        monkeypatch.setattr(pretrain_module, "sample_distractors", counted)
+        x = Tensor(np.random.default_rng(45).normal(size=(18, 5)))
+        mask = np.zeros(18, dtype=bool)
+        mask[[0, 2, 3, 4, 7, 12, 15]] = True
+        contrastive_loss(x, x, mask, 5, [np.random.default_rng(s) for s in range(3)])
+        assert draws == [4, 1, 2]
 
     def test_mask_must_cover_the_stack(self):
         x = Tensor(np.ones((6, 2)))

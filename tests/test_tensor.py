@@ -412,7 +412,7 @@ class TestKernelsKeepTheirBits:
 
 
 def _candidates(rng, t, num_distractors):
-    """(m, K+1) candidate rows as contrastive_loss draws them: true step first."""
+    """(m, K+1) candidate rows in contrastive_loss's layout: true step first."""
     masked = np.sort(rng.choice(t, size=max(2, int(0.3 * t)), replace=False))
     k = min(num_distractors, masked.size - 1)
     return np.stack(

@@ -35,9 +35,9 @@ from .errors import (
     ShapeError,
     StorageError,
 )
-from .finetune import FinetuneConfig, make_head, run_finetuning, evaluate_model
+from .finetune import HEAD_KINDS, FinetuneConfig, evaluate_model, make_head, run_finetuning
 from .gradcheck import run_gradcheck_suite
-from .model import ConformerModel, ModelConfig, param_count
+from .model import PRESETS, ConformerModel, ModelConfig, param_count
 from .pretrain import PretrainConfig, last_step, run_pretraining
 
 EXIT_OK = 0
@@ -200,7 +200,7 @@ def _restore_finetuned(checkpoint_path):
 
 def cmd_evaluate(args) -> int:
     file_config = _load_config_file(args.config)
-    model, head, ck = _restore_finetuned(_require(args.init_checkpoint, "--init-checkpoint"))
+    model, head, ck = _restore_finetuned(args.init_checkpoint)
     manifest_path = Path(_require(args.manifest or file_config.get("manifest"), "--manifest"))
     # Score columns follow the labels the head was trained on, in their order.
     manifest = replace(read_manifest(manifest_path), vocabulary=tuple(ck.extra["vocabulary"]))
@@ -219,10 +219,9 @@ def cmd_evaluate(args) -> int:
 def cmd_extract(args) -> int:
     from . import tensor as T
 
-    ck_path = _require(args.init_checkpoint, "--init-checkpoint")
-    model = restore_model(load_checkpoint(ck_path))
+    model = restore_model(load_checkpoint(args.init_checkpoint))
     model.eval()
-    out_dir = Path(_require(args.out_dir, "--out-dir"))
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [Path(p) for p in args.inputs]
     if args.manifest:
@@ -257,8 +256,8 @@ def cmd_paramcount(args) -> int:
 
 
 def cmd_synthdata(args) -> int:
-    out_dir = Path(_require(args.out_dir, "--out-dir"))
-    labels = (1, 1) if args.single_label else (1, 3)
+    out_dir = Path(args.out_dir)
+    labels = (1, 1) if args.single_label else (1, min(3, args.num_classes))
     manifest = generate_synthetic_dataset(
         num_classes=args.num_classes,
         clips_per_class=args.clips_per_class,
@@ -272,61 +271,69 @@ def cmd_synthdata(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument(
-        "--deterministic",
+# Every option, declared once. A subcommand takes only the options its cmd_*
+# reads, so any other one is a usage error (exit 2).
+FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--seed": dict(type=int, default=0),
+    "--deterministic": dict(
         action=argparse.BooleanOptionalAction,
         default=True,
         help="drop wall-clock times from the metrics log, so seeded runs log identical bytes"
         " (random streams always derive from --seed)",
-    )
-    shared.add_argument("--out-dir")
-    shared.add_argument(
-        "--max-steps", type=int, help="stop after this step (0 or unset: run to total_steps)"
-    )
-    shared.add_argument("--preset", choices=sorted(["cf_S", "cf_L"]))
-    shared.add_argument("--init-checkpoint")
-    shared.add_argument("--head", choices=["linear-softmax-pool", "mean-pool"])
-    shared.add_argument("--manifest")
+    ),
+    "--out-dir": {},
+    "--max-steps": dict(type=int, help="stop after this step (0 or unset: run to total_steps)"),
+    "--preset": dict(choices=sorted(PRESETS)),
+    "--init-checkpoint": {},
+    "--head": dict(choices=HEAD_KINDS),
+    "--manifest": {},
+    "--split": dict(default="eval", choices=["train", "valid", "eval"]),
+    "inputs": dict(nargs="*", help="wav files"),
+    "--points": dict(type=int, default=10, help="random points per case"),
+    "model_preset": dict(choices=sorted(PRESETS)),
+    "--num-classes": dict(type=int, default=8),
+    "--clips-per-class": dict(type=int, default=50),
+    "--clip-seconds": dict(type=float, default=2.0),
+    "--single-label": dict(action="store_true"),
+    "--eval-fraction": dict(type=float, default=0.2),
+}
+TRAIN = "--config --seed --deterministic --out-dir --max-steps --preset --manifest"
 
+# name: (function, help, options, the options only the command line gives, hence required)
+COMMANDS = {
+    "pretrain": (cmd_pretrain, "masked contrastive pretraining", TRAIN, ""),
+    "finetune": (cmd_finetune, "supervised fine-tuning", TRAIN + " --init-checkpoint --head", ""),
+    "evaluate": (
+        cmd_evaluate, "score a fine-tuned checkpoint",
+        "--config --init-checkpoint --manifest --out-dir --split", "--init-checkpoint",
+    ),
+    "extract": (
+        cmd_extract, "write per-clip context embeddings",
+        "--init-checkpoint --out-dir --manifest inputs", "--init-checkpoint --out-dir",
+    ),
+    "gradcheck": (cmd_gradcheck, "finite-difference verification suite", "--points", ""),
+    "paramcount": (cmd_paramcount, "trainable parameter count", "model_preset", ""),
+    "synthdata": (
+        cmd_synthdata, "generate a synthetic dataset",
+        "--out-dir --seed --num-classes --clips-per-class --clip-seconds --single-label"
+        " --eval-fraction", "--out-dir",
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="melformer",
         description="Self-supervised conformer training on logmel audio, desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pretrain", parents=[shared], help="masked contrastive pretraining")
-    p.set_defaults(fn=cmd_pretrain)
-
-    p = sub.add_parser("finetune", parents=[shared], help="supervised fine-tuning")
-    p.set_defaults(fn=cmd_finetune)
-
-    p = sub.add_parser("evaluate", parents=[shared], help="score a fine-tuned checkpoint")
-    p.add_argument("--split", default="eval", choices=["train", "valid", "eval"])
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("extract", parents=[shared], help="write per-clip context embeddings")
-    p.add_argument("inputs", nargs="*", help="wav files")
-    p.set_defaults(fn=cmd_extract)
-
-    p = sub.add_parser("gradcheck", parents=[shared], help="finite-difference verification suite")
-    p.add_argument("--points", type=int, default=10, help="random points per case")
-    p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("paramcount", parents=[shared], help="trainable parameter count")
-    p.add_argument("model_preset", choices=["cf_S", "cf_L"])
-    p.set_defaults(fn=cmd_paramcount)
-
-    p = sub.add_parser("synthdata", parents=[shared], help="generate a synthetic dataset")
-    p.add_argument("--num-classes", type=int, default=8)
-    p.add_argument("--clips-per-class", type=int, default=50)
-    p.add_argument("--clip-seconds", type=float, default=2.0)
-    p.add_argument("--single-label", action="store_true")
-    p.add_argument("--eval-fraction", type=float, default=0.2)
-    p.set_defaults(fn=cmd_synthdata)
+    for name, (fn, help_text, options, required) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            settings = FLAGS[option] | ({"required": True} if option in required.split() else {})
+            p.add_argument(option, **settings)
+        p.set_defaults(fn=fn)
     return parser
 
 

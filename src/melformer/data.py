@@ -141,7 +141,6 @@ def generate_synthetic_dataset(
     out_dir: str | Path,
     labels_per_clip: tuple = (1, 3),
     eval_fraction: float = 0.0,
-    valid_fraction: float = 0.0,
 ) -> Manifest:
     """Sine-mixture clips: class c contributes a 200*(c+1) Hz tone.
 
@@ -182,26 +181,23 @@ def generate_synthetic_dataset(
         write_wav(out_dir / name, clip)
         labels = tuple(f"class_{c}" for c in sorted(classes))
         records.append(ManifestRecord(audio_path=name, labels=labels, split="train"))
-    _assign_splits(records, num_classes, eval_fraction, valid_fraction, rng)
+    _assign_splits(records, num_classes, eval_fraction, rng)
     vocabulary = tuple(f"class_{c}" for c in range(num_classes))
     manifest = Manifest(records=records, vocabulary=vocabulary)
     write_manifest(manifest, out_dir / "manifest.tsv")
     return manifest
 
 
-def _assign_splits(records, num_classes, eval_fraction, valid_fraction, rng):
+def _assign_splits(records, num_classes, eval_fraction, rng):
     """Stratified by the cycling primary class so splits stay balanced."""
-    if eval_fraction <= 0.0 and valid_fraction <= 0.0:
+    if eval_fraction <= 0.0:
         return
     for c in range(num_classes):
         idx = [i for i in range(len(records)) if i % num_classes == c]
         idx = [idx[j] for j in rng.permutation(len(idx))]
         n_eval = int(round(eval_fraction * len(idx)))
-        n_valid = int(round(valid_fraction * len(idx)))
         for i in idx[:n_eval]:
             records[i].split = "eval"
-        for i in idx[n_eval : n_eval + n_valid]:
-            records[i].split = "valid"
 
 
 def load_examples(manifest: Manifest, base_dir: str | Path, split: str) -> list:

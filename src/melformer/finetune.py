@@ -20,11 +20,9 @@ from . import tensor as T
 from .dsp import Waveform, frame_count, logmel
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import EvalReport, evaluate_scores
-from .model import ConformerModel, Linear, Module, clip_groups
+from .model import ConformerModel, Linear, Module, check_stackable, clip_groups
 from .pretrain import Adam, last_step, step_rng, training_loop
 from .tensor import Tensor, backward
-
-HEAD_KINDS = ("linear-softmax-pool", "mean-pool")
 
 RNG_VIEW_A = 10
 RNG_VIEW_B = 11
@@ -58,7 +56,7 @@ class FinetuneConfig:
         self.validate()
 
     def validate(self):
-        if self.head_kind not in HEAD_KINDS:
+        if self.head_kind not in HEADS:
             raise ConfigError(f"head_kind must be one of {HEAD_KINDS}")
         if len(self.stage_fractions) != 3 or any(f <= 0 for f in self.stage_fractions):
             raise ConfigError("stage_fractions must be three positive values")
@@ -164,8 +162,6 @@ class FramewiseHead(Module):
     """Frame-level linear + sigmoid, pooled to clip probabilities by
     confidence weighting (p = sum y^2 / sum y)."""
 
-    kind = "linear-softmax-pool"
-
     def __init__(self, latent_dim, num_classes, rng, dtype=np.float32):
         self.proj = Linear(latent_dim, num_classes, rng, dtype)
 
@@ -182,8 +178,6 @@ class FramewiseHead(Module):
 class MeanPoolHead(Module):
     """Frame-mean then linear; probabilities via sigmoid."""
 
-    kind = "mean-pool"
-
     def __init__(self, latent_dim, num_classes, rng, dtype=np.float32):
         self.proj = Linear(latent_dim, num_classes, rng, dtype)
 
@@ -195,13 +189,14 @@ class MeanPoolHead(Module):
         return T.sigmoid(self.proj(pooled))
 
 
+HEADS = {"linear-softmax-pool": FramewiseHead, "mean-pool": MeanPoolHead}
+HEAD_KINDS = tuple(HEADS)
+
+
 def make_head(kind: str, latent_dim: int, num_classes: int, seed: int, dtype=np.float32):
-    rng = np.random.default_rng([seed, 0xEAD])
-    if kind == "linear-softmax-pool":
-        return FramewiseHead(latent_dim, num_classes, rng, dtype)
-    if kind == "mean-pool":
-        return MeanPoolHead(latent_dim, num_classes, rng, dtype)
-    raise ConfigError(f"unknown head kind '{kind}'")
+    if kind not in HEADS:
+        raise ConfigError(f"unknown head kind '{kind}'")
+    return HEADS[kind](latent_dim, num_classes, np.random.default_rng([seed, 0xEAD]), dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +395,10 @@ def run_finetuning(
 
     A rerun into the same ``out_dir`` starts ``metrics.jsonl`` afresh.
     """
+    check_stackable(
+        [frame_count(ex.waveform.size) for ex in train_examples + list(eval_examples or [])],
+        model.config.stack_factor,
+    )
     out_dir = Path(out_dir)
     end_step = last_step(config.total_steps, max_steps)
     optimizer = Adam(

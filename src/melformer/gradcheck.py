@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .model import ConformerBlock, ConformerModel, ModelConfig, apply_mask, time_stack
 from .pretrain import contrastive_loss
 from .tensor import Tensor, grad_check
@@ -261,6 +262,8 @@ def check_end_to_end(seed: int, dtype) -> float:
 
 def run_gradcheck_suite(points_per_case: int = 10, log=None) -> list[CheckResult]:
     """Run the full verification suite and return one result row per case."""
+    if points_per_case < 1:
+        raise ConfigError(f"points_per_case must be >= 1, got {points_per_case}")
     results = []
 
     def record(name, precision, err, tol):

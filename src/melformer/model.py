@@ -355,11 +355,17 @@ def clip_groups(frame_counts, config: ModelConfig) -> list[range]:
     return groups
 
 
+def check_stackable(frame_counts, stack_factor: int):
+    """Raise ShapeError when a clip has fewer logmel frames than one stack."""
+    shortest = min(frame_counts, default=stack_factor)
+    if shortest < stack_factor:
+        raise ShapeError(f"cannot stack {stack_factor} frames out of {shortest}")
+
+
 def time_stack(frames: np.ndarray, stack_factor: int) -> np.ndarray:
     """Concatenate every ``stack_factor`` consecutive rows; drop the remainder."""
     t, d = frames.shape
-    if t < stack_factor:
-        raise ShapeError(f"cannot stack {stack_factor} frames out of {t}")
+    check_stackable([t], stack_factor)
     t_out = t // stack_factor
     return frames[: t_out * stack_factor].reshape(t_out, d * stack_factor)
 

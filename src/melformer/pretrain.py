@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .data import latest_checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, NumericError, ShapeError
-from .model import ConformerModel, apply_mask, clip_groups, sample_mask
+from .model import ConformerModel, apply_mask, check_stackable, clip_groups, sample_mask
 from .tensor import Tensor, backward
 
 # Purpose tags for derived RNG streams; every draw is seeded by
@@ -76,7 +76,7 @@ def pretrain_lr(step: int, config: PretrainConfig) -> float:
     """Linear 0 -> peak over warmup, then linear peak -> 0 at total_steps."""
     if step < 0:
         raise ConfigError(f"negative step {step}")
-    if step <= config.warmup_steps:
+    if config.warmup_steps > 0 and step <= config.warmup_steps:
         return config.peak_lr * step / config.warmup_steps
     if step <= config.total_steps:
         remaining = config.total_steps - step
@@ -367,6 +367,7 @@ def run_pretraining(
     seed must match, the model and Adam state are loaded from it, and a
     ``resuming from`` line is printed. Returns the optimizer.
     """
+    check_stackable([len(f) for f in logmels], model.config.stack_factor)
     out_dir = Path(out_dir)
     end_step = last_step(config.total_steps, max_steps)
     optimizer = Adam(

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from melformer.cli import main
-from melformer.data import load_checkpoint, save_checkpoint
+from melformer.cli import build_parser, main
+from melformer.data import load_checkpoint, read_manifest, save_checkpoint
 from melformer.model import ConformerModel, ModelConfig
 
 TOY_MODEL = dict(
@@ -85,6 +85,99 @@ class TestSynthdata:
         assert (dataset / "manifest.tsv").is_file()
         lines = (dataset / "manifest.tsv").read_text().splitlines()
         assert len(lines) == 12
+
+    def test_two_classes_give_multi_label_clips(self, tmp_path):
+        argv = ["synthdata", "--out-dir", str(tmp_path), "--num-classes", "2"]
+        argv += ["--clips-per-class", "4", "--clip-seconds", "0.5", "--seed", "1"]
+        assert main(argv) == 0
+        manifest = read_manifest(tmp_path / "manifest.tsv")
+        assert manifest.vocabulary == ("class_0", "class_1")
+        assert {len(r.labels) for r in manifest.records} == {1, 2}
+
+
+TRAIN_OPTIONS = [
+    "--config", "--seed", "--deterministic", "--out-dir", "--max-steps", "--preset", "--manifest"
+]
+# Each subcommand's options, and nothing else: the ones its command reads.
+OPTIONS = {
+    "pretrain": TRAIN_OPTIONS,
+    "finetune": TRAIN_OPTIONS + ["--init-checkpoint", "--head"],
+    "evaluate": ["--config", "--init-checkpoint", "--manifest", "--out-dir", "--split"],
+    "extract": ["--init-checkpoint", "--out-dir", "--manifest", "inputs"],
+    "gradcheck": ["--points"],
+    "paramcount": ["model_preset"],
+    "synthdata": [
+        "--out-dir", "--seed", "--num-classes", "--clips-per-class", "--clip-seconds",
+        "--single-label", "--eval-fraction",
+    ],
+}
+REQUIRED = {
+    "evaluate": ["--init-checkpoint"],
+    "extract": ["--init-checkpoint", "--out-dir"],
+    "paramcount": ["model_preset"],
+    "synthdata": ["--out-dir"],
+}
+# The options every subcommand once took from a shared parent parser, and
+# the (command, option) pairs that no longer parse.
+ONCE_SHARED = TRAIN_OPTIONS + ["--init-checkpoint", "--head"]
+REMOVED = [(c, o) for c in OPTIONS for o in ONCE_SHARED if o not in OPTIONS[c]]
+# option: (the words that set it, the value it then holds)
+SAMPLE = {
+    "--config": (["--config", "c.json"], "c.json"),
+    "--seed": (["--seed", "4"], 4),
+    "--deterministic": (["--deterministic"], True),
+    "--out-dir": (["--out-dir", "o"], "o"),
+    "--max-steps": (["--max-steps", "3"], 3),
+    "--preset": (["--preset", "cf_L"], "cf_L"),
+    "--manifest": (["--manifest", "m.tsv"], "m.tsv"),
+    "--init-checkpoint": (["--init-checkpoint", "ck"], "ck"),
+    "--head": (["--head", "linear-softmax-pool"], "linear-softmax-pool"),
+    "--split": (["--split", "train"], "train"),
+    "inputs": (["a.wav"], ["a.wav"]),
+    "--points": (["--points", "2"], 2),
+    "model_preset": (["cf_L"], "cf_L"),
+    "--num-classes": (["--num-classes", "2"], 2),
+    "--clips-per-class": (["--clips-per-class", "1"], 1),
+    "--clip-seconds": (["--clip-seconds", "0.5"], 0.5),
+    "--single-label": (["--single-label"], True),
+    "--eval-fraction": (["--eval-fraction", "0.5"], 0.5),
+}
+
+
+def command_argv(command, options):
+    return [command] + [word for option in options for word in SAMPLE[option][0]]
+
+
+class TestParser:
+    def test_settable_values(self):
+        assert sum(len(options) for options in OPTIONS.values()) == 34
+        assert len(REMOVED) == 38
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_command_takes_exactly_its_options(self, command):
+        args = build_parser().parse_args(command_argv(command, OPTIONS[command]))
+        got = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+        want = {o.lstrip("-").replace("-", "_"): SAMPLE[o][1] for o in OPTIONS[command]}
+        assert got == want
+
+    @pytest.mark.parametrize("command,option", REMOVED)
+    def test_option_the_command_does_not_read_is_usage_error(self, command, option, capsys):
+        parser = build_parser()
+        parser.parse_args(command_argv(command, REQUIRED.get(command, [])))
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(command_argv(command, REQUIRED.get(command, []) + [option]))
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,option", [(c, o) for c, options in REQUIRED.items() for o in options]
+    )
+    def test_missing_required_option_is_usage_error(self, command, option, capsys):
+        others = [o for o in REQUIRED[command] if o != option]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command_argv(command, others))
+        assert exit_info.value.code == 2
+        assert f"required: {option}" in capsys.readouterr().err
 
 
 class TestPretrainCommand:
@@ -502,6 +595,38 @@ class TestSmallCommands:
         assert main(["paramcount", "cf_S"]) == 0
         value = int(capsys.readouterr().out.strip())
         assert abs(value - 18.4e6) / 18.4e6 < 0.05
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_gradcheck_without_points_is_config_error(self, points, capsys):
+        assert main(["gradcheck", "--points", points]) == 2
+        assert "points_per_case must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_clip_too_short_to_stack_is_config_error_before_out_dir(
+        self, dataset, toy_config, tmp_path, capsys, command
+    ):
+        config = json.loads(toy_config.read_text())
+        config["model"]["stack_factor"] = 1000
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = main(
+            [
+                command,
+                "--config",
+                str(bad),
+                "--manifest",
+                str(dataset / "manifest.tsv"),
+                "--out-dir",
+                str(out),
+                "--max-steps",
+                "2",
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+        # 0.5 s clips have 25 logmel frames.
+        assert "cannot stack 1000 frames out of 25" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, dataset, tmp_path):
         bad = tmp_path / "bad.json"

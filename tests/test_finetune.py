@@ -383,6 +383,16 @@ class TestFinetuneStep:
             run_finetuning(model, head, examples, fcfg, out, max_steps=-3)
         assert not out.exists()
 
+    def test_eval_clip_too_short_to_stack_rejected_before_out_dir(self, setup, tmp_path):
+        cfg, examples = setup
+        model, head, _, fcfg = self.make(cfg)
+        # 300 samples make one logmel frame, fewer than one stack of 2.
+        short = LabeledExample(targets=examples[0].targets, waveform=np.zeros(300))
+        out = tmp_path / "run"
+        with pytest.raises(ShapeError, match="cannot stack 2 frames out of 1"):
+            run_finetuning(model, head, examples, fcfg, out, eval_examples=[short], max_steps=1)
+        assert not out.exists()
+
 
 
 def per_clip_finetune_step(batch, model, head, config, step):

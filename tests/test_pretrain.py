@@ -211,6 +211,16 @@ class TestPretrainLr:
         with pytest.raises(ConfigError):
             PretrainConfig(warmup_steps=10, total_steps=10)
 
+    def test_without_warmup_decays_from_peak_at_step_0(self):
+        cfg = PretrainConfig(warmup_steps=0, total_steps=10)
+        lrs = [pretrain_lr(s, cfg) for s in range(12)]
+        assert lrs[0] == cfg.peak_lr
+        assert lrs[5] == pytest.approx(cfg.peak_lr / 2, rel=1e-12)
+        assert lrs[10:] == [0.0, 0.0]
+
+    def test_warmup_starts_from_zero_at_step_0(self):
+        assert pretrain_lr(0, toy_pretrain_config()) == 0.0
+
 
 class TestAdam:
     def test_first_step_moves_by_lr(self):

@@ -8,7 +8,7 @@ shift-robustness properties the frontend guarantees.
 import numpy as np
 
 from melformer import Waveform, logmel, mel_filterbank
-from melformer.dsp import filterbank_center_frequencies
+from melformer import dsp
 
 rng = np.random.default_rng(0)
 
@@ -17,10 +17,13 @@ t = np.arange(160_000) / 16_000
 tone = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
 spec = logmel(Waveform(tone))
 print(f"10 s tone -> {spec.frames.shape[0]} frames x {spec.frames.shape[1]} mel bands")
-print(f"hop {spec.hop_seconds * 1000:.0f} ms, window {spec.window_seconds * 1000:.0f} ms")
+print(
+    f"hop {dsp.HOP_SAMPLES / dsp.SAMPLE_RATE * 1000:.0f} ms,"
+    f" window {dsp.WINDOW_SAMPLES / dsp.SAMPLE_RATE * 1000:.0f} ms"
+)
 
 # The energy concentrates in the band whose center is nearest 1 kHz.
-centers = filterbank_center_frequencies()
+centers = dsp.filterbank_center_frequencies()
 peak_band = int(np.bincount(spec.frames[5:-5].argmax(axis=1)).argmax())
 print(f"peak band {peak_band} centered at {centers[peak_band]:.0f} Hz")
 

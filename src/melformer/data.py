@@ -51,15 +51,15 @@ def read_wav(path: str | Path) -> Waveform:
         raise DataError(f"{path.name}: not a readable RIFF/WAVE file ({exc})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
     samples /= 32768.0
-    return Waveform(samples=samples, sample_rate=SAMPLE_RATE)
+    return Waveform(samples)
 
 
-def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE):
+def write_wav(path: str | Path, samples: np.ndarray):
     quantized = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(sample_rate)
+        wav.setframerate(SAMPLE_RATE)
         wav.writeframes(quantized.tobytes())
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 SAMPLE_RATE = 16_000
 WINDOW_SAMPLES = 1024  # 64 ms at 16 kHz
@@ -25,14 +25,13 @@ LOG_FLOOR = 1e-10
 
 @dataclass
 class Waveform:
-    """Mono audio samples in [-1, 1] at a fixed sample rate.
+    """Mono audio samples in [-1, 1] at 16 kHz.
 
     float32 and float64 samples are kept as given; any other input is cast
     to float64.
     """
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples).reshape(-1)
@@ -41,12 +40,10 @@ class Waveform:
         self.samples = samples
         if self.samples.size == 0:
             raise DataError("empty waveform")
-        if self.sample_rate <= 0:
-            raise DataError(f"invalid sample rate {self.sample_rate}")
 
     @property
     def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 @dataclass
@@ -54,8 +51,6 @@ class LogmelSpectrogram:
     """T x 64 matrix of log mel energies."""
 
     frames: np.ndarray
-    hop_seconds: float = HOP_SAMPLES / SAMPLE_RATE
-    window_seconds: float = WINDOW_SAMPLES / SAMPLE_RATE
 
     @property
     def num_frames(self) -> int:
@@ -70,43 +65,32 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache
-def mel_filterbank(
-    num_bands: int = NUM_MEL_BANDS,
-    sample_rate: int = SAMPLE_RATE,
-    fft_size: int = WINDOW_SAMPLES,
-) -> np.ndarray:
-    """Triangular filters over rfft bins, (num_bands, fft_size//2 + 1).
+# Band edges equally spaced on the mel scale from 0 Hz to Nyquist; band m
+# rises from edge m to its center, edge m + 1, and falls to edge m + 2.
+_BAND_EDGES_HZ = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), NUM_MEL_BANDS + 2))
 
-    Band centers are equally spaced on the mel scale between 0 Hz and
-    Nyquist; every filter has positive area. Built once per argument set and
-    shared, so the returned array is read-only.
+
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters over rfft bins, (64, 513).
+
+    Built once and shared, so the returned array is read-only.
     """
-    if num_bands < 1:
-        raise ConfigError(f"num_bands must be >= 1, got {num_bands}")
-    num_bins = fft_size // 2 + 1
-    if num_bands > num_bins - 2:
-        raise ConfigError(f"{num_bands} mel bands exceed the {num_bins} usable DFT bins")
-    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), num_bands + 2))
-    bin_hz = np.arange(num_bins) * sample_rate / fft_size
-    fbank = np.zeros((num_bands, num_bins))
-    for m in range(num_bands):
-        lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
+    num_bins = WINDOW_SAMPLES // 2 + 1
+    bin_hz = np.arange(num_bins) * SAMPLE_RATE / WINDOW_SAMPLES
+    fbank = np.zeros((NUM_MEL_BANDS, num_bins))
+    for m in range(NUM_MEL_BANDS):
+        lo, center, hi = _BAND_EDGES_HZ[m : m + 3]
         rising = (bin_hz - lo) / (center - lo)
         falling = (hi - bin_hz) / (hi - center)
         fbank[m] = np.maximum(0.0, np.minimum(rising, falling))
-    if np.any(fbank.sum(axis=1) <= 0.0):
-        raise ConfigError("mel filterbank has an empty band; fft_size too small")
     fbank.flags.writeable = False
     return fbank
 
 
-def filterbank_center_frequencies(
-    num_bands: int = NUM_MEL_BANDS, sample_rate: int = SAMPLE_RATE
-) -> np.ndarray:
+def filterbank_center_frequencies() -> np.ndarray:
     """Center frequency in Hz of each triangular filter."""
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), num_bands + 2))
-    return edges[1:-1]
+    return _BAND_EDGES_HZ[1:-1].copy()
 
 
 _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES)
@@ -133,10 +117,6 @@ def logmel(waveform: Waveform, filterbank: np.ndarray | None = None) -> LogmelSp
     Output has ceil(num_samples / 320) frames of 64 natural-log energies,
     floored at log(1e-10).
     """
-    if waveform.sample_rate != SAMPLE_RATE:
-        raise DataError(
-            f"expected {SAMPLE_RATE} Hz input, got {waveform.sample_rate} Hz (no resampling)"
-        )
     if filterbank is None:
         filterbank = mel_filterbank()
     num_frames = frame_count(waveform.samples.size)

@@ -162,8 +162,8 @@ class FramewiseHead(Module):
     """Frame-level linear + sigmoid, pooled to clip probabilities by
     confidence weighting (p = sum y^2 / sum y)."""
 
-    def __init__(self, latent_dim, num_classes, rng, dtype=np.float32):
-        self.proj = Linear(latent_dim, num_classes, rng, dtype)
+    def __init__(self, latent_dim, num_classes, rng):
+        self.proj = Linear(latent_dim, num_classes, rng)
 
     def __call__(self, context: Tensor, clips: int = 1) -> Tensor:
         """(num_classes,) probabilities, or one row per clip of a stack."""
@@ -178,8 +178,8 @@ class FramewiseHead(Module):
 class MeanPoolHead(Module):
     """Frame-mean then linear; probabilities via sigmoid."""
 
-    def __init__(self, latent_dim, num_classes, rng, dtype=np.float32):
-        self.proj = Linear(latent_dim, num_classes, rng, dtype)
+    def __init__(self, latent_dim, num_classes, rng):
+        self.proj = Linear(latent_dim, num_classes, rng)
 
     def __call__(self, context: Tensor, clips: int = 1) -> Tensor:
         """(1, num_classes) probabilities, one row per clip of a stack."""
@@ -193,10 +193,10 @@ HEADS = {"linear-softmax-pool": FramewiseHead, "mean-pool": MeanPoolHead}
 HEAD_KINDS = tuple(HEADS)
 
 
-def make_head(kind: str, latent_dim: int, num_classes: int, seed: int, dtype=np.float32):
+def make_head(kind: str, latent_dim: int, num_classes: int, seed: int):
     if kind not in HEADS:
         raise ConfigError(f"unknown head kind '{kind}'")
-    return HEADS[kind](latent_dim, num_classes, np.random.default_rng([seed, 0xEAD]), dtype)
+    return HEADS[kind](latent_dim, num_classes, np.random.default_rng([seed, 0xEAD]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +260,11 @@ def _clip_frames(example: LabeledExample, jitter: bool, rng, filterbank) -> np.n
 
 
 def _augmented_views(batch, config, step, filterbank):
-    """Two independently augmented logmel views of the batch."""
+    """Independently augmented logmel views of the batch: view A, and view B
+    when the consistency term reads it. Each view draws from its own streams."""
     views = []
-    for purpose in (RNG_VIEW_A, RNG_VIEW_B):
+    purposes = (RNG_VIEW_A, RNG_VIEW_B) if config.consistency_weight > 0.0 else (RNG_VIEW_A,)
+    for purpose in purposes:
         frames = []
         for i, ex in enumerate(batch):
             rng = step_rng(config.seed, purpose, step, i)
@@ -298,22 +300,22 @@ def finetune_step(
     step: int,
     filterbank=None,
 ) -> dict:
-    """Two augmented views -> BCE(view1) + consistency_weight * symKL.
+    """Augmented views -> BCE(view A) + consistency_weight * symKL(A, B).
 
-    The batch runs as groups of equal-length clips (``model.clip_groups``,
-    counting both views' rows when the consistency term spans them), one
-    graph per group and view. Each group's loss, the mean of its clip terms,
-    is back-propagated scaled by group size / B before the next group's
-    graph is built, so only one group's graph is alive at a time; the
-    parameter gradients add up over the groups. Every clip draws its
-    augmentations and dropout masks from its own streams, as it would alone.
-    The logged ``bce`` and ``consistency`` are the means of the clip terms.
+    View B is built only when consistency_weight > 0. The batch runs as
+    groups of equal-length clips (``model.clip_groups``, counting both
+    views' rows when the consistency term spans them), one graph per group
+    and view. Each group's loss, the mean of its clip terms, is
+    back-propagated scaled by group size / B before the next group's graph
+    is built, so only one group's graph is alive at a time; the parameter
+    gradients add up over the groups. Every clip draws its augmentations
+    and dropout masks from its own streams, as it would alone. The logged
+    ``bce`` and ``consistency`` are the means of the clip terms.
     """
     if not batch:
         raise ConfigError("empty batch")
     optimizer.zero_grad()
-    view_a, view_b = _augmented_views(batch, config, step, filterbank)
-    views = (view_a, view_b) if config.consistency_weight > 0.0 else (view_a,)
+    views = _augmented_views(batch, config, step, filterbank)
     stack = model.config.stack_factor
     frame_counts = [tuple(len(v[i]) // stack for v in views) for i in range(len(batch))]
     scale = 1.0 / len(batch)
@@ -321,18 +323,18 @@ def finetune_step(
     for group in clip_groups(frame_counts, model.config):
         # A group's graph keeps float32 copies of its logmels, so the step
         # drops them here and holds one group's graph and the logmels to come.
-        frames_a = [view_a[i] for i in group]
-        frames_b = [view_b[i] for i in group]
-        view_a[group.start : group.stop] = view_b[group.start : group.stop] = [None] * len(group)
+        frames = [[view[i] for i in group] for view in views]
+        for view in views:
+            view[group.start : group.stop] = [None] * len(group)
         probs_a = _group_probs(
-            model, head, frames_a, config,
+            model, head, frames[0], config,
             [step_rng(config.seed, RNG_HEAD_DROPOUT_A, step, i) for i in group],
         )
         loss = bce_loss(probs_a, np.stack([batch[i].targets for i in group]))
         bce_sum += float(loss.values) * len(group)
-        if config.consistency_weight > 0.0:
+        if len(views) > 1:
             probs_b = _group_probs(
-                model, head, frames_b, config,
+                model, head, frames[1], config,
                 [step_rng(config.seed, RNG_HEAD_DROPOUT_B, step, i) for i in group],
             )
             consistency = consistency_loss(probs_a, probs_b)
@@ -399,6 +401,11 @@ def run_finetuning(
         [frame_count(ex.waveform.size) for ex in train_examples + list(eval_examples or [])],
         model.config.stack_factor,
     )
+    shortest = min((ex.waveform.size for ex in train_examples), default=MAX_JITTER + 1)
+    if config.jitter_enabled and shortest <= MAX_JITTER:
+        raise DataError(
+            f"train clip too short to jitter ({shortest} samples, need {MAX_JITTER + 1})"
+        )
     out_dir = Path(out_dir)
     end_step = last_step(config.total_steps, max_steps)
     optimizer = Adam(

@@ -54,14 +54,16 @@ def install_params(module, names, tensors):
 def module_grad_check(build, readout, seed, dtype, max_coords=4, eps=2e-5):
     """Check a module's gradients w.r.t. all of its parameters and the input.
 
-    ``build(rng, dtype) -> (module, input_array)``; ``readout(module, x)``
-    returns a scalar Tensor. The module's parameters are swapped for the
-    checker's leaf tensors during the check and restored afterwards. The
-    default step is smaller than the primitive checks' 1e-4 because the
-    composite losses carry more curvature (eps^2 truncation).
+    ``build(rng) -> (module, input_array)``, a float32 module that the check
+    casts to ``dtype``; ``readout(module, x)`` returns a scalar Tensor.
+    The module's parameters are swapped for the checker's leaf tensors
+    during the check and restored afterwards. The default step is smaller
+    than the primitive checks' 1e-4 because the composite losses carry more
+    curvature (eps^2 truncation).
     """
     rng = np.random.default_rng(seed)
-    module, x = build(rng, dtype)
+    module, x = build(rng)
+    module.astype(dtype)
     names = [n for n, _ in module.named_parameters()]
     originals = [p for _, p in module.named_parameters()]
     points = [Tensor(x.astype(dtype))] + originals
@@ -210,8 +212,8 @@ def primitive_cases():
 # Composite cases
 
 
-def _tiny_block(rng, dtype):
-    block = ConformerBlock(32, 4, 48, 5, dropout=0.1, rng=rng, dtype=dtype)
+def _tiny_block(rng):
+    block = ConformerBlock(32, 4, 48, 5, dropout=0.1, rng=rng)
     x = rng.normal(size=(4, 32))
     return block, x
 
@@ -232,7 +234,7 @@ def check_block(seed: int, dtype) -> float:
 def check_end_to_end(seed: int, dtype) -> float:
     """Contrastive loss through a 2-block model, leaves = stacked input + params."""
 
-    def build(rng, dt):
+    def build(rng):
         model_seed = int(rng.integers(0, 1 << 30))
         cfg = ModelConfig(
             num_blocks=2,
@@ -244,7 +246,7 @@ def check_end_to_end(seed: int, dtype) -> float:
             kernel_rest=3,
             dropout=0.1,
         )
-        model = ConformerModel(cfg, seed=model_seed, dtype=dt)
+        model = ConformerModel(cfg, seed=model_seed)
         frames = rng.normal(size=(32, 64))
         return model, time_stack(frames, 4)
 

@@ -15,15 +15,14 @@ its length is the clip count that the per-clip primitives receive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
+from .dsp import NUM_MEL_BANDS
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-
-LOGMEL_BANDS = 64
 
 PRESETS = {
     "cf_S": dict(num_blocks=12, embed_dim=256, num_heads=8),
@@ -135,6 +134,16 @@ class Module:
         state.update(dict(self.named_buffers()))
         return state
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter and buffer to ``dtype`` (modules are built in float32)."""
+        for module in self._walk()[0]:
+            for name, value in vars(module).items():
+                if isinstance(value, Tensor):
+                    value.values = value.values.astype(dtype)
+                elif isinstance(value, np.ndarray):
+                    setattr(module, name, value.astype(dtype))
+        return self
+
     def load_state_arrays(self, arrays: dict):
         """Restore by name. Takes ownership of ``arrays``: parameters adopt them
         without a copy where the dtype matches; buffers are copied in place."""
@@ -159,24 +168,24 @@ class Module:
             buf[...] = incoming
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape, dtype):
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return T.parameter(rng.uniform(-limit, limit, size=shape).astype(dtype))
+    return T.parameter(rng.uniform(-limit, limit, size=shape).astype(np.float32))
 
 
 class Linear(Module):
-    def __init__(self, in_dim, out_dim, rng, dtype=np.float32, bias: bool = True):
-        self.weight = _glorot(rng, in_dim, out_dim, (in_dim, out_dim), dtype)
-        self.bias = T.parameter(np.zeros(out_dim, dtype=dtype)) if bias else None
+    def __init__(self, in_dim, out_dim, rng, bias: bool = True):
+        self.weight = _glorot(rng, in_dim, out_dim, (in_dim, out_dim))
+        self.bias = T.parameter(np.zeros(out_dim, dtype=np.float32)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, dtype=np.float32):
-        self.gain = T.parameter(np.ones(dim, dtype=dtype))
-        self.bias = T.parameter(np.zeros(dim, dtype=dtype))
+    def __init__(self, dim):
+        self.gain = T.parameter(np.ones(dim, dtype=np.float32))
+        self.bias = T.parameter(np.zeros(dim, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
@@ -185,11 +194,11 @@ class LayerNorm(Module):
 class BatchNorm(Module):
     """Channel batch-norm over frames with momentum-0.1 running statistics."""
 
-    def __init__(self, dim, dtype=np.float32):
-        self.gain = T.parameter(np.ones(dim, dtype=dtype))
-        self.bias = T.parameter(np.zeros(dim, dtype=dtype))
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
+    def __init__(self, dim):
+        self.gain = T.parameter(np.ones(dim, dtype=np.float32))
+        self.bias = T.parameter(np.zeros(dim, dtype=np.float32))
+        self.running_mean = np.zeros(dim, dtype=np.float32)
+        self.running_var = np.ones(dim, dtype=np.float32)
 
     def __call__(self, x: Tensor, clips: int = 1) -> Tensor:
         return T.batch_norm(
@@ -201,10 +210,10 @@ class BatchNorm(Module):
 class FeedForward(Module):
     """layer-norm -> linear -> swish -> dropout -> linear -> dropout."""
 
-    def __init__(self, dim, hidden, dropout, rng, dtype=np.float32):
-        self.norm = LayerNorm(dim, dtype)
-        self.lin1 = Linear(dim, hidden, rng, dtype)
-        self.lin2 = Linear(hidden, dim, rng, dtype)
+    def __init__(self, dim, hidden, dropout, rng):
+        self.norm = LayerNorm(dim)
+        self.lin1 = Linear(dim, hidden, rng)
+        self.lin2 = Linear(hidden, dim, rng)
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng) -> Tensor:
@@ -221,19 +230,19 @@ class ConvolutionModule(Module):
     are ``Linear`` layers; only the depthwise convolution is a ``conv1d``.
     """
 
-    def __init__(self, dim, kernel_size, dropout, rng, dtype=np.float32):
-        self.norm = LayerNorm(dim, dtype)
-        self.pointwise_in = Linear(dim, 2 * dim, rng, dtype)
+    def __init__(self, dim, kernel_size, dropout, rng):
+        self.norm = LayerNorm(dim)
+        self.pointwise_in = Linear(dim, 2 * dim, rng)
         # No depthwise bias: the batch-norm right after removes any
         # per-channel constant, so it could never train.
-        self.depthwise = _glorot(rng, kernel_size, kernel_size, (kernel_size, dim), dtype)
-        self.batch_norm = BatchNorm(dim, dtype)
-        self.pointwise_out = Linear(dim, dim, rng, dtype)
+        self.depthwise = _glorot(rng, kernel_size, kernel_size, (kernel_size, dim))
+        self.batch_norm = BatchNorm(dim)
+        self.pointwise_out = Linear(dim, dim, rng)
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng) -> Tensor:
         clips = len(T.clip_rngs(rng))
-        h = T.glu(self.pointwise_in(self.norm(x)), axis=1)
+        h = T.glu(self.pointwise_in(self.norm(x)))
         h = T.conv1d(h, self.depthwise, clips=clips)
         h = T.swish(self.batch_norm(h, clips))
         return T.dropout(self.pointwise_out(h), self.dropout, rng, self.training)
@@ -247,17 +256,17 @@ class SelfAttention(Module):
     convolution module carries the positional information.
     """
 
-    def __init__(self, dim, num_heads, dropout, rng, dtype=np.float32):
+    def __init__(self, dim, num_heads, dropout, rng):
         if dim % num_heads != 0:
             raise ConfigError(f"dim {dim} not divisible by {num_heads} heads")
         self.num_heads = num_heads
-        self.norm = LayerNorm(dim, dtype)
-        self.query = Linear(dim, dim, rng, dtype)
+        self.norm = LayerNorm(dim)
+        self.query = Linear(dim, dim, rng)
         # A key bias shifts every logit in a softmax row equally, so it can
         # never train; leave it out.
-        self.key = Linear(dim, dim, rng, dtype, bias=False)
-        self.value = Linear(dim, dim, rng, dtype)
-        self.out = Linear(dim, dim, rng, dtype)
+        self.key = Linear(dim, dim, rng, bias=False)
+        self.value = Linear(dim, dim, rng)
+        self.out = Linear(dim, dim, rng)
         self.dropout = dropout
 
     def attend(self, x: Tensor, clips: int = 1) -> Tensor:
@@ -277,12 +286,12 @@ class ConformerBlock(Module):
     by 1/2 (macaron style).
     """
 
-    def __init__(self, dim, num_heads, ffn_dim, kernel_size, dropout, rng, dtype=np.float32):
-        self.ffn_pre = FeedForward(dim, ffn_dim, dropout, rng, dtype)
-        self.conv = ConvolutionModule(dim, kernel_size, dropout, rng, dtype)
-        self.attention = SelfAttention(dim, num_heads, dropout, rng, dtype)
-        self.ffn_post = FeedForward(dim, ffn_dim, dropout, rng, dtype)
-        self.norm = LayerNorm(dim, dtype)
+    def __init__(self, dim, num_heads, ffn_dim, kernel_size, dropout, rng):
+        self.ffn_pre = FeedForward(dim, ffn_dim, dropout, rng)
+        self.conv = ConvolutionModule(dim, kernel_size, dropout, rng)
+        self.attention = SelfAttention(dim, num_heads, dropout, rng)
+        self.ffn_post = FeedForward(dim, ffn_dim, dropout, rng)
+        self.norm = LayerNorm(dim)
 
     def __call__(self, x: Tensor, rng) -> Tensor:
         x = T.add(x, T.mul(self.ffn_pre(x, rng), 0.5))
@@ -295,22 +304,17 @@ class ConformerBlock(Module):
 class ContextEncoder(Module):
     """linear -> conformer blocks -> linear, latent dim in and out."""
 
-    def __init__(self, config: ModelConfig, rng, dtype=np.float32):
+    def __init__(self, config: ModelConfig, rng):
         d, dz = config.embed_dim, config.latent_dim
-        self.proj_in = Linear(dz, d, rng, dtype)
+        self.proj_in = Linear(dz, d, rng)
         self.blocks = [
             ConformerBlock(
-                d,
-                config.num_heads,
-                config.ffn_dim,
-                config.kernel_first if i == 0 else config.kernel_rest,
-                config.dropout,
-                rng,
-                dtype,
+                d, config.num_heads, config.ffn_dim,
+                config.kernel_first if i == 0 else config.kernel_rest, config.dropout, rng,
             )
             for i in range(config.num_blocks)
         ]
-        self.proj_out = Linear(d, dz, rng, dtype)
+        self.proj_out = Linear(d, dz, rng)
 
     def __call__(self, z: Tensor, rng) -> Tensor:
         h = self.proj_in(z)
@@ -373,9 +377,9 @@ def time_stack(frames: np.ndarray, stack_factor: int) -> np.ndarray:
 class FeatureEncoder(Module):
     """Time stacking followed by a linear map to latent frames."""
 
-    def __init__(self, config: ModelConfig, rng, dtype=np.float32, input_dim=LOGMEL_BANDS):
+    def __init__(self, config: ModelConfig, rng):
         self.stack_factor = config.stack_factor
-        self.proj = Linear(input_dim * config.stack_factor, config.latent_dim, rng, dtype)
+        self.proj = Linear(NUM_MEL_BANDS * config.stack_factor, config.latent_dim, rng)
 
     def __call__(self, frames) -> Tensor:
         """One logmel matrix, or a list of clips' that stack to equal lengths."""
@@ -429,14 +433,14 @@ def apply_mask(z: Tensor, mask: np.ndarray, mask_embedding: Tensor) -> Tensor:
 class ConformerModel(Module):
     """Feature encoder + learned mask embedding + conformer context encoder."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng([seed, 0xC0F])
         self.config = config
-        self.feature_encoder = FeatureEncoder(config, rng, dtype)
+        self.feature_encoder = FeatureEncoder(config, rng)
         self.mask_embedding = T.parameter(
-            rng.uniform(-0.1, 0.1, size=(1, config.latent_dim)).astype(dtype)
+            rng.uniform(-0.1, 0.1, size=(1, config.latent_dim)).astype(np.float32)
         )
-        self.context_encoder = ContextEncoder(config, rng, dtype)
+        self.context_encoder = ContextEncoder(config, rng)
 
     def encode_features(self, frames) -> Tensor:
         """Latent frames Z, (T // stack_factor) x latent_dim.

@@ -140,6 +140,9 @@ def contrastive_loss(
     )
 
 
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
+
 class Adam:
     """Bias-corrected Adam with decoupled weight decay.
 
@@ -152,11 +155,10 @@ class Adam:
         named_params,
         beta1: float = 0.9,
         beta2: float = 0.98,
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.named_params = list(named_params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2 = beta1, beta2
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {name: np.zeros_like(p.values) for name, p in self.named_params}
@@ -191,7 +193,7 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.values
             p.values = p.values - (lr * update).astype(p.values.dtype, copy=False)

@@ -8,8 +8,9 @@ training losses as one node each (masked contrastive ``info_nce``,
 ``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and a
 finite-difference gradient checker.
 
-Tensors store float32 or float64 values (float32 is the training default,
-float64 exists for gradient checking). Every primitive validates that its
+Tensors store float32 or float64 values. Models are built in float32, and
+``Module.astype(np.float64)`` casts one for gradient checking (its weights
+are then the float32 draws, cast up). Every primitive validates that its
 output is finite and raises :class:`NumericError` otherwise. The computation
 graph is recorded implicitly through parent links; ``backward`` topologically
 sorts the reachable subgraph and visits each node exactly once, accumulating
@@ -377,24 +378,18 @@ def swish(a: Tensor) -> Tensor:
     return _make(y, (a,), bwd, "swish")
 
 
-def glu(a: Tensor, axis: int = 1) -> Tensor:
-    """Gated linear unit: split in half along axis, first half * sigmoid(second)."""
-    n = a.values.shape[axis]
-    if n % 2 != 0:
-        raise ShapeError(f"glu: axis {axis} extent {n} is odd")
-    half = n // 2
-    sl_a = [slice(None)] * a.values.ndim
-    sl_b = [slice(None)] * a.values.ndim
-    sl_a[axis] = slice(0, half)
-    sl_b[axis] = slice(half, n)
-    sl_a, sl_b = tuple(sl_a), tuple(sl_b)
-    va = a.values[sl_a]
-    s = expit(a.values[sl_b])
+def glu(a: Tensor) -> Tensor:
+    """Gated linear unit of a T x 2C input: first C columns * sigmoid(last C)."""
+    if a.values.ndim != 2 or a.values.shape[1] % 2 != 0:
+        raise ShapeError(f"glu expects a 2-D input with an even column count, got {a.shape}")
+    half = a.values.shape[1] // 2
+    va = a.values[:, :half]
+    s = expit(a.values[:, half:])
 
     def bwd(g):
         full = np.zeros_like(a.values)
-        full[sl_a] = g * s
-        full[sl_b] = g * va * s * (1.0 - s)
+        full[:, :half] = g * s
+        full[:, half:] = g * va * s * (1.0 - s)
         _accum(a, full)
 
     return _make(va * s, (a,), bwd, "glu")
@@ -449,8 +444,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -
 # ---------------------------------------------------------------------------
 # Normalizations
 
+NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
+BATCH_NORM_MOMENTUM = 0.1  # weight of a clip's statistics in the running ones
 
-def _standardize(x: Tensor, gain: Tensor, bias: Tensor, view, eps: float, op: str):
+
+def _standardize(x: Tensor, gain: Tensor, bias: Tensor, view, op: str):
     """Standardize ``x`` along axis 1 of its reshape to ``view``, then scale by
     ``gain`` and shift by ``bias`` per feature (last axis).
 
@@ -462,7 +460,7 @@ def _standardize(x: Tensor, gain: Tensor, bias: Tensor, view, eps: float, op: st
     xhat = xv - mu
     # The variance exactly as np.var forms it from the centred input.
     var = np.square(xhat).sum(axis=1, keepdims=True) / view[1]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     xhat = xhat.reshape(shape)
     gv = gain.values
@@ -478,14 +476,14 @@ def _standardize(x: Tensor, gain: Tensor, bias: Tensor, view, eps: float, op: st
     return _make(xhat * gv + bias.values, (x, gain, bias), bwd, op), mu, var
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
     if x.values.ndim != 2:
         raise ShapeError("layer_norm expects a 2-D tensor")
     d = x.values.shape[1]
     if gain.values.shape != (d,) or bias.values.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the feature dim")
-    return _standardize(x, gain, bias, x.values.shape, eps, "layer_norm")[0]
+    return _standardize(x, gain, bias, x.values.shape, "layer_norm")[0]
 
 
 def batch_norm(
@@ -495,33 +493,32 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
     clips: int = 1,
 ) -> Tensor:
     """Per-channel normalization over axis 0 (frames).
 
     Training mode normalizes each clip by that clip's statistics and folds
-    them into the running buffers with the given momentum, once per clip in
-    clip order; evaluation mode uses the running statistics, which then act
-    as constants.
+    them into the running buffers with ``BATCH_NORM_MOMENTUM``, once per
+    clip in clip order; evaluation mode uses the running statistics, which
+    then act as constants.
     """
     if x.values.ndim != 2:
         raise ShapeError("batch_norm expects a 2-D tensor")
     if training:
         view = _by_clip(x.values, clips, "batch_norm").shape
-        out, mu, var = _standardize(x, gain, bias, view, eps, "batch_norm")
+        out, mu, var = _standardize(x, gain, bias, view, "batch_norm")
+        m = BATCH_NORM_MOMENTUM
         for clip_mu, clip_var in zip(mu[:, 0], var[:, 0]):
-            running_mean[...] = ((1.0 - momentum) * running_mean + momentum * clip_mu).astype(
+            running_mean[...] = ((1.0 - m) * running_mean + m * clip_mu).astype(
                 running_mean.dtype, copy=False
             )
-            running_var[...] = ((1.0 - momentum) * running_var + momentum * clip_var).astype(
+            running_var[...] = ((1.0 - m) * running_var + m * clip_var).astype(
                 running_var.dtype, copy=False
             )
         return out
 
     gv = gain.values
-    inv = 1.0 / np.sqrt(running_var + eps)
+    inv = 1.0 / np.sqrt(running_var + NORM_EPS)
     xhat = (x.values - running_mean) * inv
 
     def bwd_eval(g):
@@ -614,13 +611,15 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
 # ---------------------------------------------------------------------------
 # Similarity helpers
 
+L2_EPS = 1e-8
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Scale each row to unit L2 norm, with eps added to the denominator norm."""
+
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Scale each row to unit L2 norm, with ``L2_EPS`` added to the denominator norm."""
     if x.values.ndim != 2:
         raise ShapeError("l2_normalize_rows expects a 2-D tensor")
     norm = np.sqrt((x.values**2).sum(axis=1, keepdims=True))
-    denom = norm + eps
+    denom = norm + L2_EPS
     y = x.values / denom
     safe = np.maximum(norm, np.finfo(x.values.dtype).tiny)
 

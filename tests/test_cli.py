@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from melformer.cli import build_parser, main
-from melformer.data import load_checkpoint, read_manifest, save_checkpoint
+from melformer.data import load_checkpoint, read_manifest, save_checkpoint, write_wav
 from melformer.model import ConformerModel, ModelConfig
 
 TOY_MODEL = dict(
@@ -627,6 +627,36 @@ class TestSmallCommands:
         assert not out.exists()
         # 0.5 s clips have 25 logmel frames.
         assert "cannot stack 1000 frames out of 25" in capsys.readouterr().err
+
+    def test_clip_too_short_to_jitter_is_data_error_before_out_dir(
+        self, toy_config, tmp_path, capsys
+    ):
+        data = tmp_path / "short"
+        data.mkdir()
+        for i in range(2):
+            write_wav(data / f"c{i}.wav", np.zeros(160))
+        (data / "manifest.tsv").write_text("c0.wav\tclass_0\ttrain\nc1.wav\tclass_1\ttrain\n")
+        config = json.loads(toy_config.read_text())
+        config["model"]["stack_factor"] = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = main(
+            [
+                "finetune",
+                "--config",
+                str(cfg),
+                "--manifest",
+                str(data / "manifest.tsv"),
+                "--out-dir",
+                str(out),
+                "--max-steps",
+                "2",
+            ]
+        )
+        assert code == 3
+        assert not out.exists()
+        assert "too short to jitter (160 samples" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, dataset, tmp_path):
         bad = tmp_path / "bad.json"

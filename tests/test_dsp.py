@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from melformer import dsp
-from melformer.errors import ConfigError, DataError
+from melformer.errors import DataError
 
 
 def sine(freq, seconds=1.0, amp=0.5, sr=16000):
@@ -37,10 +37,6 @@ class TestFrameCount:
     def test_empty_waveform_rejected(self):
         with pytest.raises(DataError):
             dsp.Waveform(np.array([]))
-
-    def test_wrong_sample_rate_rejected(self):
-        with pytest.raises(DataError):
-            dsp.logmel(dsp.Waveform(np.zeros(100), sample_rate=44100))
 
 
 class TestSilenceAndScaling:
@@ -98,10 +94,6 @@ class TestMelFilterbank:
         assert not fb.flags.writeable
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
-
-    def test_too_many_bands_rejected(self):
-        with pytest.raises(ConfigError):
-            dsp.mel_filterbank(num_bands=600)
 
 
 class TestPureTone:

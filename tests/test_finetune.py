@@ -14,6 +14,7 @@ from melformer.finetune import (
     HEAD_KINDS,
     RNG_HEAD_DROPOUT_A,
     RNG_HEAD_DROPOUT_B,
+    RNG_SAMPLING,
     FinetuneConfig,
     LabeledExample,
     balance_weights,
@@ -153,7 +154,7 @@ class TestLinearSoftmaxPool:
 
 class TestHeads:
     def test_framewise_head_matches_pure_pool(self):
-        head = make_head("linear-softmax-pool", 8, 3, seed=0, dtype=np.float64)
+        head = make_head("linear-softmax-pool", 8, 3, seed=0).astype(np.float64)
         c = Tensor(np.random.default_rng(15).normal(size=(6, 8)), dtype=np.float64)
         probs = head(c)
         from scipy.special import expit
@@ -162,7 +163,7 @@ class TestHeads:
         np.testing.assert_allclose(probs.values, linear_softmax_pool(frame), rtol=1e-9)
 
     def test_mean_pool_single_frame_equals_projection(self):
-        head = make_head("mean-pool", 8, 3, seed=1, dtype=np.float64)
+        head = make_head("mean-pool", 8, 3, seed=1).astype(np.float64)
         c = Tensor(np.random.default_rng(16).normal(size=(1, 8)), dtype=np.float64)
         from scipy.special import expit
 
@@ -170,7 +171,7 @@ class TestHeads:
         np.testing.assert_allclose(head(c).values, expected, rtol=1e-12)
 
     def test_mean_pool_constant_frames_match_single_frame(self):
-        head = make_head("mean-pool", 8, 3, seed=2, dtype=np.float64)
+        head = make_head("mean-pool", 8, 3, seed=2).astype(np.float64)
         row = np.random.default_rng(17).normal(size=(1, 8))
         many = Tensor(np.repeat(row, 9, axis=0), dtype=np.float64)
         one = Tensor(row, dtype=np.float64)
@@ -178,7 +179,7 @@ class TestHeads:
 
     @pytest.mark.parametrize("kind", ["linear-softmax-pool", "mean-pool"])
     def test_head_gradients(self, kind):
-        head = make_head(kind, 6, 2, seed=3, dtype=np.float64)
+        head = make_head(kind, 6, 2, seed=3).astype(np.float64)
         targets = np.array([1.0, 0.0])
         names = [n for n, _ in head.named_parameters()]
         originals = [p for _, p in head.named_parameters()]
@@ -383,6 +384,41 @@ class TestFinetuneStep:
             run_finetuning(model, head, examples, fcfg, out, max_steps=-3)
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight,views", [(0.0, 1), (2.0, 2)])
+    def test_view_b_built_only_when_its_loss_reads_it(self, setup, monkeypatch, weight, views):
+        cfg, examples = setup
+        model, head, opt, fcfg = self.make(cfg, consistency_weight=weight)
+        calls = []
+        logmel = finetune_module.logmel
+        monkeypatch.setattr(finetune_module, "logmel", lambda *a: calls.append(1) or logmel(*a))
+        finetune_step(examples, model, head, opt, fcfg, step=1)
+        assert len(calls) == views * len(examples)
+
+    @pytest.mark.parametrize("balance", [False, True])
+    def test_balance_toggle_sets_the_sampling_weights(self, setup, tmp_path, monkeypatch, balance):
+        cfg, examples = setup
+        model, head, _, _ = self.make(cfg)
+        fcfg = FinetuneConfig(num_classes=3, batch_size=2, balance_enabled=balance)
+        picked = []
+
+        def record(batch, *args):
+            picked.append([next(i for i, ex in enumerate(examples) if ex is b) for b in batch])
+            return {"step": args[-1]}
+
+        monkeypatch.setattr(finetune_module, "finetune_step", record)
+        run_finetuning(model, head, examples, fcfg, tmp_path / "run", max_steps=6)
+        weights = balance_weights(np.stack([ex.targets for ex in examples]))
+
+        def draws(p):
+            return [
+                list(step_rng(fcfg.seed, RNG_SAMPLING, step).choice(4, 2, replace=False, p=p))
+                for step in range(1, 7)
+            ]
+
+        uniform, balanced = draws(None), draws(weights / weights.sum())
+        assert uniform != balanced
+        assert picked == (balanced if balance else uniform)
+
     def test_eval_clip_too_short_to_stack_rejected_before_out_dir(self, setup, tmp_path):
         cfg, examples = setup
         model, head, _, fcfg = self.make(cfg)
@@ -445,8 +481,8 @@ class TestGroupedStep:
         ]
 
     def build(self, cfg, head_kind):
-        model = ConformerModel(cfg, seed=31, dtype=np.float64)
-        head = make_head(head_kind, cfg.latent_dim, 3, seed=32, dtype=np.float64)
+        model = ConformerModel(cfg, seed=31).astype(np.float64)
+        head = make_head(head_kind, cfg.latent_dim, 3, seed=32).astype(np.float64)
         return model, head
 
     @pytest.mark.parametrize("head_kind", HEAD_KINDS)

@@ -114,7 +114,7 @@ class TestStackedClips:
 
     def test_stack_equals_each_clip_alone(self):
         cfg = tiny_config(dropout=0.1)
-        model = ConformerModel(cfg, seed=4, dtype=np.float64)
+        model = ConformerModel(cfg, seed=4).astype(np.float64)
         rng = np.random.default_rng(17)
         clips = [rng.normal(size=(20, 64)) for _ in range(3)]
         stacked = model.contextualize(
@@ -198,7 +198,7 @@ class TestApplyMask:
 class TestSelfAttention:
     def test_constant_keys_average_the_values(self):
         rng = np.random.default_rng(10)
-        attn = SelfAttention(8, 2, 0.0, rng, dtype=np.float64)
+        attn = SelfAttention(8, 2, 0.0, rng).astype(np.float64)
         # Zero q/k projections -> uniform attention -> every row is the mean
         # of the projected values.
         attn.query.weight.values[:] = 0.0
@@ -214,7 +214,7 @@ class TestSelfAttention:
 
     def test_single_frame_attends_to_itself(self):
         rng = np.random.default_rng(11)
-        attn = SelfAttention(8, 2, 0.0, rng, dtype=np.float64)
+        attn = SelfAttention(8, 2, 0.0, rng).astype(np.float64)
         x = Tensor(rng.normal(size=(1, 8)))
         out = attn.attend(x)
         v = x.values @ attn.value.weight.values + attn.value.bias.values
@@ -232,7 +232,7 @@ class TestConformerBlock:
 
     def test_zeroed_outputs_reduce_to_final_layer_norm(self):
         rng = np.random.default_rng(14)
-        block = ConformerBlock(16, 4, 24, 3, 0.0, rng, dtype=np.float64)
+        block = ConformerBlock(16, 4, 24, 3, 0.0, rng).astype(np.float64)
         for module, names in [
             (block.ffn_pre.lin2, ["weight", "bias"]),
             (block.ffn_post.lin2, ["weight", "bias"]),
@@ -331,6 +331,16 @@ class TestParamCount:
         model.train()
         assert all(m.training for m in modules)
 
+    def test_astype_casts_every_parameter_and_buffer(self):
+        model = ConformerModel(tiny_config(), seed=0)
+        built = {name: a.copy() for name, a in model.state_arrays().items()}
+        assert {a.dtype for a in built.values()} == {np.dtype(np.float32)}
+        assert model.astype(np.float64) is model
+        cast = model.state_arrays()
+        assert list(cast) == list(built)
+        for name, a in cast.items():
+            assert a.dtype == np.float64 and np.array_equal(a, built[name]), name
+
 
 class TestFullModelGradient:
     def test_two_block_model_passes_grad_check(self):
@@ -338,7 +348,7 @@ class TestFullModelGradient:
         from melformer.gradcheck import install_params
 
         cfg = tiny_config(dropout=0.0)
-        model = ConformerModel(cfg, seed=4, dtype=np.float64)
+        model = ConformerModel(cfg, seed=4).astype(np.float64)
         frames = np.random.default_rng(17).normal(size=(24, 64))
         mask = np.zeros(6, dtype=bool)
         mask[2:4] = True

@@ -409,7 +409,7 @@ class TestGroupedStep:
 
     def models(self, cfg):
         """Two equal float64 models, one to step grouped and one per clip."""
-        return [ConformerModel(cfg, seed=42, dtype=np.float64) for _ in range(2)]
+        return [ConformerModel(cfg, seed=42).astype(np.float64) for _ in range(2)]
 
     def test_grads_equal_one_graph_per_clip(self, backward_calls):
         rng = np.random.default_rng(41)

@@ -44,7 +44,7 @@ class TestForwardValues:
 
     def test_glu_halves_and_gates(self):
         x = Tensor(np.array([[1.0, 2.0, 0.0, 0.0]]))
-        y = T.glu(x, axis=1)
+        y = T.glu(x)
         np.testing.assert_allclose(y.values, [[0.5, 1.0]])
 
     def test_add_rejects_a_trailing_dim_bias(self):

@@ -26,7 +26,7 @@ from .data import (
     restore_model,
     save_checkpoint,
 )
-from .dsp import logmel
+from .dsp import frame_count, logmel
 from .errors import (
     ConfigError,
     DataError,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .finetune import HEAD_KINDS, FinetuneConfig, evaluate_model, make_head, run_finetuning
 from .gradcheck import run_gradcheck_suite
-from .model import PRESETS, ConformerModel, ModelConfig, param_count
+from .model import PRESETS, ConformerModel, ModelConfig, check_stackable, param_count
 from .pretrain import PretrainConfig, last_step, run_pretraining
 
 EXIT_OK = 0
@@ -53,26 +53,40 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(raw) - set(CONFIG_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for section, value in raw.items():
+        if not isinstance(value, str if section in ("manifest", "out_dir") else dict):
+            raise ConfigError(f"config section '{section}' has the wrong JSON type")
     return raw
 
 
+# A config field's annotation (less any "| None") -> the JSON types it takes.
+JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": (list, tuple)}
+
+
 def _build_config(cls, *sources: dict):
-    """Later sources win; unknown keys are rejected; validation is cls's."""
+    """Later sources win; unknown keys and values of the wrong JSON type are
+    rejected; validation of the values is cls's."""
     merged = {}
     for src in sources:
         merged.update({k: v for k, v in src.items() if v is not None})
-    valid = {f.name for f in fields(cls)}
-    unknown = set(merged) - valid
+    types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+    unknown = set(merged) - set(types)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    for name, value in merged.items():
+        kind = types[name]
+        if not isinstance(value, JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{cls.__name__}.{name} must be {kind}, got {value!r}")
     return cls(**merged)
 
 
@@ -198,6 +212,14 @@ def _restore_finetuned(checkpoint_path):
     return model, head, ck
 
 
+def _check_clips_stack(frame_counts, model):
+    """The stack factor comes from the checkpoint, so a clip too short for it is bad data."""
+    try:
+        check_stackable(frame_counts, model.config.stack_factor)
+    except ShapeError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def cmd_evaluate(args) -> int:
     file_config = _load_config_file(args.config)
     model, head, ck = _restore_finetuned(args.init_checkpoint)
@@ -207,6 +229,7 @@ def cmd_evaluate(args) -> int:
     eval_set = load_examples(manifest, manifest_path.parent, args.split)
     if not eval_set:
         raise DataError(f"manifest has no '{args.split}' records")
+    _check_clips_stack([frame_count(ex.waveform.size) for ex in eval_set], model)
     report = evaluate_model(model, head, eval_set)
     print(json.dumps(report.to_dict(), indent=2))
     if args.out_dir:
@@ -221,8 +244,6 @@ def cmd_extract(args) -> int:
 
     model = restore_model(load_checkpoint(args.init_checkpoint))
     model.eval()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [Path(p) for p in args.inputs]
     if args.manifest:
         manifest_path = Path(args.manifest)
@@ -230,8 +251,11 @@ def cmd_extract(args) -> int:
         inputs += [manifest_path.parent / r.audio_path for r in manifest.records]
     if not inputs:
         raise ConfigError("nothing to extract: pass wav paths or --manifest")
-    for wav_path in inputs:
-        frames = logmel(read_wav(wav_path)).frames.astype(np.float32)
+    clips = [logmel(read_wav(wav_path)).frames.astype(np.float32) for wav_path in inputs]
+    _check_clips_stack([len(frames) for frames in clips], model)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for wav_path, frames in zip(inputs, clips):
         with T.no_grad():
             embedding = model.embed(frames).values
         target = out_dir / (wav_path.stem + ".npy")

@@ -47,8 +47,11 @@ def read_wav(path: str | Path) -> Waveform:
             if rate != SAMPLE_RATE:
                 raise DataError(f"{path.name}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
             raw = wav.readframes(wav.getnframes())
-    except wave.Error as exc:
-        raise DataError(f"{path.name}: not a readable RIFF/WAVE file ({exc})") from exc
+    except (wave.Error, EOFError) as exc:
+        detail = str(exc) or "file ends early"
+        raise DataError(f"{path.name}: not a readable RIFF/WAVE file ({detail})") from exc
+    if len(raw) % 2:
+        raise DataError(f"{path.name}: truncated data chunk ({len(raw)} bytes of 16-bit samples)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
     samples /= 32768.0
     return Waveform(samples)
@@ -96,9 +99,11 @@ def read_manifest(path: str | Path) -> Manifest:
     """Parse a TSV manifest; the vocabulary is the sorted set of labels."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise DataError(f"manifest not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not UTF-8 text: {exc}") from exc
     records = []
     labels_seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -224,7 +229,6 @@ class Checkpoint:
     arrays: dict
     step: int
     seed: int
-    version: int = CHECKPOINT_VERSION
     optimizer_arrays: dict | None = None
     optimizer_step: int = 0
     extra: dict = field(default_factory=dict)
@@ -353,7 +357,6 @@ def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
         arrays=arrays,
         step=header["step"],
         seed=header["seed"],
-        version=header["format_version"],
         optimizer_arrays=optimizer_arrays,
         optimizer_step=optimizer_step,
         extra=header.get("extra", {}),

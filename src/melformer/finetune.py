@@ -11,7 +11,7 @@ schedule over fixed fractions of the run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +72,6 @@ class FinetuneConfig:
             raise ConfigError("batch_size and total_steps must be >= 1")
         if not 0.0 <= self.output_dropout < 1.0:
             raise ConfigError("output_dropout outside [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

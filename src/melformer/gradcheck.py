@@ -35,54 +35,27 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
-def resolve_attr(root, dotted: str):
-    """Walk a dotted parameter name ('blocks.0.norm.gain') to (owner, leaf)."""
-    obj = root
-    *path, leaf = dotted.split(".")
-    for key in path:
-        obj = obj[int(key)] if key.isdigit() else getattr(obj, key)
-    return obj, leaf
-
-
-def install_params(module, names, tensors):
-    """Attach the given tensors as the module's parameters, by dotted name."""
-    for name, t in zip(names, tensors):
-        owner, leaf = resolve_attr(module, name)
-        setattr(owner, leaf, t)
-
-
 def module_grad_check(build, readout, seed, dtype, max_coords=4, eps=2e-5):
     """Check a module's gradients w.r.t. all of its parameters and the input.
 
     ``build(rng) -> (module, input_array)``, a float32 module that the check
     casts to ``dtype``; ``readout(module, x)`` returns a scalar Tensor.
-    The module's parameters are swapped for the checker's leaf tensors
-    during the check and restored afterwards. The default step is smaller
-    than the primitive checks' 1e-4 because the composite losses carry more
-    curvature (eps^2 truncation).
+    ``grad_check`` perturbs the module's own parameter tensors in place and
+    restores them, so the readout reads the module as it stands. The default
+    step is smaller than the primitive checks' 1e-4 because the composite
+    losses carry more curvature (eps^2 truncation).
     """
     rng = np.random.default_rng(seed)
     module, x = build(rng)
     module.astype(dtype)
-    names = [n for n, _ in module.named_parameters()]
-    originals = [p for _, p in module.named_parameters()]
-    points = [Tensor(x.astype(dtype))] + originals
-
-    def fn(xt, *params):
-        install_params(module, names, params)
-        return readout(module, xt)
-
-    try:
-        return grad_check(
-            fn,
-            points,
-            eps=eps,
-            rng=np.random.default_rng(seed + 1),
-            max_coords_per_tensor=max_coords,
-            min_grad_fraction=1e-3,
-        )
-    finally:
-        install_params(module, names, originals)
+    return grad_check(
+        lambda xt, *params: readout(module, xt),
+        [Tensor(x.astype(dtype))] + module.parameters(),
+        eps=eps,
+        rng=np.random.default_rng(seed + 1),
+        max_coords_per_tensor=max_coords,
+        min_grad_fraction=1e-3,
+    )
 
 
 # ---------------------------------------------------------------------------

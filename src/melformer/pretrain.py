@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +67,6 @@ class PretrainConfig:
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         if self.temperature <= 0 or (self.grad_clip is not None and self.grad_clip <= 0):
             raise ConfigError("temperature and grad_clip (unless null) must be > 0")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def pretrain_lr(step: int, config: PretrainConfig) -> float:

@@ -776,10 +776,14 @@ def grad_check(
 
     ``fn`` maps the given point tensors to a scalar Tensor and must be
     deterministic across calls (re-create any RNG it uses internally).
-    Analytic gradients are taken at the points' own dtype; the difference
-    quotients are evaluated with the points cast to float64, because at small
-    eps a float32 quotient is dominated by rounding noise. The relative error
-    per coordinate is |analytic - cd| / max(|analytic|, |cd|, 1e-8).
+    The check works on the points themselves, so ``fn`` may also reach them
+    another way (a module's own parameters, say). Analytic gradients are
+    taken at the points' own dtype; for the difference quotients each
+    point's ``values`` is swapped for a float64 copy, because at small eps a
+    float32 quotient is dominated by rounding noise. Every point gets its
+    ``values`` array, ``grad`` and ``requires_grad`` back on return and when
+    ``fn`` raises. The relative error per coordinate is
+    |analytic - cd| / max(|analytic|, |cd|, 1e-8).
 
     ``max_coords_per_tensor`` limits the check to a random coordinate subset
     (drawn from ``rng``), which keeps large-parameter checks tractable.
@@ -793,48 +797,45 @@ def grad_check(
     if isinstance(points, Tensor):
         points = [points]
     points = list(points)
-    leaves = [Tensor(p.values.copy(), requires_grad=True) for p in points]
-    out = fn(*leaves)
-    if not isinstance(out, Tensor) or out.values.size != 1:
-        raise ShapeError("grad_check: function must return a scalar tensor")
-    backward(out)
-    analytic = [
-        leaf.grad.copy() if leaf.grad is not None else np.zeros_like(leaf.values)
-        for leaf in leaves
-    ]
-
-    probes = [p.values.astype(np.float64) for p in points]
-
-    def evaluate() -> float:
+    saved = [(p.values, p.grad, p.requires_grad) for p in points]
+    try:
+        for p in points:
+            p.grad, p.requires_grad = None, True
+        out = fn(*points)
+        if not isinstance(out, Tensor) or out.values.size != 1:
+            raise ShapeError("grad_check: function must return a scalar tensor")
+        backward(out)
+        analytic = [p.grad if p.grad is not None else np.zeros_like(p.values) for p in points]
+        max_rel = 0.0
         with no_grad():
-            value = fn(*[Tensor(b) for b in probes])
-        return float(value.values.reshape(()))
-
-    max_rel = 0.0
-    for ti, base in enumerate(probes):
-        flat = base.reshape(-1)
-        a_flat = analytic[ti].reshape(-1)
-        pool = np.arange(flat.size)
-        if min_grad_fraction is not None:
-            floor = min_grad_fraction * np.abs(a_flat).max()
-            informative = pool[np.abs(a_flat) >= floor]
-            if informative.size:
-                pool = informative
-        if max_coords_per_tensor is not None and pool.size > max_coords_per_tensor:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(pool, size=max_coords_per_tensor, replace=False)
-        else:
-            coords = pool
-        for j in coords:
-            orig = flat[j]
-            flat[j] = orig + eps
-            f_plus = evaluate()
-            flat[j] = orig - eps
-            f_minus = evaluate()
-            flat[j] = orig
-            cd = (f_plus - f_minus) / (2.0 * eps)
-            a = float(a_flat[j])
-            rel = abs(a - cd) / max(abs(a), abs(cd), 1e-8)
-            max_rel = max(max_rel, rel)
-    return max_rel
+            for p in points:
+                p.values = p.values.astype(np.float64)
+            for p, grad in zip(points, analytic):
+                flat = p.values.reshape(-1)
+                a_flat = grad.reshape(-1)
+                pool = np.arange(flat.size)
+                if min_grad_fraction is not None:
+                    floor = min_grad_fraction * np.abs(a_flat).max()
+                    informative = pool[np.abs(a_flat) >= floor]
+                    if informative.size:
+                        pool = informative
+                if max_coords_per_tensor is not None and pool.size > max_coords_per_tensor:
+                    if rng is None:
+                        rng = np.random.default_rng(0)
+                    coords = rng.choice(pool, size=max_coords_per_tensor, replace=False)
+                else:
+                    coords = pool
+                for j in coords:
+                    orig = flat[j]
+                    flat[j] = orig + eps
+                    f_plus = fn(*points).item()
+                    flat[j] = orig - eps
+                    f_minus = fn(*points).item()
+                    flat[j] = orig
+                    cd = (f_plus - f_minus) / (2.0 * eps)
+                    a = float(a_flat[j])
+                    max_rel = max(max_rel, abs(a - cd) / max(abs(a), abs(cd), 1e-8))
+        return max_rel
+    finally:
+        for p, (values, grad, requires_grad) in zip(points, saved):
+            p.values, p.grad, p.requires_grad = values, grad, requires_grad

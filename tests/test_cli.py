@@ -747,3 +747,62 @@ class TestSmallCommands:
         )
         assert code == 2
         assert not out.exists()
+
+
+# (id, command, what the row writes, its content, exit code). "config" and
+# "manifest" rows write those files' bytes; "model"/"pretrain" rows overlay a
+# section of the toy config; "wav-bytes" rows list one train clip cut to that
+# many bytes; "short-clip" rows list one eval clip of that many samples.
+MALFORMED_INPUTS = [
+    ("config-not-utf8", "pretrain", "config", b'{"model": {}}\xff', 2),
+    ("config-list", "pretrain", "config", b'["model"]', 2),
+    ("config-section-list", "pretrain", "config", b'{"model": []}', 2),
+    ("config-manifest-number", "pretrain", "config", b'{"manifest": 5}', 2),
+    ("num_blocks-string", "pretrain", "model", {"num_blocks": "2"}, 2),
+    ("num_blocks-float", "pretrain", "model", {"num_blocks": 1.5}, 2),
+    ("dropout-string", "pretrain", "model", {"dropout": "0.1"}, 2),
+    ("batch_size-float", "pretrain", "pretrain", {"batch_size": 2.5}, 2),
+    ("manifest-not-utf8", "pretrain", "manifest", b"clip.wav\tclass_\xff\ttrain\n", 3),
+    *[(f"wav-cut-to-{n}-bytes", "pretrain", "wav-bytes", n, 3) for n in (0, 4, 30, 45)],
+    ("evaluate-clip-shorter-than-a-stack", "evaluate", "short-clip", 500, 3),
+    ("extract-clip-shorter-than-a-stack", "extract", "short-clip", 500, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "command,kind,content,code",
+    [row[1:] for row in MALFORMED_INPUTS],
+    ids=[row[0] for row in MALFORMED_INPUTS],
+)
+def test_malformed_input_gets_its_exit_code_before_out_dir(
+    dataset, toy_config, finetuned, tmp_path, command, kind, content, code
+):
+    config, manifest = toy_config, dataset / "manifest.tsv"
+    if kind == "config":
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+    elif kind in ("model", "pretrain"):
+        sections = json.loads(toy_config.read_text())
+        sections[kind].update(content)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(sections))
+    elif kind == "manifest":
+        manifest = tmp_path / "bad.tsv"
+        manifest.write_bytes(content)
+    else:
+        clip = tmp_path / "clip.wav"
+        write_wav(clip, np.zeros(content if kind == "short-clip" else 500))
+        if kind == "wav-bytes":
+            clip.write_bytes(clip.read_bytes()[:content])
+        manifest = tmp_path / "bad.tsv"
+        split = "eval" if kind == "short-clip" else "train"
+        manifest.write_text(f"clip.wav\tclass_0\t{split}\n")
+    options = {
+        "pretrain": ["--config", config, "--max-steps", "2"],
+        "evaluate": ["--init-checkpoint", finetuned],
+        "extract": ["--init-checkpoint", finetuned],
+    }[command]
+    out = tmp_path / "run"
+    argv = [command, *options, "--manifest", manifest, "--out-dir", out]
+    assert main([str(a) for a in argv]) == code
+    assert not out.exists()

@@ -345,32 +345,24 @@ class TestParamCount:
 class TestFullModelGradient:
     def test_two_block_model_passes_grad_check(self):
         """End-to-end check through feature encoder, masking and context encoder."""
-        from melformer.gradcheck import install_params
-
         cfg = tiny_config(dropout=0.0)
         model = ConformerModel(cfg, seed=4).astype(np.float64)
         frames = np.random.default_rng(17).normal(size=(24, 64))
         mask = np.zeros(6, dtype=bool)
         mask[2:4] = True
-        names = [n for n, _ in model.named_parameters()]
-        originals = [p for _, p in model.named_parameters()]
 
         def fn(*params):
-            install_params(model, names, params)
             z = model.encode_features(frames)
             zm = apply_mask(z, mask, model.mask_embedding)
             c = model.contextualize(zm, np.random.default_rng(0))
             return T.reduce_sum(T.mul(c, c))
 
-        try:
-            err = grad_check(
-                fn,
-                originals,
-                eps=2e-5,
-                rng=np.random.default_rng(1),
-                max_coords_per_tensor=3,
-                min_grad_fraction=1e-3,
-            )
-        finally:
-            install_params(model, names, originals)
+        err = grad_check(
+            fn,
+            model.parameters(),
+            eps=2e-5,
+            rng=np.random.default_rng(1),
+            max_coords_per_tensor=3,
+            min_grad_fraction=1e-3,
+        )
         assert err < 1e-5

@@ -755,3 +755,65 @@ class TestGradCheck:
         l2, g2 = run()
         assert np.array_equal(l1, l2)
         assert np.array_equal(g1, g2)
+
+
+class TestGradCheckInPlace:
+    """grad_check perturbs the points themselves and hands each one back as it found it."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        x.grad = np.full((3, 4), 7.0, dtype=np.float32)
+        w = parameter(rng.normal(size=(4, 2)))
+        return [x, w]
+
+    @staticmethod
+    def _state(points):
+        return [(p.values, p.values.copy(), p.grad, p.requires_grad) for p in points]
+
+    def _assert_restored(self, points, before):
+        for p, (values, copy, grad, requires_grad) in zip(points, before):
+            assert p.values is values and np.array_equal(values, copy)
+            assert p.grad is grad and p.requires_grad == requires_grad
+
+    def test_points_restored_after_return(self):
+        points = self._points()
+        before = self._state(points)
+        seen = []
+
+        def fn(x, w):
+            assert x is points[0] and w is points[1]
+            seen.append(x.values.dtype)
+            return T.reduce_sum(T.swish(T.linear(x, w)))
+
+        assert grad_check(fn, points) < 1e-3
+        assert seen[0] == np.float32 and set(seen[1:]) == {np.dtype(np.float64)}
+        self._assert_restored(points, before)
+
+    @pytest.mark.parametrize("fail_on_call", [1, 3])
+    def test_points_restored_when_fn_raises(self, fail_on_call):
+        points = self._points()
+        before = self._state(points)
+        calls = []
+
+        def fn(x, w):
+            calls.append(None)
+            if len(calls) == fail_on_call:
+                raise NumericError("boom")
+            return T.reduce_sum(T.linear(x, w))
+
+        with pytest.raises(NumericError):
+            grad_check(fn, points)
+        self._assert_restored(points, before)
+
+    def test_module_check_flags_a_dropped_parameter_gradient(self, monkeypatch):
+        from melformer import gradcheck
+
+        assert gradcheck.check_block(2000, np.float64) < gradcheck.DOUBLE_TOLERANCE
+        layer_norm = T.layer_norm
+        # The gain enters as a constant, so its analytic gradient is lost.
+        monkeypatch.setattr(
+            T, "layer_norm", lambda x, gain, bias: layer_norm(x, Tensor(gain.values), bias)
+        )
+        assert gradcheck.check_block(2000, np.float64) > 0.5

@@ -49,11 +49,15 @@ EXIT_IO = 5
 CONFIG_SECTIONS = ("model", "pretrain", "finetune", "manifest", "out_dir")
 
 
+def _non_finite(constant: str):
+    raise ConfigError(f"config values must be finite numbers, got {constant}")
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_non_finite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -73,6 +77,13 @@ def _load_config_file(path: str | None) -> dict:
 JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": (list, tuple)}
 
 
+def _has_json_type(value, kind: str) -> bool:
+    """A bool is no number, and the one tuple field (stage_fractions) holds numbers."""
+    if isinstance(value, bool) and kind != "bool" or not isinstance(value, JSON_TYPES[kind]):
+        return False
+    return kind != "tuple" or all(_has_json_type(item, "float") for item in value)
+
+
 def _build_config(cls, *sources: dict):
     """Later sources win; unknown keys and values of the wrong JSON type are
     rejected; validation of the values is cls's."""
@@ -84,9 +95,8 @@ def _build_config(cls, *sources: dict):
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     for name, value in merged.items():
-        kind = types[name]
-        if not isinstance(value, JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
-            raise ConfigError(f"{cls.__name__}.{name} must be {kind}, got {value!r}")
+        if not _has_json_type(value, types[name]):
+            raise ConfigError(f"{cls.__name__}.{name} must be {types[name]}, got {value!r}")
     return cls(**merged)
 
 
@@ -188,7 +198,6 @@ def cmd_finetune(args) -> int:
         extra_arrays={f"head.{n}": p.values for n, p in head.named_parameters()},
         extra={
             "head_kind": fcfg.head_kind,
-            "num_classes": fcfg.num_classes,
             "vocabulary": list(manifest.vocabulary),
         },
     )
@@ -203,7 +212,7 @@ def _restore_finetuned(checkpoint_path):
         raise ConfigError(f"{checkpoint_path} has no fine-tuned head (use a finetune checkpoint)")
     model = restore_model(ck)
     head = make_head(
-        ck.extra["head_kind"], model.config.latent_dim, ck.extra["num_classes"], seed=ck.seed
+        ck.extra["head_kind"], model.config.latent_dim, len(ck.extra["vocabulary"]), seed=ck.seed
     )
     head_arrays = {
         n[len("head.") :]: a for n, a in ck.arrays.items() if n.startswith("head.")
@@ -286,7 +295,7 @@ def cmd_synthdata(args) -> int:
         num_classes=args.num_classes,
         clips_per_class=args.clips_per_class,
         clip_seconds=args.clip_seconds,
-        seed=args.seed,
+        seed=args.seed or 0,
         out_dir=out_dir,
         labels_per_clip=labels,
         eval_fraction=args.eval_fraction,
@@ -299,12 +308,12 @@ def cmd_synthdata(args) -> int:
 # reads, so any other one is a usage error (exit 2).
 FLAGS = {
     "--config": dict(help="JSON config file"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, help="random seed (default: the config file's, else 0)"),
     "--deterministic": dict(
         action=argparse.BooleanOptionalAction,
         default=True,
         help="drop wall-clock times from the metrics log, so seeded runs log identical bytes"
-        " (random streams always derive from --seed)",
+        " (random streams always derive from the seed)",
     ),
     "--out-dir": {},
     "--max-steps": dict(type=int, help="stop after this step (0 or unset: run to total_steps)"),

@@ -2,8 +2,9 @@
 
 WAV files must be RIFF PCM 16-bit mono 16 kHz. Manifests are TSV lines of
 ``path<TAB>label;label<TAB>split``. Checkpoints are a directory holding a
-JSON header (config, array names/shapes/offsets, version) and one
-little-endian float32 blob; round trips are bit-exact.
+JSON header (version, config, and each array's name and shape, in blob
+order) and one little-endian float32 blob of the arrays back to back;
+round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .dsp import SAMPLE_RATE, Waveform
 from .errors import ConfigError, DataError, StorageError
 from .model import ConformerModel, ModelConfig
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 SPLITS = ("train", "valid", "eval")
 
 
@@ -245,38 +246,26 @@ def save_checkpoint(
 ):
     """Write header.json + arrays.bin into a directory, staged then renamed.
 
-    Overwriting keeps a loadable copy at every point: the old directory is
-    renamed to ``<name>.old`` before the staged one takes its name.
+    The header lists each array once, as ``[name, shape]``, in blob order:
+    the model's parameters (walk order) and buffers, ``extra_arrays``, then
+    the optimizer's moments. Overwriting keeps a loadable copy at every
+    point: the old directory is renamed to ``<name>.old`` before the staged
+    one takes its name.
     """
     path = Path(path)
-    arrays = dict(model.state_arrays())
-    if extra_arrays:
-        arrays.update(extra_arrays)
-    opt_names = []
-    if optimizer is not None:
-        opt_state = optimizer.state_arrays()
-        opt_names = sorted(opt_state)
-        arrays.update(opt_state)
+    opt_state = optimizer.state_arrays() if optimizer is not None else {}
+    arrays = {**model.state_arrays(), **(extra_arrays or {}), **opt_state}
     for name, arr in arrays.items():
         if arr.dtype != np.float32:
             raise StorageError(f"checkpoint arrays must be float32, '{name}' is {arr.dtype}")
-    entries = []
-    offset = 0
-    ordered = sorted(arrays)
-    for name in ordered:
-        arr = arrays[name]
-        entries.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes}
-        )
-        offset += arr.nbytes
     header = {
         "format_version": CHECKPOINT_VERSION,
         "step": step,
         "seed": seed,
         "model_config": model.config.to_dict(),
-        "arrays": entries,
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
         "optimizer": (
-            {"step_count": optimizer.step_count, "names": opt_names}
+            {"step_count": optimizer.step_count, "names": list(opt_state)}
             if optimizer is not None
             else None
         ),
@@ -288,8 +277,8 @@ def save_checkpoint(
     staging.mkdir(parents=True)
     (staging / "header.json").write_text(json.dumps(header, indent=2) + "\n")
     with (staging / "arrays.bin").open("wb") as blob:
-        for name in ordered:
-            blob.write(np.ascontiguousarray(arrays[name], dtype="<f4"))
+        for arr in arrays.values():
+            blob.write(np.ascontiguousarray(arr, dtype="<f4"))
     # An ``.old`` left by a save that crashed between the two renames is
     # stale: the staged checkpoint written above supersedes it.
     aside = path.with_name(path.name + ".old")
@@ -303,11 +292,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint directory back, validating version, sizes and layout.
+    """Read a checkpoint directory back, validating its version and sizes.
 
     The blob is read once; the arrays are writable, non-overlapping views
-    of that one buffer. A header with missing or mistyped fields raises
-    :class:`StorageError`.
+    of that one buffer. A header with missing or mistyped fields or a
+    negative dimension raises :class:`StorageError`.
     """
     path = Path(path)
     header_path = path / "header.json"
@@ -326,25 +315,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
-    """The checkpoint a parsed header describes; each entry must start where
-    the previous one ends, as ``save_checkpoint`` lays them out."""
+    """The checkpoint a parsed header describes: its arrays lie back to back
+    in header order, 4 bytes per element, as ``save_checkpoint`` writes them."""
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise StorageError(
             f"{path}: unsupported format version {header.get('format_version')}"
             f" (this build reads version {CHECKPOINT_VERSION})"
         )
-    expected = sum(e["nbytes"] for e in header["arrays"])
+    expected = sum(4 * math.prod(shape) for _, shape in header["arrays"])
     if blob.size != expected:
         raise StorageError(f"{path}: blob is {blob.size} bytes, header says {expected}")
     arrays = {}
     offset = 0
-    for entry in header["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start != offset:
-            raise StorageError(f"{path}: '{entry['name']}' starts at {start}, not {offset}")
-        if nbytes < 0 or nbytes != 4 * math.prod(entry["shape"]):
-            raise StorageError(f"{path}: shape/byte mismatch for '{entry['name']}'")
-        arrays[entry["name"]] = blob[start : start + nbytes].view("<f4").reshape(entry["shape"])
+    for name, shape in header["arrays"]:
+        if any(dim < 0 for dim in shape):
+            raise StorageError(f"{path}: '{name}' has a negative dimension in {shape}")
+        nbytes = 4 * math.prod(shape)
+        arrays[name] = blob[offset : offset + nbytes].view("<f4").reshape(shape)
         offset += nbytes
     opt_header = header.get("optimizer")
     optimizer_arrays = None

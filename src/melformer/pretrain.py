@@ -382,7 +382,7 @@ def run_pretraining(
         if ck.model_config != model.config.to_dict():
             raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
         if ck.seed != config.seed:
-            raise ConfigError(f"checkpoint seed {ck.seed} differs from --seed {config.seed}")
+            raise ConfigError(f"checkpoint seed {ck.seed} differs from this run's {config.seed}")
         model.load_state_arrays(ck.arrays)
         if ck.optimizer_arrays is not None:
             optimizer.load_state_arrays(ck.optimizer_arrays, ck.optimizer_step)

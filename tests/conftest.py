@@ -1,5 +1,7 @@
 """Fixtures shared across test modules."""
 
+import math
+
 import pytest
 
 from melformer import tensor as T
@@ -21,3 +23,40 @@ def backward_calls(monkeypatch):
         return calls
 
     return count
+
+
+def forge_negative_dimension(header):
+    """Entry 1 claims shape [-1] and entry 2 grows by entry 1's elements plus
+    one, so the sizes still sum to the blob's: read without a check, entry 1
+    is an empty slice and entry 2 starts 4 bytes inside entry 0."""
+    (_, first), (_, second) = header["arrays"][1:3]
+    header["arrays"][2][1] = [math.prod(second) + math.prod(first) + 1]
+    header["arrays"][1][1] = [-1]
+
+
+def to_version_2(header):
+    """The header as format version 2 wrote it: the arrays sorted by name,
+    each entry giving its byte offset and size as well as its shape."""
+    entries, offset = [], 0
+    for name, shape in sorted(header["arrays"]):
+        nbytes = 4 * math.prod(shape)
+        entries.append({"name": name, "shape": shape, "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    header.update(format_version=2, arrays=entries)
+
+
+@pytest.fixture
+def malformed_headers():
+    """Edits of a checkpoint's parsed header.json, by name; after any one of
+    them, loading the checkpoint must raise StorageError."""
+    return {
+        "no-arrays": lambda h: h.pop("arrays"),
+        "no-step": lambda h: h.pop("step"),
+        "string-shape": lambda h: h.update(arrays=[[name, "4"] for name, _ in h["arrays"]]),
+        "no-shape": lambda h: h.update(arrays=[[name] for name, _ in h["arrays"]]),
+        "negative-dimension": forge_negative_dimension,
+        "version-2": to_version_2,
+        "unknown-optimizer-name": lambda h: h.update(
+            optimizer={"names": ["adam.m.missing"], "step_count": 1}
+        ),
+    }

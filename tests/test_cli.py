@@ -1,6 +1,7 @@
 """CLI: smoke runs, exit codes, determinism, resume behavior."""
 
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -315,6 +316,28 @@ class TestPretrainCommand:
         full_log = (tmp_path / "full" / "metrics.jsonl").read_bytes()
         assert (part / "metrics.jsonl").read_bytes() == full_log
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_config_file_seed_applies_unless_seed_is_given(
+        self, dataset, toy_config, tmp_path, command
+    ):
+        config = json.loads(toy_config.read_text())
+        config[command]["seed"] = 7
+        (tmp_path / "seed7.json").write_text(json.dumps(config))
+
+        def run(out, *seed):
+            argv = [command, "--config", str(tmp_path / "seed7.json"), "--max-steps", "2"]
+            argv += ["--manifest", str(dataset / "manifest.tsv"), "--out-dir", str(tmp_path / out)]
+            assert main(argv + list(seed)) == 0
+            # pretrain writes ckpt-00000002, finetune ckpt-final.
+            (ckpt,) = (tmp_path / out).glob("ckpt-*")
+            return load_checkpoint(ckpt).seed, (tmp_path / out / "metrics.jsonl").read_bytes()
+
+        from_file = run("file")
+        assert from_file[0] == 7
+        assert run("flag-7", "--seed", "7") == from_file
+        seed, log = run("flag-3", "--seed", "3")
+        assert seed == 3 and log != from_file[1]
+
     def test_checkpoint_seed_mismatch_rejected(self, dataset, toy_config, tmp_path):
         base = [
             "pretrain",
@@ -547,15 +570,20 @@ class TestEvaluateAndExtract:
         # 0.5 s at 16 kHz -> 25 frames -> 6 latent frames of latent_dim
         assert emb.shape == (6, TOY_MODEL["embed_dim"])
 
-    def test_extract_with_malformed_header_is_io_error(self, finetuned, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        shutil.copytree(finetuned, ckpt)
-        header = json.loads((ckpt / "header.json").read_text())
-        del header["arrays"]
-        (ckpt / "header.json").write_text(json.dumps(header))
-        code = main(["extract", "--init-checkpoint", str(ckpt), "--out-dir", str(tmp_path / "emb")])
-        assert code == 5
-        assert "malformed header" in capsys.readouterr().err
+    def test_extract_with_malformed_header_is_io_error(
+        self, finetuned, malformed_headers, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "emb"
+        for name, edit in malformed_headers.items():
+            ckpt = tmp_path / name
+            shutil.copytree(finetuned, ckpt)
+            header = json.loads((ckpt / "header.json").read_text())
+            edit(header)
+            (ckpt / "header.json").write_text(json.dumps(header))
+            code = main(["extract", "--init-checkpoint", str(ckpt), "--out-dir", str(out_dir)])
+            assert code == 5, name
+            assert f"I/O error: {ckpt}: " in capsys.readouterr().err, name
+            assert not out_dir.exists(), name
 
     def test_evaluate_with_pretrain_checkpoint_is_config_error(
         self, dataset, toy_config, tmp_path
@@ -750,9 +778,10 @@ class TestSmallCommands:
 
 
 # (id, command, what the row writes, its content, exit code). "config" and
-# "manifest" rows write those files' bytes; "model"/"pretrain" rows overlay a
-# section of the toy config; "wav-bytes" rows list one train clip cut to that
-# many bytes; "short-clip" rows list one eval clip of that many samples.
+# "manifest" rows write those files' bytes; "model"/"pretrain"/"finetune" rows
+# overlay a section of the toy config (json.dumps writes math.nan as NaN);
+# "wav-bytes" rows list one train clip cut to that many bytes; "short-clip"
+# rows list one eval clip of that many samples.
 MALFORMED_INPUTS = [
     ("config-not-utf8", "pretrain", "config", b'{"model": {}}\xff', 2),
     ("config-list", "pretrain", "config", b'["model"]', 2),
@@ -762,6 +791,10 @@ MALFORMED_INPUTS = [
     ("num_blocks-float", "pretrain", "model", {"num_blocks": 1.5}, 2),
     ("dropout-string", "pretrain", "model", {"dropout": "0.1"}, 2),
     ("batch_size-float", "pretrain", "pretrain", {"batch_size": 2.5}, 2),
+    ("peak_lr-NaN", "pretrain", "pretrain", {"peak_lr": math.nan}, 2),
+    ("grad_clip-Infinity", "pretrain", "pretrain", {"grad_clip": math.inf}, 2),
+    ("final_lr_factor-minus-Infinity", "finetune", "finetune", {"final_lr_factor": -math.inf}, 2),
+    ("stage_fractions-string", "finetune", "finetune", {"stage_fractions": [0.3, "a", 0.4]}, 2),
     ("manifest-not-utf8", "pretrain", "manifest", b"clip.wav\tclass_\xff\ttrain\n", 3),
     *[(f"wav-cut-to-{n}-bytes", "pretrain", "wav-bytes", n, 3) for n in (0, 4, 30, 45)],
     ("evaluate-clip-shorter-than-a-stack", "evaluate", "short-clip", 500, 3),
@@ -781,7 +814,7 @@ def test_malformed_input_gets_its_exit_code_before_out_dir(
     if kind == "config":
         config = tmp_path / "bad.json"
         config.write_bytes(content)
-    elif kind in ("model", "pretrain"):
+    elif kind in ("model", "pretrain", "finetune"):
         sections = json.loads(toy_config.read_text())
         sections[kind].update(content)
         config = tmp_path / "bad.json"
@@ -799,6 +832,7 @@ def test_malformed_input_gets_its_exit_code_before_out_dir(
         manifest.write_text(f"clip.wav\tclass_0\t{split}\n")
     options = {
         "pretrain": ["--config", config, "--max-steps", "2"],
+        "finetune": ["--config", config, "--max-steps", "2"],
         "evaluate": ["--init-checkpoint", finetuned],
         "extract": ["--init-checkpoint", finetuned],
     }[command]

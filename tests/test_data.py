@@ -24,6 +24,7 @@ from melformer.data import (
     write_wav,
 )
 from melformer.errors import ConfigError, DataError, StorageError
+from melformer.finetune import make_head
 from melformer.model import ConformerModel, ModelConfig
 from melformer.pretrain import Adam
 
@@ -291,58 +292,48 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "edit",
-        [
-            lambda h: h.pop("arrays"),
-            lambda h: h.pop("step"),
-            lambda h: h["arrays"][0].pop("offset"),
-            lambda h: h["arrays"][0].update(shape="4"),
-            lambda h: h.update(optimizer={"names": ["adam.m.missing"], "step_count": 1}),
-        ],
-        ids=["no-arrays", "no-step", "no-offset", "string-shape", "unknown-optimizer-name"],
+        ["no-arrays", "no-step", "string-shape", "no-shape", "unknown-optimizer-name"],
     )
-    def test_malformed_header_is_storage_error(self, tmp_path, edit):
+    def test_malformed_header_is_storage_error(self, tmp_path, malformed_headers, edit):
         save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
-        self.edit_header(tmp_path / "ck", edit)
+        self.edit_header(tmp_path / "ck", malformed_headers[edit])
         with pytest.raises(StorageError):
             load_checkpoint(tmp_path / "ck")
 
-    def test_negative_size_rejected(self, tmp_path):
-        # Entry 0 claims -4 bytes and entry 1 starts 4 bytes before the
-        # blob: offsets chain and sizes still sum to the blob size.
-        def edit(h):
-            a, b = h["arrays"][:2]
-            nbytes = b["nbytes"] + a["nbytes"] + 4
-            b.update(offset=-4, nbytes=nbytes, shape=[nbytes // 4])
-            a.update(nbytes=-4, shape=[-1])
-
+    def test_negative_size_rejected(self, tmp_path, malformed_headers):
         save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
-        self.edit_header(tmp_path / "ck", edit)
-        with pytest.raises(StorageError, match="shape/byte mismatch"):
+        self.edit_header(tmp_path / "ck", malformed_headers["negative-dimension"])
+        with pytest.raises(StorageError, match="negative dimension"):
             load_checkpoint(tmp_path / "ck")
 
-    def test_overlapping_entries_rejected(self, tmp_path):
-        # Entry 1 moved back over the tail of entry 0: the sizes still sum
-        # to the blob size, but the two arrays would alias each other.
+    def test_version_2_checkpoint_rejected(self, tmp_path, malformed_headers):
         save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
-        self.edit_header(tmp_path / "ck", lambda h: h["arrays"][1].update(offset=4))
-        with pytest.raises(StorageError, match="starts at"):
+        self.edit_header(tmp_path / "ck", malformed_headers["version-2"])
+        with pytest.raises(StorageError, match="version 2"):
             load_checkpoint(tmp_path / "ck")
 
-    def test_version_1_checkpoint_rejected(self, tmp_path):
-        # Version 1 stored the pointwise convs as (1, d, n) kernels with
-        # separate ``*_bias`` arrays; version 2 stores them as Linear layers.
-        import json
-
-        save_checkpoint(tmp_path / "ck", tiny_model(seed=9), step=0, seed=9)
+    def test_header_lists_arrays_in_blob_order(self, tmp_path):
+        model = tiny_model(seed=19)
+        head = make_head("mean-pool", model.config.latent_dim, 3, seed=19)
+        head_arrays = {f"head.{n}": p.values for n, p in head.named_parameters()}
+        opt = Adam(list(model.named_parameters()))
+        for _, p in model.named_parameters():
+            p.grad = np.ones_like(p.values)
+        opt.step(1e-3)
+        save_checkpoint(
+            tmp_path / "ck", model, step=1, seed=19, optimizer=opt, extra_arrays=head_arrays
+        )
+        want = {**model.state_arrays(), **head_arrays, **opt.state_arrays()}
         header = json.loads((tmp_path / "ck" / "header.json").read_text())
-        assert header["format_version"] == 2
-        assert "context_encoder.blocks.0.conv.pointwise_in.weight" in {
-            e["name"] for e in header["arrays"]
-        }
-        header["format_version"] = 1
-        (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
-        with pytest.raises(StorageError, match="version 1"):
-            load_checkpoint(tmp_path / "ck")
+        assert header["arrays"] == [[n, list(a.shape)] for n, a in want.items()]
+        assert header["optimizer"]["names"] == list(opt.state_arrays())
+        blob = (tmp_path / "ck" / "arrays.bin").read_bytes()
+        assert blob == b"".join(a.astype("<f4").tobytes() for a in want.values())
+        ck = load_checkpoint(tmp_path / "ck")
+        got = {**ck.arrays, **ck.optimizer_arrays}
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert np.array_equal(got[name], arr), name
 
     def test_crash_while_overwriting_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         old, new = tiny_model(seed=14), tiny_model(seed=15)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -260,6 +261,9 @@ def cmd_extract(args) -> int:
         inputs += [manifest_path.parent / r.audio_path for r in manifest.records]
     if not inputs:
         raise ConfigError("nothing to extract: pass wav paths or --manifest")
+    shared = [stem for stem, n in Counter(p.stem for p in inputs).items() if n > 1]
+    if shared:
+        raise ConfigError(f"two inputs would both write {shared[0]}.npy")
     clips = [logmel(read_wav(wav_path)).frames.astype(np.float32) for wav_path in inputs]
     _check_clips_stack([len(frames) for frames in clips], model)
     out_dir = Path(args.out_dir)

@@ -24,6 +24,9 @@ from .model import ConformerModel, ModelConfig
 
 CHECKPOINT_VERSION = 3
 SPLITS = ("train", "valid", "eval")
+# Synthetic classes whose 200 (c + 1) Hz tone lies below the 8 kHz Nyquist
+# frequency; class 40's 8.2 kHz tone would alias onto class 38's 7.8 kHz.
+MAX_CLASSES = 39
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +157,14 @@ def generate_synthetic_dataset(
     so every class gets ``clips_per_class`` clips) plus Gaussian noise at an
     SNR drawn from [5, 20] dB. Generation is fully determined by the seed.
     """
-    if num_classes < 2:
-        raise ConfigError("need at least 2 classes")
+    if not 2 <= num_classes <= MAX_CLASSES:
+        raise ConfigError(f"num_classes {num_classes} outside [2, {MAX_CLASSES}]")
+    if clips_per_class < 1:
+        raise ConfigError("clips_per_class must be >= 1")
+    if not math.isfinite(clip_seconds) or round(clip_seconds * SAMPLE_RATE) < 1:
+        raise ConfigError(f"clip_seconds {clip_seconds} gives no sample")
+    if not 0.0 <= eval_fraction <= 1.0:
+        raise ConfigError(f"eval_fraction {eval_fraction} outside [0, 1]")
     lo, hi = labels_per_clip
     if not 1 <= lo <= hi <= num_classes:
         raise ConfigError(f"invalid labels_per_clip {labels_per_clip}")
@@ -330,6 +339,8 @@ def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
     for name, shape in header["arrays"]:
         if any(dim < 0 for dim in shape):
             raise StorageError(f"{path}: '{name}' has a negative dimension in {shape}")
+        if name in arrays:
+            raise StorageError(f"{path}: '{name}' is listed twice")
         nbytes = 4 * math.prod(shape)
         arrays[name] = blob[offset : offset + nbytes].view("<f4").reshape(shape)
         offset += nbytes

@@ -41,20 +41,12 @@ class Waveform:
         if self.samples.size == 0:
             raise DataError("empty waveform")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / SAMPLE_RATE
-
 
 @dataclass
 class LogmelSpectrogram:
     """T x 64 matrix of log mel energies."""
 
     frames: np.ndarray
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 def hz_to_mel(f):

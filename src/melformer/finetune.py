@@ -163,10 +163,10 @@ class FramewiseHead(Module):
         self.proj = Linear(latent_dim, num_classes, rng)
 
     def __call__(self, context: Tensor, clips: int = 1) -> Tensor:
-        """(num_classes,) probabilities, or one row per clip of a stack."""
+        """(clips, num_classes) probabilities, one row per clip of a stack."""
         y = T.sigmoid(self.proj(context))
-        num = T.reduce_sum(T.mul(y, y), axis=0, clips=clips)
-        den = T.reduce_sum(y, axis=0, clips=clips)
+        num = T.reduce_sum(T.mul(y, y), clips=clips)
+        den = T.reduce_sum(y, clips=clips)
         # Sigmoid outputs are strictly positive; the epsilon only guards the
         # graph against pathological saturation.
         return T.div(num, T.add(den, 1e-12))
@@ -179,10 +179,8 @@ class MeanPoolHead(Module):
         self.proj = Linear(latent_dim, num_classes, rng)
 
     def __call__(self, context: Tensor, clips: int = 1) -> Tensor:
-        """(1, num_classes) probabilities, one row per clip of a stack."""
-        if context.shape[0] < 1:
-            raise ShapeError("empty context sequence")
-        pooled = T.reduce_mean(context, axis=0, keepdims=True, clips=clips)
+        """(clips, num_classes) probabilities, one row per clip of a stack."""
+        pooled = T.reduce_mean(context, clips=clips)
         return T.sigmoid(self.proj(pooled))
 
 
@@ -201,17 +199,13 @@ def make_head(kind: str, latent_dim: int, num_classes: int, seed: int):
 
 
 def bce_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over classes (probs clamped to 1e-7)."""
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if probs.values.reshape(-1).shape != targets.shape:
-        raise ShapeError(f"probs {probs.shape} vs targets {targets.shape}")
+    """Mean binary cross-entropy over clips and classes (probs clamped to
+    1e-7); ``targets`` has the probs' (clips, classes) shape."""
     return T.binary_cross_entropy(probs, targets)
 
 
 def consistency_loss(probs_a: Tensor, probs_b: Tensor) -> Tensor:
     """Symmetric Bernoulli KL per class, averaged: (p-q)(logit p - logit q)."""
-    if probs_a.shape != probs_b.shape:
-        raise ShapeError(f"views disagree: {probs_a.shape} vs {probs_b.shape}")
     return T.symmetric_bernoulli_kl(probs_a, probs_b)
 
 
@@ -277,14 +271,12 @@ def _augmented_views(batch, config, step, filterbank):
     return views
 
 
-def _group_probs(model, head, frames, config, dropout_rngs) -> Tensor:
-    """Class probabilities of equal-length clips, one row per clip; clip i
-    draws its dropout masks from ``dropout_rngs[i]``."""
+def _group_probs(model, head, frames, output_dropout, dropout_rngs) -> Tensor:
+    """(clips, classes) probabilities of equal-length clips; clip i draws its
+    dropout masks from ``dropout_rngs[i]`` (None in evaluation mode)."""
     context = model.contextualize(model.encode_features(frames), rng=dropout_rngs)
-    if config.output_dropout > 0.0:
-        context = T.dropout(
-            context, config.output_dropout, dropout_rngs, training=model.training
-        )
+    if output_dropout > 0.0:
+        context = T.dropout(context, output_dropout, dropout_rngs, training=model.training)
     return head(context, clips=len(dropout_rngs))
 
 
@@ -324,14 +316,14 @@ def finetune_step(
         for view in views:
             view[group.start : group.stop] = [None] * len(group)
         probs_a = _group_probs(
-            model, head, frames[0], config,
+            model, head, frames[0], config.output_dropout,
             [step_rng(config.seed, RNG_HEAD_DROPOUT_A, step, i) for i in group],
         )
         loss = bce_loss(probs_a, np.stack([batch[i].targets for i in group]))
         bce_sum += float(loss.values) * len(group)
         if len(views) > 1:
             probs_b = _group_probs(
-                model, head, frames[1], config,
+                model, head, frames[1], config.output_dropout,
                 [step_rng(config.seed, RNG_HEAD_DROPOUT_B, step, i) for i in group],
             )
             consistency = consistency_loss(probs_a, probs_b)
@@ -369,11 +361,8 @@ def evaluate_model(model, head, examples, filterbank=None) -> EvalReport:
                     _clip_frames(examples[i], jitter=False, rng=None, filterbank=filterbank)
                     for i in group
                 ]
-                context = model.contextualize(
-                    model.encode_features(frames), rng=[None] * len(group)
-                )
-                probs = head(context, clips=len(group))
-                scores.extend(probs.values.reshape(len(group), -1).astype(np.float64))
+                probs = _group_probs(model, head, frames, 0.0, [None] * len(group))
+                scores.extend(probs.values.astype(np.float64))
     finally:
         model.train()
     return evaluate_scores(np.stack(scores), np.stack([ex.targets for ex in examples]))

@@ -110,8 +110,8 @@ def primitive_cases():
     case("glu", T.glu, (3, 6))
     case("l2_normalize_rows", T.l2_normalize_rows, (3, 4))
     case("sum_all", lambda t: T.reduce_sum(t), (3, 4))
-    case("sum_axis0", lambda t: T.reduce_sum(t, axis=0), (3, 4))
-    case("mean_axis1", lambda t: T.reduce_mean(t, axis=1, keepdims=True), (3, 4))
+    case("sum_per_clip", lambda t: T.reduce_sum(t, clips=1), (3, 4))
+    case("mean_2clips", lambda t: T.reduce_mean(t, clips=2), (4, 3))
     case("scale", lambda t: T.mul(t, 1.7), (3, 4))
     case("add", T.add, (3, 4), (3, 4))
     case("mul", T.mul, (3, 4), (3, 4))
@@ -128,14 +128,14 @@ def primitive_cases():
         candidates = np.array(
             [[t, *rng.choice(masked[masked != t], 2, replace=False)] for t in masked]
         )
-        return (lambda c, z: T.info_nce(c, z, candidates, 1.7)), points
+        return (lambda c, z: T.info_nce(c, z, [candidates], 1.7)), points
 
     # Hard targets and well-separated views keep every gradient away from 0,
     # where the relative error would measure only truncation noise.
     @special
     def binary_cross_entropy(rng, dtype):
         probs = Tensor(rng.uniform(0.1, 0.9, size=(2, 5)).astype(dtype))
-        targets = rng.integers(0, 2, size=10).astype(np.float64)
+        targets = rng.integers(0, 2, size=(2, 5)).astype(np.float64)
         return (lambda p: T.binary_cross_entropy(p, targets)), [probs]
 
     case(

@@ -66,10 +66,10 @@ class ModelConfig:
             raise ConfigError("num_blocks must be >= 0")
 
     @classmethod
-    def preset(cls, name: str, **overrides) -> "ModelConfig":
+    def preset(cls, name: str) -> "ModelConfig":
         if name not in PRESETS:
             raise ConfigError(f"unknown preset '{name}' (have: {sorted(PRESETS)})")
-        return cls(**{**PRESETS[name], **overrides})
+        return cls(**PRESETS[name])
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -468,7 +468,6 @@ class ConformerModel(Module):
         return self.contextualize(self.encode_features(frames))
 
 
-def param_count(config: ModelConfig, seed: int = 0) -> int:
+def param_count(config: ModelConfig) -> int:
     """Number of trainable scalars in a freshly built model."""
-    model = ConformerModel(config, seed=seed)
-    return sum(p.values.size for p in model.parameters())
+    return sum(p.values.size for p in ConformerModel(config).parameters())

@@ -21,9 +21,10 @@ T / clips frames each, in clip order. Per-frame primitives need not know.
 The primitives that mix frames take the clip count and act on each clip on
 its own, exactly as on a single clip: ``attention`` attends within a clip,
 ``conv1d`` zero-pads each clip, training ``batch_norm`` normalizes by each
-clip's statistics, ``reduce_sum``/``reduce_mean`` pool each clip to one row,
-``dropout`` draws each clip's mask from that clip's generator, and
-``info_nce`` averages the clips' losses.
+clip's statistics, ``reduce_sum``/``reduce_mean`` pool each clip to one row
+(without a clip count, every entry to one scalar), ``dropout`` draws each
+clip's mask from that clip's generator, and ``info_nce`` averages the clips'
+losses.
 
 ``backward`` consumes the graph: each interior node drops its gradient, its
 backward closure and its parent links as soon as it has been visited, so the
@@ -83,28 +84,22 @@ class no_grad:
         return False
 
 
-def _as_float_array(values, dtype=None) -> np.ndarray:
-    arr = np.asarray(values)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
-    if arr.dtype == np.float32 or arr.dtype == np.float64:
-        return arr
-    return arr.astype(np.float32)
-
-
 class Tensor:
     """Dense array with an optional gradient slot.
 
-    ``values`` is a numpy float32/float64 array (row-major). ``grad`` is
-    lazily allocated with the same shape during backward. Values are treated
-    as immutable while a graph references them; only the optimizer mutates
-    parameter values, between steps.
+    ``values`` is a numpy float32/float64 array (row-major); any other
+    dtype is cast to float32. ``grad`` is lazily allocated with the same
+    shape during backward. Values are treated as immutable while a graph
+    references them; only the optimizer mutates parameter values, between
+    steps.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, values, requires_grad: bool = False, dtype=None):
-        self.values = _as_float_array(values, dtype)
+    def __init__(self, values, requires_grad: bool = False):
+        values = np.asarray(values)
+        keep = values.dtype in (np.float32, np.float64)
+        self.values = values if keep else values.astype(np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -118,10 +113,6 @@ class Tensor:
     def dtype(self):
         return self.values.dtype
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -131,9 +122,9 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.values.dtype}, requires_grad={self.requires_grad})"
 
 
-def parameter(values, dtype=None) -> Tensor:
+def parameter(values) -> Tensor:
     """Trainable leaf tensor."""
-    return Tensor(values, requires_grad=True, dtype=dtype)
+    return Tensor(values, requires_grad=True)
 
 
 def _check_finite(values: np.ndarray, op: str):
@@ -170,8 +161,9 @@ def clip_rngs(rng) -> list:
 
 
 def _by_clip(values: np.ndarray, clips: int, op: str) -> np.ndarray:
-    """A stack of ``clips`` equal-length clips, (clips * T, ...) viewed as (clips, T, ...)."""
-    if clips < 1 or values.shape[0] % clips:
+    """A stack of ``clips`` equal-length, non-empty clips, (clips * T, ...)
+    viewed as (clips, T, ...)."""
+    if clips < 1 or values.shape[0] % clips or not values.shape[0]:
         raise ShapeError(f"{op}: {values.shape[0]} rows do not split into {clips} equal clips")
     return values.reshape(clips, values.shape[0] // clips, *values.shape[1:])
 
@@ -269,10 +261,8 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(av * bv, (a, b), bwd, "mul")
 
 
-def div(a: Tensor, b) -> Tensor:
-    """Elementwise quotient with a same-shape tensor or a scalar."""
-    if not isinstance(b, Tensor):
-        return mul(a, 1.0 / float(b))
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise quotient of two same-shape tensors."""
     if a.values.shape != b.values.shape:
         raise ShapeError(f"div: shape mismatch {a.shape} vs {b.shape}")
     av, bv = a.values, b.values
@@ -316,37 +306,33 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out, parents, bwd, "linear")
 
 
-def _reduce(a: Tensor, axis, keepdims: bool, clips: int, mean: bool) -> Tensor:
-    """Sum, or with ``mean`` the mean, over ``axis``. With ``clips`` > 1
-    (axis 0 only), each clip of the stack reduces to one row."""
+def _reduce(a: Tensor, clips, mean: bool) -> Tensor:
+    """Sum, or with ``mean`` the mean, of every entry, or with ``clips`` of
+    each clip's rows of the stack, one row per clip."""
     op = "mean" if mean else "sum"
-    v = a.values
-    if clips != 1:
-        if axis != 0:
-            raise ShapeError(f"{op}: a per-clip reduction runs over axis 0, not {axis}")
-        v, axis, keepdims = _by_clip(v, clips, op), 1, False
-    n = v.size if axis is None else v.shape[axis]
+    v, axis = (a.values, None) if clips is None else (_by_clip(a.values, clips, op), 1)
+    n = v.size if axis is None else v.shape[1]
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        if axis is not None:
+            g = np.expand_dims(g, 1)
         if mean:
             g = g / n
         _accum(a, np.broadcast_to(g, v.shape).astype(v.dtype).reshape(a.values.shape))
 
     reduce = v.mean if mean else v.sum
-    return _make(reduce(axis=axis, keepdims=keepdims), (a,), bwd, op)
+    return _make(reduce(axis=axis), (a,), bwd, op)
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
-    """Sum over ``axis``. With ``clips`` > 1 (axis 0 only), each clip of the
-    stack sums to one row, so the result has one row per clip."""
-    return _reduce(a, axis, keepdims, clips, mean=False)
+def reduce_sum(a: Tensor, clips: int | None = None) -> Tensor:
+    """Sum of every entry, a scalar; with ``clips``, each clip of the stack
+    sums to one row, so the result is (clips, ...)."""
+    return _reduce(a, clips, mean=False)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False, clips: int = 1) -> Tensor:
-    """Mean over ``axis``; ``clips`` as in :func:`reduce_sum`."""
-    return _reduce(a, axis, keepdims, clips, mean=True)
+def reduce_mean(a: Tensor, clips: int | None = None) -> Tensor:
+    """Mean of every entry; ``clips`` as in :func:`reduce_sum`."""
+    return _reduce(a, clips, mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +566,6 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     if kernel.values.ndim != 2 or kernel.values.shape[1] != c:
         raise ShapeError(f"conv1d: depthwise kernel {kernel.shape} incompatible with {c} channels")
-    if n < 1:
-        raise ShapeError("conv1d: empty input")
     t = _by_clip(x.values, clips, "conv1d").shape[1]
     kv = kernel.values
     pad = k // 2
@@ -634,36 +618,32 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 # Training losses
 
 
-def info_nce(c_hat: Tensor, z_hat: Tensor, candidates, scale: float) -> Tensor:
-    """Masked contrastive NLL: mean over rows i of -log softmax(scores_i)[0].
+def info_nce(c_hat: Tensor, z_hat: Tensor, candidates: list, scale: float) -> Tensor:
+    """Masked contrastive NLL: the mean over clips of each clip's mean over
+    rows i of -log softmax(scores_i)[0].
 
-    ``candidates`` is an integer (m, K+1) matrix. Row i scores context row
-    r = candidates[i, 0] against latent rows candidates[i, :], the first of
-    which is the true latent: scores_i = scale * c_hat[r] · z_hat[candidates[i]].
-    With K = 0 every row has one candidate and the loss is exactly 0.
-
-    ``candidates`` may also be a list of such matrices, one per clip of a
-    stack, holding row indices into the whole stack. Their K may differ, and
-    a clip's matrix may have no rows. The loss is then the mean over clips of
-    each clip's mean NLL, a clip without rows counting as 0.
+    ``candidates`` is a list with one non-empty integer (m, K+1) matrix per
+    clip of the stack, holding row indices into the whole stack; their K
+    may differ. Row i scores context row r = candidates[i, 0] against latent
+    rows candidates[i, :], the first of which is the true latent:
+    scores_i = scale * c_hat[r] · z_hat[candidates[i]]. With K = 0 every
+    row has one candidate and the loss is exactly 0.
     """
     cv, zv = c_hat.values, z_hat.values
     if cv.ndim != 2 or cv.shape != zv.shape:
         raise ShapeError(f"info_nce: context {c_hat.shape} vs latents {z_hat.shape}")
-    if not isinstance(candidates, list):
-        candidates = [candidates]
-    clips = len(candidates)
+    # A bare matrix fails too: its items are 1-D rows.
     per_clip = [np.asarray(c, dtype=np.intp) for c in candidates]
-    if any(c.ndim != 2 for c in per_clip) or not sum(c.size for c in per_clip):
-        raise ShapeError("info_nce: candidates are not non-empty matrices")
-    filled = [c for c in per_clip if c.size]
+    if not per_clip or any(c.ndim != 2 or not c.size for c in per_clip):
+        raise ShapeError("info_nce: candidates must be a list of one non-empty matrix per clip")
+    clips = len(per_clip)
     spans, m = [], 0
-    for c in filled:
+    for c in per_clip:
         spans.append((m, m + c.shape[0]))
         m += c.shape[0]
     # A clip with fewer candidates repeats its last one, scored as -inf.
-    width = max(c.shape[1] for c in filled)
-    idx = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), "edge") for c in filled])
+    width = max(c.shape[1] for c in per_clip)
+    idx = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), "edge") for c in per_clip])
     rows = np.arange(m)[:, None]
     picked = cv[idx[:, 0]]
     # Seeded logs depend on these exact GEMMs: a contiguous copy of zᵀ and the
@@ -672,7 +652,7 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates, scale: float) -> Tensor:
     sims = picked @ zt
     sims *= scale
     scores = sims[rows, idx]
-    widths = np.repeat([c.shape[1] for c in filled], [c.shape[0] for c in filled])
+    widths = np.repeat([c.shape[1] for c in per_clip], [c.shape[0] for c in per_clip])
     scores[np.arange(width) >= widths[:, None]] = -np.inf
     top = scores.max(axis=1, keepdims=True)
     w = np.exp(scores - top)
@@ -713,15 +693,14 @@ def _clip_probs(v: np.ndarray):
 def binary_cross_entropy(probs: Tensor, targets) -> Tensor:
     """Mean of -[t log p + (1 - t) log(1 - p)], p = probs clipped to [1e-7, 1 - 1e-7].
 
-    ``targets`` is a constant array with one entry per prob; 1 - t is formed
-    in float64 before the cast to the probs' dtype. Entries where the clip is
+    ``targets`` is a constant array of the probs' shape; 1 - t is formed in
+    float64 before the cast to the probs' dtype. Entries where the clip is
     active get a zero gradient.
     """
     pv = probs.values
     tv = np.asarray(targets, dtype=np.float64)
-    if tv.size != pv.size:
+    if tv.shape != pv.shape:
         raise ShapeError(f"binary_cross_entropy: probs {probs.shape} vs targets {tv.shape}")
-    tv = tv.reshape(pv.shape)
     p, inside = _clip_probs(pv)
     q = 1.0 - p
     t = tv.astype(p.dtype)

@@ -34,6 +34,14 @@ def forge_negative_dimension(header):
     header["arrays"][1][1] = [-1]
 
 
+def duplicate_name(header):
+    """``mask_embedding`` (1, D) renamed to ``feature_encoder.proj.bias`` (D,),
+    a name the header already lists: the sizes still sum to the blob's."""
+    for entry in header["arrays"]:
+        if entry[0] == "mask_embedding":
+            entry[0] = "feature_encoder.proj.bias"
+
+
 def to_version_2(header):
     """The header as format version 2 wrote it: the arrays sorted by name,
     each entry giving its byte offset and size as well as its shape."""
@@ -55,6 +63,7 @@ def malformed_headers():
         "string-shape": lambda h: h.update(arrays=[[name, "4"] for name, _ in h["arrays"]]),
         "no-shape": lambda h: h.update(arrays=[[name] for name, _ in h["arrays"]]),
         "negative-dimension": forge_negative_dimension,
+        "duplicate-name": duplicate_name,
         "version-2": to_version_2,
         "unknown-optimizer-name": lambda h: h.update(
             optimizer={"names": ["adam.m.missing"], "step_count": 1}

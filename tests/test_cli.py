@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from melformer import cli
 from melformer.cli import build_parser, main
 from melformer.data import load_checkpoint, read_manifest, save_checkpoint, write_wav
 from melformer.model import ConformerModel, ModelConfig
@@ -94,6 +95,26 @@ class TestSynthdata:
         manifest = read_manifest(tmp_path / "manifest.tsv")
         assert manifest.vocabulary == ("class_0", "class_1")
         assert {len(r.labels) for r in manifest.records} == {1, 2}
+
+    @pytest.mark.parametrize("option,value", [
+        ("--clip-seconds", "0"),
+        ("--clip-seconds", "0.00003"),
+        ("--clip-seconds", "-1"),
+        ("--clip-seconds", "nan"),
+        ("--clip-seconds", "inf"),
+        ("--clips-per-class", "0"),
+        ("--eval-fraction", "-0.1"),
+        ("--eval-fraction", "1.5"),
+        ("--eval-fraction", "nan"),
+        ("--num-classes", "40"),
+    ])
+    def test_invalid_argument_is_config_error(self, tmp_path, capsys, option, value):
+        out_dir = tmp_path / "data"
+        argv = ["synthdata", "--out-dir", str(out_dir), "--num-classes", "3"]
+        argv += ["--clips-per-class", "2", "--clip-seconds", "0.1", option, value]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 TRAIN_OPTIONS = [
@@ -569,6 +590,21 @@ class TestEvaluateAndExtract:
         emb = np.load(out_dir / (wav.stem + ".npy"))
         # 0.5 s at 16 kHz -> 25 frames -> 6 latent frames of latent_dim
         assert emb.shape == (6, TOY_MODEL["embed_dim"])
+
+    def test_extract_inputs_with_the_same_stem_is_config_error(
+        self, dataset, finetuned, tmp_path, monkeypatch, capsys
+    ):
+        wav = sorted(dataset.glob("*.wav"))[0]
+        (tmp_path / "sub").mkdir()
+        shutil.copy(wav, tmp_path / "sub" / wav.name)
+        logmels = []
+        monkeypatch.setattr(cli, "logmel", lambda *a: logmels.append(a))
+        out_dir = tmp_path / "emb"
+        argv = ["extract", "--init-checkpoint", str(finetuned), "--out-dir", str(out_dir)]
+        code = main(argv + [str(wav), str(tmp_path / "sub" / wav.name)])
+        assert code == 2
+        assert f"{wav.stem}.npy" in capsys.readouterr().err
+        assert not out_dir.exists() and not logmels
 
     def test_extract_with_malformed_header_is_io_error(
         self, finetuned, malformed_headers, tmp_path, capsys

@@ -32,7 +32,7 @@ class TestFrameCount:
     @pytest.mark.parametrize("n", [1, 5, 319, 320, 321, 1024, 4097])
     def test_frame_count_is_ceil_n_over_hop(self, n):
         spec = dsp.logmel(dsp.Waveform(np.zeros(n)))
-        assert spec.num_frames == -(-n // 320)
+        assert spec.frames.shape[0] == -(-n // 320)
 
     def test_empty_waveform_rejected(self):
         with pytest.raises(DataError):

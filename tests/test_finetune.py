@@ -155,16 +155,16 @@ class TestLinearSoftmaxPool:
 class TestHeads:
     def test_framewise_head_matches_pure_pool(self):
         head = make_head("linear-softmax-pool", 8, 3, seed=0).astype(np.float64)
-        c = Tensor(np.random.default_rng(15).normal(size=(6, 8)), dtype=np.float64)
+        c = Tensor(np.random.default_rng(15).normal(size=(6, 8)))
         probs = head(c)
         from scipy.special import expit
 
         frame = expit(c.values @ head.proj.weight.values + head.proj.bias.values)
-        np.testing.assert_allclose(probs.values, linear_softmax_pool(frame), rtol=1e-9)
+        np.testing.assert_allclose(probs.values, [linear_softmax_pool(frame)], rtol=1e-9)
 
     def test_mean_pool_single_frame_equals_projection(self):
         head = make_head("mean-pool", 8, 3, seed=1).astype(np.float64)
-        c = Tensor(np.random.default_rng(16).normal(size=(1, 8)), dtype=np.float64)
+        c = Tensor(np.random.default_rng(16).normal(size=(1, 8)))
         from scipy.special import expit
 
         expected = expit(c.values @ head.proj.weight.values + head.proj.bias.values)
@@ -173,14 +173,21 @@ class TestHeads:
     def test_mean_pool_constant_frames_match_single_frame(self):
         head = make_head("mean-pool", 8, 3, seed=2).astype(np.float64)
         row = np.random.default_rng(17).normal(size=(1, 8))
-        many = Tensor(np.repeat(row, 9, axis=0), dtype=np.float64)
-        one = Tensor(row, dtype=np.float64)
+        many = Tensor(np.repeat(row, 9, axis=0))
+        one = Tensor(row)
         np.testing.assert_allclose(head(many).values, head(one).values, rtol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["linear-softmax-pool", "mean-pool"])
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_heads_return_one_row_per_clip(self, kind):
+        head = make_head(kind, 8, 5, seed=4)
+        context = np.random.default_rng(21).normal(size=(12, 8)).astype(np.float32)
+        assert head(Tensor(context[:4])).shape == (1, 5)
+        assert head(Tensor(context), clips=3).shape == (3, 5)
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
     def test_head_gradients(self, kind):
         head = make_head(kind, 6, 2, seed=3).astype(np.float64)
-        targets = np.array([1.0, 0.0])
+        targets = np.array([[1.0, 0.0]])
         c = Tensor(np.random.default_rng(18).normal(size=(5, 6)))
         err = grad_check(
             lambda ct, *params: bce_loss(head(ct), targets),
@@ -192,16 +199,16 @@ class TestHeads:
 
 class TestBceLoss:
     def test_confident_correct_prediction_is_near_zero(self):
-        loss = bce_loss(Tensor(np.array([1.0]), dtype=np.float64), np.array([1.0]))
+        loss = bce_loss(Tensor(np.array([1.0])), np.array([1.0]))
         assert loss.item() == pytest.approx(-math.log(1.0 - 1e-7), rel=1e-3)
 
     def test_half_probability_is_ln2(self):
-        loss = bce_loss(Tensor(np.array([0.5, 0.5]), dtype=np.float64), np.array([1.0, 0.0]))
+        loss = bce_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_exact_match_is_tiny(self):
         t = np.array([1.0, 0.0, 1.0, 1.0])
-        loss = bce_loss(Tensor(t, dtype=np.float64), t)
+        loss = bce_loss(Tensor(t), t)
         assert loss.item() <= 1e-6
 
     def test_shape_mismatch_rejected(self):
@@ -211,13 +218,13 @@ class TestBceLoss:
 
 class TestConsistencyLoss:
     def test_identical_views_give_zero(self):
-        p = Tensor(np.array([0.3, 0.9]), dtype=np.float64)
-        q = Tensor(np.array([0.3, 0.9]), dtype=np.float64)
+        p = Tensor(np.array([0.3, 0.9]))
+        q = Tensor(np.array([0.3, 0.9]))
         assert consistency_loss(p, q).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_bernoulli_symmetric_kl_closed_form(self):
-        p = Tensor(np.array([0.8]), dtype=np.float64)
-        q = Tensor(np.array([0.2]), dtype=np.float64)
+        p = Tensor(np.array([0.8]))
+        q = Tensor(np.array([0.2]))
         expected = 0.6 * (math.log(4.0) - math.log(0.25))
         got = consistency_loss(p, q).item()
         assert got == pytest.approx(expected, abs=1e-9)
@@ -225,15 +232,15 @@ class TestConsistencyLoss:
 
     def test_symmetry(self):
         rng = np.random.default_rng(19)
-        a = Tensor(rng.uniform(0.05, 0.95, size=6), dtype=np.float64)
-        b = Tensor(rng.uniform(0.05, 0.95, size=6), dtype=np.float64)
+        a = Tensor(rng.uniform(0.05, 0.95, size=6))
+        b = Tensor(rng.uniform(0.05, 0.95, size=6))
         assert consistency_loss(a, b).item() == consistency_loss(b, a).item()
 
     def test_nonnegative(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
-            a = Tensor(rng.uniform(0.01, 0.99, size=4), dtype=np.float64)
-            b = Tensor(rng.uniform(0.01, 0.99, size=4), dtype=np.float64)
+            a = Tensor(rng.uniform(0.01, 0.99, size=4))
+            b = Tensor(rng.uniform(0.01, 0.99, size=4))
             assert consistency_loss(a, b).item() >= 0.0
 
 
@@ -435,7 +442,7 @@ def per_clip_finetune_step(batch, model, head, config, step):
             rng = step_rng(config.seed, purpose, step, i)
             context = model.contextualize(model.encode_features(view[i]), rng=rng)
             probs.append(head(T.dropout(context, config.output_dropout, rng)))
-        bce, consistency = bce_loss(probs[0], ex.targets), consistency_loss(*probs)
+        bce, consistency = bce_loss(probs[0], ex.targets[None]), consistency_loss(*probs)
         loss = T.add(bce, T.mul(consistency, config.consistency_weight))
         T.backward(T.mul(loss, 1.0 / len(batch)))
         total += bce.item() + config.consistency_weight * consistency.item()

@@ -90,8 +90,8 @@ class TestContrastiveLoss:
     def test_identical_candidates_give_ln_k_plus_1(self):
         """All candidates equal the true latent -> uniform softmax -> ln(101)."""
         t_frames = 150
-        z = Tensor(np.tile(np.array([[0.3, -0.2, 0.9]]), (t_frames, 1)), dtype=np.float64)
-        c = Tensor(np.random.default_rng(5).normal(size=(t_frames, 3)), dtype=np.float64)
+        z = Tensor(np.tile(np.array([[0.3, -0.2, 0.9]]), (t_frames, 1)))
+        c = Tensor(np.random.default_rng(5).normal(size=(t_frames, 3)))
         mask = np.ones(t_frames, dtype=bool)
         loss = contrastive_loss(c, z, mask, 100, np.random.default_rng(6))
         assert abs(loss.item() - math.log(101.0)) < 1e-6
@@ -112,7 +112,7 @@ class TestContrastiveLoss:
         c[0] = v
         mask = np.ones(101, dtype=bool)
         loss = contrastive_loss(
-            Tensor(c, dtype=np.float64), Tensor(z, dtype=np.float64),
+            Tensor(c), Tensor(z),
             mask, 100, np.random.default_rng(7),
         )
         row0 = math.log(1.0 + 100.0 * math.exp(-2.0))
@@ -122,8 +122,8 @@ class TestContrastiveLoss:
 
     def test_k_zero_single_candidate_loss_is_zero(self):
         rng = np.random.default_rng(9)
-        z = Tensor(rng.normal(size=(6, 4)), dtype=np.float64)
-        c = Tensor(rng.normal(size=(6, 4)), dtype=np.float64)
+        z = Tensor(rng.normal(size=(6, 4)))
+        c = Tensor(rng.normal(size=(6, 4)))
         mask = np.ones(6, dtype=bool)
         loss = contrastive_loss(c, z, mask, 0, np.random.default_rng(10))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
@@ -153,11 +153,11 @@ class TestContrastiveLoss:
         mask = np.zeros(20, dtype=bool)
         mask[::2] = True
         base = contrastive_loss(
-            Tensor(cv, dtype=np.float64), Tensor(zv, dtype=np.float64), mask, 5,
+            Tensor(cv), Tensor(zv), mask, 5,
             np.random.default_rng(14),
         ).item()
         scaled = contrastive_loss(
-            Tensor(37.0 * cv, dtype=np.float64), Tensor(0.03 * zv, dtype=np.float64), mask, 5,
+            Tensor(37.0 * cv), Tensor(0.03 * zv), mask, 5,
             np.random.default_rng(14),
         ).item()
         assert abs(base - scaled) < 1e-6
@@ -168,7 +168,7 @@ class TestContrastiveLoss:
             z = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.3]])
             c = np.array([[s, math.sqrt(max(0.0, 1 - s * s))], [0.0, 1.0], [1.0, 1.0]])
             loss = contrastive_loss(
-                Tensor(c, dtype=np.float64), Tensor(z, dtype=np.float64),
+                Tensor(c), Tensor(z),
                 np.array([True, True, True]), 2, np.random.default_rng(15),
             )
             losses.append(loss.item())
@@ -178,7 +178,7 @@ class TestContrastiveLoss:
         """With c == z rows orthogonal, every row's own latent wins: loss < ln 2."""
         z = np.eye(8)
         loss = contrastive_loss(
-            Tensor(10.0 * z, dtype=np.float64), Tensor(z, dtype=np.float64),
+            Tensor(10.0 * z), Tensor(z),
             np.ones(8, dtype=bool), 3, np.random.default_rng(16),
         )
         uniform = math.log(4.0)

@@ -35,9 +35,9 @@ def assert_same_bits(got, want):
 class TestForwardValues:
     def test_layer_norm_standardizes_rows(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(5, 16)), dtype=np.float64)
-        g = Tensor(np.ones(16), dtype=np.float64)
-        b = Tensor(np.zeros(16), dtype=np.float64)
+        x = Tensor(rng.normal(size=(5, 16)))
+        g = Tensor(np.ones(16))
+        b = Tensor(np.zeros(16))
         y = T.layer_norm(x, g, b).values
         np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-4)
@@ -81,7 +81,7 @@ class TestAttention:
     def test_matches_per_head_reference(self):
         rng = np.random.default_rng(20)
         q, k, v, g = (rng.normal(size=(7, 12)) for _ in range(4))
-        leaves = [parameter(a, dtype=np.float64) for a in (q, k, v)]
+        leaves = [parameter(a) for a in (q, k, v)]
         out = T.attention(*leaves, num_heads=3)
         backward(T.reduce_sum(T.mul(out, Tensor(g))))
         want = attention_reference(q, k, v, g, num_heads=3)
@@ -114,7 +114,7 @@ class TestConv1d:
         x = rng.normal(size=(9, 4))
         k = np.zeros((3, 4))
         k[1] = 1.0
-        out = T.conv1d(Tensor(x), Tensor(k), )
+        out = T.conv1d(Tensor(x), Tensor(k))
         np.testing.assert_allclose(out.values, x, rtol=1e-6)
 
     def test_same_padding_preserves_length(self):
@@ -128,7 +128,7 @@ class TestConv1d:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(10, 3))
         k = rng.normal(size=(5, 3))
-        got = T.conv1d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), )
+        got = T.conv1d(Tensor(x), Tensor(k))
         np.testing.assert_allclose(got.values, depthwise_reference(x, k), atol=1e-6)
 
     def test_even_kernel_rejected(self):
@@ -223,22 +223,24 @@ class TestPerClipPrimitives:
         assert_same_bits(var, want_var)
 
     @pytest.mark.parametrize("reduce", [T.reduce_sum, T.reduce_mean])
-    @pytest.mark.parametrize("keepdims", [False, True])
-    def test_reductions_pool_each_clip_to_a_row(self, reduce, keepdims):
-        x = self.normal(12, 5)
+    @pytest.mark.parametrize("lone", [False, True])
+    def test_reductions_pool_each_clip_to_a_row(self, reduce, lone):
+        """A lone clip, or each clip of a stack, pools to one row with the
+        bits of numpy's reduction over that clip's rows alone."""
+        clips = 1 if lone else 3
         _assert_stack_matches_alone(
-            lambda xs, ps, clips: reduce(xs[0], axis=0, keepdims=keepdims, clips=clips), [x]
+            lambda xs, ps, c: reduce(xs[0], clips=c), [self.normal(12, 5)], clips=clips
         )
-        assert reduce(Tensor(x), axis=0, keepdims=keepdims, clips=3).shape == (3, 5)
-
-    def test_per_clip_reduction_only_over_rows(self):
-        with pytest.raises(ShapeError):
-            T.reduce_sum(Tensor(np.ones((4, 2))), axis=1, clips=2)
+        x = self.normal(25 * clips, 64).astype(np.float32)
+        name = reduce.__name__.removeprefix("reduce_")
+        want = np.stack([getattr(clip, name)(axis=0) for clip in np.split(x, clips)])
+        assert_same_bits(reduce(Tensor(x), clips=clips).values, want)
+        assert reduce(Tensor(x)).shape == ()
 
     @pytest.mark.parametrize("op", [
         lambda x: T.attention(x, x, x, num_heads=1, clips=3),
         lambda x: T.conv1d(x, Tensor(np.ones((3, 2))), clips=3),
-        lambda x: T.reduce_mean(x, axis=0, clips=3),
+        lambda x: T.reduce_mean(x, clips=3),
         lambda x: T.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
                                np.zeros(2), np.ones(2), True, clips=3),
     ])
@@ -258,11 +260,9 @@ class TestPerClipPrimitives:
     def test_info_nce_is_the_mean_of_the_clip_losses(self):
         rng = np.random.default_rng(61)
         c, z = rng.normal(size=(30, 6)), rng.normal(size=(30, 6))
-        # Three clips of 10 rows: K = 4, K = 1 and a clip with no rows.
-        alone_candidates = [_candidates(rng, 10, 4), _candidates(rng, 10, 1)]
-        assert alone_candidates[0].shape[1] != alone_candidates[1].shape[1]
-        stacked = alone_candidates + [np.empty((0, 1), dtype=np.intp)]
-        stacked = [cand + 10 * j for j, cand in enumerate(stacked)]
+        # Three clips of 10 rows, with K = 4, K = 1 and K = 2.
+        alone_candidates = [_candidates(rng, 10, k) for k in (4, 1, 2)]
+        stacked = [cand + 10 * j for j, cand in enumerate(alone_candidates)]
         leaves = [parameter(a) for a in (c, z)]
         loss = T.info_nce(*leaves, stacked, 1.3)
         backward(loss)
@@ -270,7 +270,7 @@ class TestPerClipPrimitives:
         for j, cand in enumerate(alone_candidates):
             rows = slice(10 * j, 10 * j + 10)
             alone = [parameter(a[rows]) for a in (c, z)]
-            clip_loss = T.info_nce(*alone, cand, 1.3)
+            clip_loss = T.info_nce(*alone, [cand], 1.3)
             backward(T.mul(clip_loss, 1.0 / 3))
             want += clip_loss.item() / 3
             for acc, leaf in zip(want_grads, alone):
@@ -278,6 +278,16 @@ class TestPerClipPrimitives:
         assert loss.item() == pytest.approx(want, rel=1e-12)
         for leaf, ref in zip(leaves, want_grads):
             np.testing.assert_allclose(leaf.grad, ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("candidates", [
+        np.array([[0, 1], [1, 0]]),
+        [np.array([[0, 1], [1, 0]]), np.empty((0, 2), dtype=np.intp)],
+        [],
+    ], ids=["bare-matrix", "empty-clip", "no-clips"])
+    def test_info_nce_takes_one_non_empty_matrix_per_clip(self, candidates):
+        c = Tensor(np.ones((4, 3)))
+        with pytest.raises(ShapeError):
+            T.info_nce(c, c, candidates, 1.0)
 
 
 def _sum_against(out, g):
@@ -452,8 +462,8 @@ def _clamped(x):
 def _retired_bce(probs, targets, g):
     """Loss and grad of clamp, log, neg/add(1), log, mul, mul, add, mean, neg."""
     p, inside = _clamped(probs)
-    t = targets.astype(p.dtype).reshape(p.shape)
-    u = (1.0 - targets).astype(p.dtype).reshape(p.shape)
+    t = targets.astype(p.dtype)
+    u = (1.0 - targets).astype(p.dtype)
     q = -p + 1.0
     ll = t * np.log(p) + u * np.log(q)
     g_ll = np.broadcast_to(-g / ll.size, ll.shape).astype(ll.dtype)
@@ -509,7 +519,7 @@ class TestLossPrimitives:
         c, z = c.astype(dtype), z.astype(dtype)
         candidates = _candidates(rng, shape[0], 10)
         leaves = [parameter(a.copy()) for a in (c, z)]
-        loss = T.info_nce(*leaves, candidates, scale)
+        loss = T.info_nce(*leaves, [candidates], scale)
         assert len(T._topological_order(loss)) == 3
         g = _backward_scaled(loss)
         want_loss, want_c, want_z = _retired_info_nce(c, z, candidates, scale, g)
@@ -520,7 +530,7 @@ class TestLossPrimitives:
     def test_info_nce_without_distractors_is_zero(self, dtype, shape):
         rng = np.random.default_rng(41)
         leaves = [parameter(rng.normal(size=shape).astype(dtype)) for _ in range(2)]
-        loss = T.info_nce(*leaves, _candidates(rng, shape[0], 0), 1.0)
+        loss = T.info_nce(*leaves, [_candidates(rng, shape[0], 0)], 1.0)
         assert loss.values == 0.0
         backward(loss)
         for leaf in leaves:
@@ -529,7 +539,7 @@ class TestLossPrimitives:
     def test_binary_cross_entropy(self, dtype, shape):
         rng = np.random.default_rng(42)
         probs = _probs(rng, shape, dtype)
-        targets = rng.uniform(size=probs.size)
+        targets = rng.uniform(size=shape)
         leaf = parameter(probs.copy())
         loss = T.binary_cross_entropy(leaf, targets)
         assert len(T._topological_order(loss)) == 2
@@ -581,10 +591,10 @@ class TestBackward:
     def test_fan_out_matches_duplicated_leaf(self):
         rng = np.random.default_rng(6)
         v = rng.normal(size=(3, 3))
-        shared = parameter(v, dtype=np.float64)
+        shared = parameter(v)
         backward(T.reduce_sum(T.linear(shared, shared)))
-        a = parameter(v, dtype=np.float64)
-        b = parameter(v, dtype=np.float64)
+        a = parameter(v)
+        b = parameter(v)
         backward(T.reduce_sum(T.linear(a, b)))
         np.testing.assert_allclose(shared.grad, a.grad + b.grad, rtol=1e-12)
 
@@ -694,7 +704,7 @@ class TestGradOwnership:
     def test_reduction_into_a_leaf(self, reduce):
         x = parameter(np.zeros((2, 3)))
         w = parameter(np.zeros((2, 3)))
-        backward(T.add(reduce(x), reduce(T.reduce_sum(w, axis=0))))
+        backward(T.add(reduce(x), reduce(T.reduce_sum(w, clips=1))))
         _assert_owned_and_disjoint([x.grad, w.grad])
         x.grad += 1.0
         w.grad += 1.0

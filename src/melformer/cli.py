@@ -106,20 +106,19 @@ def _model_config(args, file_config: dict) -> ModelConfig:
     return _build_config(ModelConfig, base, file_config.get("model", {}))
 
 
-def _require(value, flag: str):
+def _path(args, file_config: dict, key: str) -> Path:
+    """``--manifest`` or ``--out-dir`` from the command line, else from the config file."""
+    value = getattr(args, key) or file_config.get(key)
     if value is None:
-        raise ConfigError(f"missing required option {flag}")
-    return value
+        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    return Path(value)
 
 
-def _train_logmels(manifest, base_dir: Path, split: str) -> list[np.ndarray]:
-    records = manifest.split(split)
-    if not records:
+def _nonempty(split: str, items: list) -> list:
+    """A split's items, which the command cannot run without."""
+    if not items:
         raise DataError(f"manifest has no '{split}' records")
-    return [
-        logmel(read_wav(base_dir / record.audio_path)).frames.astype(np.float32)
-        for record in records
-    ]
+    return items
 
 
 def cmd_pretrain(args) -> int:
@@ -128,10 +127,13 @@ def cmd_pretrain(args) -> int:
     pcfg = _build_config(
         PretrainConfig, file_config.get("pretrain", {}), {"seed": args.seed}
     )
-    manifest_path = Path(_require(args.manifest or file_config.get("manifest"), "--manifest"))
-    out_dir = Path(_require(args.out_dir or file_config.get("out_dir"), "--out-dir"))
+    manifest_path = _path(args, file_config, "manifest")
+    out_dir = _path(args, file_config, "out_dir")
     manifest = read_manifest(manifest_path)
-    clips = _train_logmels(manifest, manifest_path.parent, "train")
+    clips = [
+        logmel(read_wav(manifest_path.parent / r.audio_path)).frames.astype(np.float32)
+        for r in _nonempty("train", manifest.split("train"))
+    ]
 
     model = ConformerModel(model_config, seed=pcfg.seed)
     run_pretraining(
@@ -148,20 +150,13 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _load_labeled_splits(args, file_config):
-    manifest_path = Path(_require(args.manifest or file_config.get("manifest"), "--manifest"))
-    manifest = read_manifest(manifest_path)
-    train = load_examples(manifest, manifest_path.parent, "train")
-    eval_set = load_examples(manifest, manifest_path.parent, "eval")
-    if not train:
-        raise DataError("manifest has no train records")
-    return manifest, train, eval_set
-
-
 def cmd_finetune(args) -> int:
     file_config = _load_config_file(args.config)
-    manifest, train, eval_set = _load_labeled_splits(args, file_config)
-    out_dir = Path(_require(args.out_dir or file_config.get("out_dir"), "--out-dir"))
+    manifest_path = _path(args, file_config, "manifest")
+    manifest = read_manifest(manifest_path)
+    train = _nonempty("train", load_examples(manifest, manifest_path.parent, "train"))
+    eval_set = load_examples(manifest, manifest_path.parent, "eval")
+    out_dir = _path(args, file_config, "out_dir")
     fcfg = _build_config(
         FinetuneConfig,
         {"num_classes": len(manifest.vocabulary)},
@@ -208,17 +203,24 @@ def cmd_finetune(args) -> int:
 
 
 def _restore_finetuned(checkpoint_path):
+    """The model, head and checkpoint of a fine-tuned checkpoint; head
+    metadata or arrays that do not make a head are a corrupt checkpoint."""
     ck = load_checkpoint(checkpoint_path)
     if "head_kind" not in ck.extra or "vocabulary" not in ck.extra:
         raise ConfigError(f"{checkpoint_path} has no fine-tuned head (use a finetune checkpoint)")
+    kind, vocabulary = ck.extra["head_kind"], ck.extra["vocabulary"]
+    labels = isinstance(vocabulary, list) and all(isinstance(v, str) for v in vocabulary)
+    if kind not in HEAD_KINDS or not labels:
+        raise StorageError(f"{checkpoint_path}: malformed head_kind {kind!r} or vocabulary")
     model = restore_model(ck)
-    head = make_head(
-        ck.extra["head_kind"], model.config.latent_dim, len(ck.extra["vocabulary"]), seed=ck.seed
-    )
+    head = make_head(kind, model.config.latent_dim, len(vocabulary), seed=ck.seed)
     head_arrays = {
         n[len("head.") :]: a for n, a in ck.arrays.items() if n.startswith("head.")
     }
-    head.load_state_arrays(head_arrays)
+    try:
+        head.load_state_arrays(head_arrays)
+    except ConfigError as exc:
+        raise StorageError(f"{checkpoint_path}: head arrays do not load ({exc})") from exc
     return model, head, ck
 
 
@@ -233,12 +235,10 @@ def _check_clips_stack(frame_counts, model):
 def cmd_evaluate(args) -> int:
     file_config = _load_config_file(args.config)
     model, head, ck = _restore_finetuned(args.init_checkpoint)
-    manifest_path = Path(_require(args.manifest or file_config.get("manifest"), "--manifest"))
+    manifest_path = _path(args, file_config, "manifest")
     # Score columns follow the labels the head was trained on, in their order.
     manifest = replace(read_manifest(manifest_path), vocabulary=tuple(ck.extra["vocabulary"]))
-    eval_set = load_examples(manifest, manifest_path.parent, args.split)
-    if not eval_set:
-        raise DataError(f"manifest has no '{args.split}' records")
+    eval_set = _nonempty(args.split, load_examples(manifest, manifest_path.parent, args.split))
     _check_clips_stack([frame_count(ex.waveform.size) for ex in eval_set], model)
     report = evaluate_model(model, head, eval_set)
     print(json.dumps(report.to_dict(), indent=2))

@@ -215,10 +215,19 @@ def _assign_splits(records, num_classes, eval_fraction, rng):
             records[i].split = "eval"
 
 
+@dataclass
+class LabeledExample:
+    """A clip's waveform with its multi-hot targets."""
+
+    targets: np.ndarray
+    waveform: np.ndarray
+
+    def __post_init__(self):
+        self.targets = np.asarray(self.targets, dtype=np.float64)
+
+
 def load_examples(manifest: Manifest, base_dir: str | Path, split: str) -> list:
     """LabeledExamples (waveform + multi-hot targets) for one split."""
-    from .finetune import LabeledExample
-
     base_dir = Path(base_dir)
     examples = []
     for record in manifest.split(split):
@@ -235,7 +244,7 @@ def load_examples(manifest: Manifest, base_dir: str | Path, split: str) -> list:
 
 @dataclass
 class Checkpoint:
-    model_config: dict
+    model_config: ModelConfig
     arrays: dict
     step: int
     seed: int
@@ -304,22 +313,31 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint directory back, validating its version and sizes.
 
     The blob is read once; the arrays are writable, non-overlapping views
-    of that one buffer. A header with missing or mistyped fields or a
-    negative dimension raises :class:`StorageError`.
+    of that one buffer. A header with missing or mistyped fields, a
+    negative dimension or a model config that does not validate raises
+    :class:`StorageError`.
     """
-    path = Path(path)
+    return _read_checkpoint(Path(path), read_blob=True)
+
+
+def _read_checkpoint(path: Path, read_blob: bool) -> Checkpoint:
+    """Without ``read_blob``, the arrays view an unread buffer of the blob's
+    size: the header is checked against the blob's size alone."""
     header_path = path / "header.json"
     blob_path = path / "arrays.bin"
     if not header_path.is_file() or not blob_path.is_file():
         raise StorageError(f"{path}: not a checkpoint directory")
     try:
         header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise StorageError(f"{path}: corrupt header ({exc})") from exc
-    blob = np.fromfile(blob_path, dtype=np.uint8)
+    if read_blob:
+        blob = np.fromfile(blob_path, dtype=np.uint8)
+    else:
+        blob = np.empty(blob_path.stat().st_size, dtype=np.uint8)
     try:
         return _parse_checkpoint(path, header, blob)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise StorageError(f"{path}: malformed header ({exc!r})") from exc
 
 
@@ -351,22 +369,25 @@ def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
         optimizer_arrays = {n: arrays.pop(n) for n in opt_header["names"]}
         optimizer_step = opt_header["step_count"]
     return Checkpoint(
-        model_config=header["model_config"],
+        model_config=ModelConfig(**header["model_config"]),
         arrays=arrays,
         step=header["step"],
         seed=header["seed"],
         optimizer_arrays=optimizer_arrays,
         optimizer_step=optimizer_step,
-        extra=header.get("extra", {}),
+        extra=dict(header.get("extra", {})),
     )
 
 
 def latest_checkpoint(out_dir: str | Path) -> Path | None:
-    """Highest-step ckpt-NNNNNNNN directory under out_dir (never .tmp or -final).
+    """Newest valid ckpt-NNNNNNNN directory under out_dir (never .tmp or -final).
 
-    A save that crashed between its two renames leaves the checkpoint it was
-    replacing only at ``ckpt-NNNNNNNN.old``; such a lone ``.old`` is renamed
-    back first. An ``.old`` beside its ``ckpt-NNNNNNNN`` is left alone.
+    A checkpoint is valid when its header parses and its blob has the size
+    the header gives; the blob is not read. When checkpoints exist but none
+    is valid, the newest one's :class:`StorageError` is raised. A save that
+    crashed between its two renames leaves the checkpoint it was replacing
+    only at ``ckpt-NNNNNNNN.old``; such a lone ``.old`` is renamed back
+    first. An ``.old`` beside its ``ckpt-NNNNNNNN`` is left alone.
     """
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
@@ -375,16 +396,23 @@ def latest_checkpoint(out_dir: str | Path) -> Path | None:
     for aside in out_dir.glob(pattern + ".old"):
         if aside.is_dir() and not aside.with_suffix("").exists():
             aside.rename(aside.with_suffix(""))
-    candidates = sorted(p for p in out_dir.glob(pattern) if p.is_dir())
-    return candidates[-1] if candidates else None
+    newest_error = None
+    for candidate in sorted((p for p in out_dir.glob(pattern) if p.is_dir()), reverse=True):
+        try:
+            _read_checkpoint(candidate, read_blob=False)
+            return candidate
+        except StorageError as exc:
+            newest_error = newest_error or exc
+    if newest_error is not None:
+        raise newest_error
+    return None
 
 
 def restore_model(checkpoint: Checkpoint, expect_config: ModelConfig | None = None):
     """Build a model from a checkpoint, optionally enforcing a config match."""
-    config = ModelConfig(**checkpoint.model_config)
-    if expect_config is not None and config.to_dict() != expect_config.to_dict():
+    if expect_config is not None and checkpoint.model_config != expect_config:
         raise ConfigError("checkpoint architecture differs from the requested config")
-    model = ConformerModel(config, seed=checkpoint.seed)
+    model = ConformerModel(checkpoint.model_config, seed=checkpoint.seed)
     model_arrays = {
         n: a for n, a in checkpoint.arrays.items() if not n.startswith("head.")
     }

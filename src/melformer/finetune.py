@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .data import LabeledExample
 from .dsp import Waveform, frame_count, logmel
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import EvalReport, evaluate_scores
@@ -72,17 +73,6 @@ class FinetuneConfig:
             raise ConfigError("batch_size and total_steps must be >= 1")
         if not 0.0 <= self.output_dropout < 1.0:
             raise ConfigError("output_dropout outside [0, 1)")
-
-
-@dataclass
-class LabeledExample:
-    """A clip's waveform with its multi-hot targets."""
-
-    targets: np.ndarray
-    waveform: np.ndarray
-
-    def __post_init__(self):
-        self.targets = np.asarray(self.targets, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -382,20 +382,16 @@ class FeatureEncoder(Module):
         self.proj = Linear(NUM_MEL_BANDS * config.stack_factor, config.latent_dim, rng)
 
     def __call__(self, frames) -> Tensor:
-        """One logmel matrix, or a list of clips' that stack to equal lengths."""
-        if isinstance(frames, list):
-            stacked = [time_stack(np.asarray(f), self.stack_factor) for f in frames]
-            if len({s.shape[0] for s in stacked}) > 1:
-                raise ShapeError(f"clips of unequal latent lengths {[len(s) for s in stacked]}")
-            stacked = np.concatenate(stacked)
-        else:
-            stacked = time_stack(np.asarray(frames), self.stack_factor)
-        return self.proj(Tensor(stacked.astype(self.proj.weight.values.dtype)))
+        """A list of clips' logmels that stack to equal lengths; a bare
+        matrix is a list holding one clip."""
+        clips = frames if isinstance(frames, list) else [frames]
+        stacked = [time_stack(np.asarray(f), self.stack_factor) for f in clips]
+        if len({s.shape[0] for s in stacked}) > 1:
+            raise ShapeError(f"clips of unequal latent lengths {[len(s) for s in stacked]}")
+        return self.proj(Tensor(np.concatenate(stacked, dtype=self.proj.weight.values.dtype)))
 
 
-def sample_mask(
-    num_frames: int, rate: float = 0.30, span_length: int = 10, rng=None
-) -> np.ndarray:
+def sample_mask(num_frames: int, rate: float = 0.30, span_length: int = 10, *, rng) -> np.ndarray:
     """Boolean mask built from possibly-overlapping uniform-start spans.
 
     Spans of ``span_length`` are added until the covered fraction reaches
@@ -407,8 +403,6 @@ def sample_mask(
         raise ConfigError(f"mask rate {rate} outside (0, 1)")
     if span_length < 1 or span_length > num_frames:
         raise ConfigError(f"span_length {span_length} invalid for {num_frames} frames")
-    if rng is None:
-        rng = np.random.default_rng()
     mask = np.zeros(num_frames, dtype=bool)
     target = rate * num_frames
     while mask.sum() < target:
@@ -457,10 +451,9 @@ class ConformerModel(Module):
         equal-length clips, it is a list of B generators, one per clip, and
         every clip's output equals that of the clip alone with its generator;
         in evaluation mode nothing is drawn, so the list may hold None.
-        Default: a fresh generator, one clip.
+        Without generators (``rng`` None) z is one clip and nothing may be
+        drawn: dropout in training mode then raises ConfigError.
         """
-        if rng is None:
-            rng = np.random.default_rng()
         return self.context_encoder(z, rng)
 
     def embed(self, frames: np.ndarray) -> Tensor:

@@ -114,8 +114,6 @@ def contrastive_loss(
     distractors from its own masked steps with its own generator, and the
     loss is the mean of the clip losses.
     """
-    if context.shape != latents.shape:
-        raise ShapeError(f"context {context.shape} vs latents {latents.shape}")
     mask = np.asarray(mask, dtype=bool)
     rngs = T.clip_rngs(rng)
     if mask.shape != context.shape[:1] or mask.size % len(rngs):
@@ -362,9 +360,10 @@ def run_pretraining(
     """Pretrain with periodic checkpoints and a JSONL metrics log.
 
     Steps are numbered from 1. When ``out_dir`` holds a ``ckpt-NNNNNNNN``
-    checkpoint, the run resumes from the newest one: its architecture and
-    seed must match, the model and Adam state are loaded from it, and a
-    ``resuming from`` line is printed. Returns the optimizer.
+    checkpoint, the run resumes from the newest valid one
+    (``latest_checkpoint``): its architecture and seed must match, the
+    model and Adam state are loaded from it, and a ``resuming from`` line
+    is printed. Returns the optimizer.
     """
     check_stackable([len(f) for f in logmels], model.config.stack_factor)
     out_dir = Path(out_dir)
@@ -379,7 +378,7 @@ def run_pretraining(
     resume_from = latest_checkpoint(out_dir)
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        if ck.model_config != model.config.to_dict():
+        if ck.model_config != model.config:
             raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
         if ck.seed != config.seed:
             raise ConfigError(f"checkpoint seed {ck.seed} differs from this run's {config.seed}")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .errors import GraphError, NumericError, ShapeError
+from .errors import ConfigError, GraphError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -523,13 +523,16 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
     """Inverted dropout; the mask is drawn from ``rng`` and kept for backward.
 
     ``rng`` is a Generator, or a list with one Generator per clip of a stack
-    of equal-length clips, each of which draws its own clip's mask.
+    of equal-length clips, each of which draws its own clip's mask. In
+    training mode a missing generator is a ConfigError.
     """
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate {rate} outside [0, 1)")
     if not training or rate == 0.0:
         return x
     rngs = clip_rngs(rng)
+    if any(clip_rng is None for clip_rng in rngs):
+        raise ConfigError("dropout in training mode needs a generator for every clip")
     keep = np.empty(x.values.shape, dtype=bool)
     for clip_rng, clip_keep in zip(rngs, _by_clip(keep, len(rngs), "dropout")):
         np.greater_equal(clip_rng.random(clip_keep.shape), rate, out=clip_keep)

@@ -1,5 +1,6 @@
 """Fixtures shared across test modules."""
 
+import json
 import math
 
 import pytest
@@ -67,5 +68,31 @@ def malformed_headers():
         "version-2": to_version_2,
         "unknown-optimizer-name": lambda h: h.update(
             optimizer={"names": ["adam.m.missing"], "step_count": 1}
+        ),
+        "model-config-unknown-key": lambda h: h["model_config"].update(colour=1),
+        "model-config-heads-not-dividing": lambda h: h["model_config"].update(num_heads=5),
+    }
+
+
+def truncate_blob(path):
+    with (path / "arrays.bin").open("r+b") as blob:
+        blob.truncate(100)
+
+
+def rewrite_header(path, edit):
+    header = json.loads((path / "header.json").read_text())
+    edit(header)
+    (path / "header.json").write_text(json.dumps(header))
+
+
+@pytest.fixture
+def checkpoint_corruptions():
+    """Ways to corrupt the checkpoint directory at a path, by name; after
+    any one of them, loading it must raise StorageError."""
+    return {
+        "truncated-blob": truncate_blob,
+        "bad-json": lambda path: (path / "header.json").write_text("{not json"),
+        "wrong-version": lambda path: rewrite_header(
+            path, lambda h: h.update(format_version=99)
         ),
     }

@@ -75,6 +75,17 @@ def toy_config(tmp_path_factory):
     return path
 
 
+def edit_header(ckpt, edit):
+    header = json.loads((ckpt / "header.json").read_text())
+    edit(header)
+    (ckpt / "header.json").write_text(json.dumps(header))
+
+
+def tree_bytes(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def read_metrics(out_dir):
     return [
         json.loads(line)
@@ -336,6 +347,43 @@ class TestPretrainCommand:
         assert f"resuming from {part / 'ckpt-00000007'} at step 7" in capsys.readouterr().out
         full_log = (tmp_path / "full" / "metrics.jsonl").read_bytes()
         assert (part / "metrics.jsonl").read_bytes() == full_log
+
+    def every_2_steps(self, dataset, toy_config, tmp_path):
+        config = json.loads(toy_config.read_text())
+        config["pretrain"]["checkpoint_interval"] = 2
+        (tmp_path / "every2.json").write_text(json.dumps(config))
+        return [
+            "pretrain", "--config", str(tmp_path / "every2.json"),
+            "--manifest", str(dataset / "manifest.tsv"), "--seed", "1",
+        ]
+
+    @pytest.mark.parametrize("corruption", ["truncated-blob", "bad-json", "wrong-version"])
+    def test_resume_falls_back_past_a_corrupt_newest_checkpoint(
+        self, dataset, toy_config, tmp_path, checkpoint_corruptions, corruption, capsys
+    ):
+        base = self.every_2_steps(dataset, toy_config, tmp_path)
+        assert main(base + ["--out-dir", str(tmp_path / "full"), "--max-steps", "6"]) == 0
+        part = tmp_path / "part"
+        assert main(base + ["--out-dir", str(part), "--max-steps", "4"]) == 0
+        checkpoint_corruptions[corruption](part / "ckpt-00000004")
+        capsys.readouterr()
+        assert main(base + ["--out-dir", str(part), "--max-steps", "6"]) == 0
+        assert f"resuming from {part / 'ckpt-00000002'} at step 2" in capsys.readouterr().out
+        assert tree_bytes(part) == tree_bytes(tmp_path / "full")
+
+    def test_resume_with_no_valid_checkpoint_is_io_error(
+        self, dataset, toy_config, tmp_path, checkpoint_corruptions, capsys
+    ):
+        base = self.every_2_steps(dataset, toy_config, tmp_path)
+        part = tmp_path / "part"
+        assert main(base + ["--out-dir", str(part), "--max-steps", "4"]) == 0
+        checkpoint_corruptions["bad-json"](part / "ckpt-00000002")
+        checkpoint_corruptions["truncated-blob"](part / "ckpt-00000004")
+        before = tree_bytes(part)
+        capsys.readouterr()
+        assert main(base + ["--out-dir", str(part), "--max-steps", "6"]) == 5
+        assert "ckpt-00000004: blob is 100 bytes" in capsys.readouterr().err
+        assert tree_bytes(part) == before
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_config_file_seed_applies_unless_seed_is_given(
@@ -613,13 +661,38 @@ class TestEvaluateAndExtract:
         for name, edit in malformed_headers.items():
             ckpt = tmp_path / name
             shutil.copytree(finetuned, ckpt)
-            header = json.loads((ckpt / "header.json").read_text())
-            edit(header)
-            (ckpt / "header.json").write_text(json.dumps(header))
+            edit_header(ckpt, edit)
             code = main(["extract", "--init-checkpoint", str(ckpt), "--out-dir", str(out_dir)])
             assert code == 5, name
             assert f"I/O error: {ckpt}: " in capsys.readouterr().err, name
             assert not out_dir.exists(), name
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(extra=5),
+            lambda h: h["extra"].update(vocabulary=5),
+            lambda h: h["extra"].update(vocabulary=[0, 1, 2]),
+            lambda h: h["extra"].update(vocabulary=["class_0"]),
+            lambda h: h["extra"].update(head_kind="bogus"),
+            lambda h: h.update(arrays=[[n.replace("head.", "head.x"), s] for n, s in h["arrays"]]),
+        ],
+        ids=[
+            "extra-number", "vocabulary-number", "vocabulary-numbers", "vocabulary-too-short",
+            "head-kind-unknown", "head-arrays-renamed",
+        ],
+    )
+    def test_evaluate_with_corrupt_head_is_io_error(
+        self, dataset, finetuned, tmp_path, capsys, edit
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(finetuned, ckpt)
+        edit_header(ckpt, edit)
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--init-checkpoint", ckpt, "--manifest", dataset / "manifest.tsv"]
+        assert main([str(a) for a in argv + ["--out-dir", out]]) == 5
+        assert f"I/O error: {ckpt}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_with_pretrain_checkpoint_is_config_error(
         self, dataset, toy_config, tmp_path
@@ -875,4 +948,25 @@ def test_malformed_input_gets_its_exit_code_before_out_dir(
     out = tmp_path / "run"
     argv = [command, *options, "--manifest", manifest, "--out-dir", out]
     assert main([str(a) for a in argv]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["model-config-unknown-key", "model-config-heads-not-dividing"])
+@pytest.mark.parametrize("command", ["extract", "evaluate", "finetune"])
+def test_malformed_model_config_is_io_error_before_out_dir(
+    dataset, toy_config, finetuned, malformed_headers, tmp_path, capsys, command, edit
+):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(finetuned, ckpt)
+    edit_header(ckpt, malformed_headers[edit])
+    manifest = dataset / "manifest.tsv"
+    options = {
+        "extract": [sorted(dataset.glob("*.wav"))[0]],
+        "evaluate": ["--manifest", manifest],
+        "finetune": ["--config", toy_config, "--manifest", manifest, "--max-steps", "1"],
+    }[command]
+    out = tmp_path / "run"
+    argv = [command, "--init-checkpoint", ckpt, "--out-dir", out, *options]
+    assert main([str(a) for a in argv]) == 5
+    assert f"I/O error: {ckpt}: malformed header" in capsys.readouterr().err
     assert not out.exists()

@@ -293,7 +293,8 @@ class TestCheckpoint:
         "edit",
         [
             "no-arrays", "no-step", "string-shape", "no-shape", "duplicate-name",
-            "unknown-optimizer-name",
+            "unknown-optimizer-name", "model-config-unknown-key",
+            "model-config-heads-not-dividing",
         ],
     )
     def test_malformed_header_is_storage_error(self, tmp_path, malformed_headers, edit):
@@ -395,6 +396,30 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / f"ckpt-{step:08d}", model, step=step, seed=11)
         assert latest_checkpoint(tmp_path).name == "ckpt-00000012"
         assert latest_checkpoint(tmp_path / "nope") is None
+
+    @pytest.mark.parametrize("corruption", ["truncated-blob", "bad-json", "wrong-version"])
+    def test_latest_checkpoint_skips_a_corrupt_newest_without_reading_blobs(
+        self, tmp_path, checkpoint_corruptions, corruption, monkeypatch
+    ):
+        model = tiny_model(seed=20)
+        for step in (2, 4):
+            save_checkpoint(tmp_path / f"ckpt-{step:08d}", model, step=step, seed=20)
+        checkpoint_corruptions[corruption](tmp_path / "ckpt-00000004")
+        with pytest.raises(StorageError):
+            load_checkpoint(tmp_path / "ckpt-00000004")
+        monkeypatch.setattr(np, "fromfile", lambda *a, **k: pytest.fail("blob read"))
+        assert latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000002"
+
+    def test_latest_checkpoint_raises_the_newest_error_when_none_is_valid(
+        self, tmp_path, checkpoint_corruptions
+    ):
+        model = tiny_model(seed=21)
+        for step in (2, 4):
+            save_checkpoint(tmp_path / f"ckpt-{step:08d}", model, step=step, seed=21)
+        checkpoint_corruptions["wrong-version"](tmp_path / "ckpt-00000002")
+        checkpoint_corruptions["truncated-blob"](tmp_path / "ckpt-00000004")
+        with pytest.raises(StorageError, match="ckpt-00000004: blob is 100 bytes"):
+            latest_checkpoint(tmp_path)
 
     def test_latest_checkpoint_skips_staging_and_final(self, tmp_path):
         model = tiny_model(seed=12)

@@ -150,13 +150,17 @@ class TestSampleMask:
     def test_mean_coverage_over_1000_draws(self):
         rng = np.random.default_rng(6)
         mean = np.mean(
-            [sample_mask(125, 0.30, 10, rng).mean() for _ in range(1000)]
+            [sample_mask(125, 0.30, 10, rng=rng).mean() for _ in range(1000)]
         )
         assert 0.30 <= mean <= 0.34
 
+    def test_generator_is_required(self):
+        with pytest.raises(TypeError):
+            sample_mask(50)
+
     def test_span_longer_than_sequence_rejected(self):
         with pytest.raises(ConfigError):
-            sample_mask(5, 0.3, 10, np.random.default_rng(0))
+            sample_mask(5, 0.3, 10, rng=np.random.default_rng(0))
 
 
 class TestApplyMask:
@@ -273,6 +277,12 @@ class TestContextEncoder:
         h = z @ enc.proj_in.weight.values + enc.proj_in.bias.values
         expected = h @ enc.proj_out.weight.values + enc.proj_out.bias.values
         np.testing.assert_allclose(out.values, expected, rtol=1e-5)
+
+    def test_training_mode_without_generators_is_config_error(self):
+        model = ConformerModel(tiny_config(dropout=0.1), seed=3)
+        x = np.random.default_rng(16).normal(size=(20, 64)).astype(np.float32)
+        with pytest.raises(ConfigError, match="generator"):
+            model.embed(x)
 
     def test_deterministic_repeat_runs_bitwise_identical(self):
         cfg = tiny_config(dropout=0.1)

@@ -136,13 +136,53 @@ def contrastive_loss(
 
 
 ADAM_EPS = 1e-8  # added to the root of the second moment
+ADAM_CHUNK = 1 << 16  # elements an update pass covers, so its temporaries stay in cache
+
+
+def _flat_span(arrays: list, dtype) -> np.ndarray | None:
+    """One 1-D array over ``arrays`` when they lie back to back, in order, in
+    one writable buffer of ``dtype`` (as a loaded checkpoint's arrays do);
+    None otherwise."""
+    if not arrays:
+        return None
+
+    def root(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    base = root(arrays[0])
+    end = arrays[0].ctypes.data
+    for a in arrays:
+        contiguous = a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable
+        if not contiguous or a.ctypes.data != end or root(a) is not base:
+            return None
+        end += a.nbytes
+    if not base.flags.c_contiguous:
+        return None
+    raw = base.reshape(-1).view(np.uint8)
+    start = arrays[0].ctypes.data - raw.ctypes.data
+    return raw[start : start + end - arrays[0].ctypes.data].view(dtype)
 
 
 class Adam:
-    """Bias-corrected Adam with decoupled weight decay.
+    """Bias-corrected Adam with decoupled weight decay over one flat arena.
 
-    The update is atomic: a gradient that is not finite aborts the step
-    before any parameter or moment buffer is touched.
+    The parameters' values, their gradients and the two moments each live in
+    one contiguous buffer of the parameters' dtype (mixed dtypes are a
+    ConfigError), and every ``p.values``, ``m[name]`` and ``v[name]`` is a
+    view into its buffer. Parameters that already lie back to back in one
+    buffer, as a restored checkpoint's do, are adopted without a copy.
+    Backward copies a parameter's first gradient into its arena view (the
+    parameter's ``_grad_view``); ``p.grad is None`` still means that no
+    backward reached it, and ``zero_grad`` only resets ``p.grad``. A
+    ``p.grad`` or ``p.values`` that is not the parameter's own view (set by
+    hand, or rebound by ``load_state_arrays``) is copied in at the next step.
+
+    The update is a few in-place passes over each ``ADAM_CHUNK`` elements of
+    the buffers; it is elementwise, so its bits do not depend on the chunks.
+    It is atomic: a gradient that is not finite aborts the step before any
+    parameter or moment is touched.
     """
 
     def __init__(
@@ -156,8 +196,78 @@ class Adam:
         self.beta1, self.beta2 = beta1, beta2
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in self.named_params}
-        self.v = {name: np.zeros_like(p.values) for name, p in self.named_params}
+        dtypes = sorted({str(p.values.dtype) for _, p in self.named_params})
+        if len(dtypes) > 1:
+            raise ConfigError(f"Adam needs parameters of one dtype, got {', '.join(dtypes)}")
+        self.dtype = np.dtype(dtypes[0] if dtypes else np.float32)
+        sizes = [p.values.size for _, p in self.named_params]
+        self._offsets = [0]
+        for size in sizes:
+            self._offsets.append(self._offsets[-1] + size)
+        values = [p.values for _, p in self.named_params]
+        total = self._offsets[-1]
+        self._values = self._arena(values)
+        self._grads = np.zeros(total, self.dtype)
+        self._m = np.zeros_like(self._grads)
+        self._v = np.zeros_like(self._grads)
+        self._value_views = self._views(self._values)
+        self._grad_views = self._views(self._grads)
+        for (_, p), value, grad in zip(self.named_params, self._value_views, self._grad_views):
+            p.values = value
+            p._grad_view = grad
+        self.m = dict(zip(self._names(), self._views(self._m)))
+        self.v = dict(zip(self._names(), self._views(self._v)))
+        # The norm sums each parameter whole: runs of whole parameters of
+        # about ADAM_CHUNK elements, as (start, stop, parameter offsets).
+        self._runs = []
+        first = 0
+        for i in range(1, len(sizes) + 1):
+            run = self._offsets[i] - self._offsets[first]
+            if i == len(sizes) or (run and run + sizes[i] > ADAM_CHUNK):
+                lo = self._offsets[first]
+                bounds = [o - lo for o in self._offsets[first : i + 1]]
+                self._runs.append((lo, self._offsets[i], bounds))
+                first = i
+        widest = max((stop - start for start, stop, _ in self._runs), default=0)
+        self._squares = np.empty(widest, np.float64)
+        self._scratch = [np.empty(min(ADAM_CHUNK, total), self.dtype) for _ in range(2)]
+
+    def _names(self):
+        return [name for name, _ in self.named_params]
+
+    def _views(self, flat: np.ndarray) -> list:
+        return [
+            flat[a:b].reshape(p.values.shape)
+            for (_, p), a, b in zip(self.named_params, self._offsets, self._offsets[1:])
+        ]
+
+    def _arena(self, arrays: list) -> np.ndarray:
+        """A flat buffer holding ``arrays`` back to back: the buffer they
+        already share when they lie so in it, else a copy."""
+        span = _flat_span(arrays, self.dtype)
+        if span is not None:
+            return span
+        flat = np.empty(self._offsets[-1], self.dtype)
+        for a, lo, hi in zip(arrays, self._offsets, self._offsets[1:]):
+            flat[lo:hi] = a.reshape(-1)
+        return flat
+
+    def _gather(self):
+        """Bring every parameter's values and gradient into the arena."""
+        for (name, p), value, grad in zip(self.named_params, self._value_views, self._grad_views):
+            if p.values is not value:
+                if p.values.shape != value.shape or p.values.dtype != value.dtype:
+                    raise ConfigError(
+                        f"'{name}' became {p.values.dtype}{p.values.shape} after the"
+                        f" optimizer was built over {value.dtype}{value.shape}"
+                    )
+                value[...] = p.values
+                p.values = value
+            if p.grad is None:
+                grad.fill(0)
+            elif p.grad is not grad:
+                grad[...] = p.grad
+                p.grad = grad
 
     def step(self, lr: float, max_norm: float | None = None) -> float:
         """One update; returns the global gradient norm before clipping.
@@ -167,31 +277,45 @@ class Adam:
         """
         if lr < 0:
             raise ConfigError(f"negative learning rate {lr}")
-        norm = global_grad_norm(self.named_params)
+        self._gather()
+        norm = global_grad_norm(self._grads, self._runs, self._squares)
         if not np.isfinite(norm):
             # A finite norm proves every gradient finite; only now look for
             # the culprit (float64 squares can also overflow on their own).
-            for name, p in self.named_params:
-                if p.grad is not None and not np.isfinite(p.grad).all():
+            for (name, p), grad in zip(self.named_params, self._grad_views):
+                if p.grad is not None and not np.isfinite(grad).all():
                     raise NumericError(f"non-finite gradient for '{name}'; step aborted")
         scale = max_norm / norm if max_norm is not None and norm > max_norm else None
         self.step_count += 1
-        c1 = 1.0 - self.beta1**self.step_count
-        c2 = 1.0 - self.beta2**self.step_count
-        for name, p in self.named_params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.values)
+        b1, b2, decay = self.beta1, self.beta2, self.weight_decay
+        c1 = 1.0 - b1**self.step_count
+        c2 = 1.0 - b2**self.step_count
+        for start in range(0, self._offsets[-1], ADAM_CHUNK):
+            stop = start + ADAM_CHUNK
+            g, m, v, values = (
+                flat[start:stop] for flat in (self._grads, self._m, self._v, self._values)
+            )
+            a, b = (s[: g.size] for s in self._scratch)
             if scale is not None:
                 g *= scale
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.values
-            p.values = p.values - (lr * update).astype(p.values.dtype, copy=False)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            # update = (m / c1) / (sqrt(v / c2) + eps) + decay * values
+            np.divide(m, c1, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            if decay:
+                np.multiply(values, decay, out=b)
+                a += b
+            a *= lr
+            values -= a
         return norm
 
     def zero_grad(self):
@@ -199,30 +323,50 @@ class Adam:
             p.grad = None
 
     def state_arrays(self) -> dict:
-        state = {}
-        for name, _ in self.named_params:
-            state[f"adam.m.{name}"] = self.m[name]
-            state[f"adam.v.{name}"] = self.v[name]
+        """Every ``adam.m.*``, then every ``adam.v.*``, in parameter order, so
+        that a checkpoint holds each moment as one block."""
+        state = {f"adam.m.{name}": a for name, a in self.m.items()}
+        state.update({f"adam.v.{name}": a for name, a in self.v.items()})
         return state
 
     def load_state_arrays(self, arrays: dict, step_count: int):
-        """Restore the moments; adopts ``arrays`` without a copy where the dtype matches."""
-        for name, p in self.named_params:
-            for prefix, store in (("adam.m.", self.m), ("adam.v.", self.v)):
+        """Restore the moments. A moment whose arrays lie back to back, in
+        parameter order, in one buffer of the arena's dtype (as a checkpoint
+        holds them) is adopted without a copy; otherwise it is copied in."""
+        for prefix, attr in (("adam.m.", "_m"), ("adam.v.", "_v")):
+            incoming = []
+            for name, p in self.named_params:
                 key = prefix + name
                 if key not in arrays:
                     raise ConfigError(f"optimizer state missing '{key}'")
                 if arrays[key].shape != p.values.shape:
                     raise ConfigError(f"optimizer state shape mismatch for '{key}'")
-                store[name] = arrays[key].astype(p.values.dtype, copy=False)
+                incoming.append(arrays[key])
+            span = _flat_span(incoming, self.dtype)
+            if span is None:
+                for view, a in zip(self._views(getattr(self, attr)), incoming):
+                    view[...] = a
+            else:
+                setattr(self, attr, span)
+        self.m = dict(zip(self._names(), self._views(self._m)))
+        self.v = dict(zip(self._names(), self._views(self._v)))
         self.step_count = step_count
 
 
-def global_grad_norm(named_params) -> float:
+def global_grad_norm(grads: np.ndarray, runs, squares: np.ndarray) -> float:
+    """L2 norm of a flat gradient buffer, in float64.
+
+    ``runs`` are (start, stop, parameter offsets in the run) of whole
+    parameters and ``squares`` is float64 scratch as wide as the widest run.
+    Each parameter's sum of squares is formed as ``np.sum`` forms it over
+    that parameter alone, and the sums are added in parameter order.
+    """
     total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    for start, stop, bounds in runs:
+        sq = squares[: stop - start]
+        np.square(grads[start:stop], out=sq, dtype=np.float64)
+        for a, b in zip(bounds, bounds[1:]):
+            total += float(sq[a:b].sum())
     return float(np.sqrt(total))
 
 
@@ -368,6 +512,16 @@ def run_pretraining(
     check_stackable([len(f) for f in logmels], model.config.stack_factor)
     out_dir = Path(out_dir)
     end_step = last_step(config.total_steps, max_steps)
+    resume_from = latest_checkpoint(out_dir)
+    ck = None
+    if resume_from is not None:
+        ck = load_checkpoint(resume_from)
+        if ck.model_config != model.config:
+            raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
+        if ck.seed != config.seed:
+            raise ConfigError(f"checkpoint seed {ck.seed} differs from this run's {config.seed}")
+        # Loaded before Adam is built, so its arena adopts the loaded arrays.
+        model.load_state_arrays(ck.arrays)
     optimizer = Adam(
         list(model.named_parameters()),
         beta1=config.beta1,
@@ -375,14 +529,7 @@ def run_pretraining(
         weight_decay=config.weight_decay,
     )
     start_step = 0
-    resume_from = latest_checkpoint(out_dir)
-    if resume_from is not None:
-        ck = load_checkpoint(resume_from)
-        if ck.model_config != model.config:
-            raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
-        if ck.seed != config.seed:
-            raise ConfigError(f"checkpoint seed {ck.seed} differs from this run's {config.seed}")
-        model.load_state_arrays(ck.arrays)
+    if ck is not None:
         if ck.optimizer_arrays is not None:
             optimizer.load_state_arrays(ck.optimizer_arrays, ck.optimizer_step)
         start_step = ck.step

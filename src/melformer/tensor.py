@@ -89,12 +89,13 @@ class Tensor:
 
     ``values`` is a numpy float32/float64 array (row-major); any other
     dtype is cast to float32. ``grad`` is lazily allocated with the same
-    shape during backward. Values are treated as immutable while a graph
-    references them; only the optimizer mutates parameter values, between
-    steps.
+    shape during backward; a leaf whose ``_grad_view`` an optimizer has set
+    gets its first gradient copied into that view instead. Values are
+    treated as immutable while a graph references them; only the optimizer
+    mutates parameter values, between steps.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_grad_view", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
         values = np.asarray(values)
@@ -102,6 +103,7 @@ class Tensor:
         self.values = values if keep else values.astype(np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._grad_view = None
         self._parents = ()
         self._backward = None
 
@@ -146,6 +148,11 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
+        if t._grad_view is not None:
+            # A parameter of an optimizer's arena: its gradient lives there.
+            np.copyto(t._grad_view, g)
+            t.grad = t._grad_view
+            return
         # Adopt ``g``: every backward rule hands over a fresh, writable array
         # that no other tensor holds (``add`` copies it for its second parent;
         # ``reduce_sum``/``reduce_mean`` materialize their broadcast views).
@@ -168,6 +175,14 @@ def _by_clip(values: np.ndarray, clips: int, op: str) -> np.ndarray:
     return values.reshape(clips, values.shape[0] // clips, *values.shape[1:])
 
 
+# A training step's graph fills the top of the heap, and once the step has
+# freed it glibc returns that memory to the OS, so the next step faults it
+# back in (~1.5k minor faults a toy step). ``backward`` allocates this buffer
+# while its graph is alive, above that memory, and holds it until the next
+# ``backward``, so the top of the heap stays in use between steps.
+_heap_anchor = None
+
+
 def backward(loss: Tensor):
     """Backpropagate from a scalar loss to every requires_grad leaf.
 
@@ -179,8 +194,10 @@ def backward(loss: Tensor):
     backward closure and its parent links once visited. Calling ``backward``
     again through any released node raises :class:`GraphError`.
     """
+    global _heap_anchor
     if loss.values.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+    _heap_anchor = np.empty(1 << 13)
     order = _topological_order(loss)
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.values)
@@ -762,9 +779,10 @@ def grad_check(
     another way (a module's own parameters, say). Analytic gradients are
     taken at the points' own dtype; for the difference quotients each
     point's ``values`` is swapped for a float64 copy, because at small eps a
-    float32 quotient is dominated by rounding noise. Every point gets its
-    ``values`` array, ``grad`` and ``requires_grad`` back on return and when
-    ``fn`` raises. The relative error per coordinate is
+    float32 quotient is dominated by rounding noise. The analytic gradients
+    are not written into an optimizer's arena. Every point gets its
+    ``values`` array, ``grad``, ``requires_grad`` and ``_grad_view`` back on
+    return and when ``fn`` raises. The relative error per coordinate is
     |analytic - cd| / max(|analytic|, |cd|, 1e-8).
 
     ``max_coords_per_tensor`` limits the check to a random coordinate subset
@@ -779,10 +797,10 @@ def grad_check(
     if isinstance(points, Tensor):
         points = [points]
     points = list(points)
-    saved = [(p.values, p.grad, p.requires_grad) for p in points]
+    saved = [(p.values, p.grad, p.requires_grad, p._grad_view) for p in points]
     try:
         for p in points:
-            p.grad, p.requires_grad = None, True
+            p.grad, p.requires_grad, p._grad_view = None, True, None
         out = fn(*points)
         if not isinstance(out, Tensor) or out.values.size != 1:
             raise ShapeError("grad_check: function must return a scalar tensor")
@@ -819,5 +837,5 @@ def grad_check(
                     max_rel = max(max_rel, abs(a - cd) / max(abs(a), abs(cd), 1e-8))
         return max_rel
     finally:
-        for p, (values, grad, requires_grad) in zip(points, saved):
-            p.values, p.grad, p.requires_grad = values, grad, requires_grad
+        for p, (values, grad, requires_grad, grad_view) in zip(points, saved):
+            p.values, p.grad, p.requires_grad, p._grad_view = values, grad, requires_grad, grad_view

@@ -517,3 +517,135 @@ class TestMetricsLogCut:
     def test_missing_log_is_left_alone(self, tmp_path):
         pretrain_module._drop_records_after(tmp_path / "metrics.jsonl", 3)
         assert not (tmp_path / "metrics.jsonl").exists()
+
+
+def _per_parameter_adam(params, grads, m, v, step_count, lr, max_norm, beta1, beta2, decay):
+    """The per-parameter update the flat arena replaced, as a plain loop:
+    returns the grad norm and updates ``params``, ``m`` and ``v`` in place."""
+    total = 0.0
+    for g in grads:
+        if g is not None:
+            total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    scale = max_norm / norm if max_norm is not None and norm > max_norm else None
+    c1, c2 = 1.0 - beta1**step_count, 1.0 - beta2**step_count
+    for i, p in enumerate(params):
+        g = grads[i].copy() if grads[i] is not None else np.zeros_like(p)
+        if scale is not None:
+            g *= scale
+        m[i] *= beta1
+        m[i] += (1.0 - beta1) * g
+        v[i] *= beta2
+        v[i] += (1.0 - beta2) * g * g
+        update = (m[i] / c1) / (np.sqrt(v[i] / c2) + pretrain_module.ADAM_EPS)
+        if decay:
+            update = update + decay * p
+        params[i] = p - (lr * update).astype(p.dtype, copy=False)
+    return norm
+
+
+class TestArenaAdam:
+    """Adam keeps values, gradients and moments in one flat buffer each."""
+
+    # Sizes straddle ADAM_CHUNK (65536), so runs and chunks split and join.
+    SHAPES = [(70_000,), (3,), (64, 64), (2, 50_000), (5,)]
+
+    def params(self, seed=0, dtype=np.float32):
+        rng = np.random.default_rng(seed)
+        return [T.parameter(rng.normal(size=s).astype(dtype)) for s in self.SHAPES]
+
+    def test_matches_the_per_parameter_loop_bit_for_bit(self):
+        params = self.params()
+        names = [f"p{i}" for i in range(len(params))]
+        opt = Adam(list(zip(names, params)), beta1=0.9, beta2=0.98, weight_decay=0.01)
+        ref_params = [p.values.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in ref_params]
+        ref_v = [np.zeros_like(p) for p in ref_params]
+        rng = np.random.default_rng(1)
+        for step in range(1, 6):
+            grads = [rng.normal(size=s).astype(np.float32) for s in self.SHAPES]
+            if step in (3, 4):
+                grads[1] = None  # no backward reaches it: stale arena contents must not count
+            max_norm = 300.0 if step % 2 else None  # clips: the norm is ~470
+            opt.zero_grad()
+            for p, g in zip(params, grads):
+                if g is not None:
+                    T.backward(T.reduce_sum(T.mul(p, Tensor(g))))
+            norm = opt.step(1e-3, max_norm)
+            want = _per_parameter_adam(
+                ref_params, grads, ref_m, ref_v, step, 1e-3, max_norm, 0.9, 0.98, 0.01
+            )
+            assert norm == pytest.approx(want, rel=1e-12)
+            assert norm == want  # each parameter is summed whole, in order
+            for i, name in enumerate(names):
+                np.testing.assert_array_equal(params[i].values, ref_params[i], err_msg=name)
+                np.testing.assert_array_equal(opt.m[name], ref_m[i], err_msg=name)
+                np.testing.assert_array_equal(opt.v[name], ref_v[i], err_msg=name)
+            assert (params[1].grad is None) == (grads[1] is None)
+
+    def test_backward_writes_into_the_arena(self):
+        used, unused = T.parameter(np.ones(3)), T.parameter(np.ones(2))
+        opt = Adam([("used", used), ("unused", unused)])
+        T.backward(T.reduce_sum(T.mul(used, used)))
+        assert np.shares_memory(used.grad, opt._grads)
+        np.testing.assert_array_equal(used.grad, [2.0, 2.0, 2.0])
+        assert unused.grad is None
+        assert np.shares_memory(used.values, opt._values)
+        opt.zero_grad()
+        assert used.grad is None
+
+    def test_grads_set_before_and_values_rebound_after_construction(self):
+        # A gradient set by hand before Adam exists, and values that
+        # load_state_arrays rebinds after, are copied in at every step.
+        model = ConformerModel(TestGroupedStep.CFG, seed=3)
+        named = list(model.named_parameters())
+        rng = np.random.default_rng(4)
+        grads = [rng.normal(size=p.values.shape).astype(np.float32) for _, p in named]
+        for (_, p), g in zip(named, grads):
+            p.grad = g
+        opt = Adam(named, weight_decay=0.01)
+        source = ConformerModel(TestGroupedStep.CFG, seed=5)
+        model.load_state_arrays({n: a.copy() for n, a in source.state_arrays().items()})
+        ref = [p.values.copy() for p in source.parameters()]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        for step in (1, 2):
+            opt.step(1e-3)
+            _per_parameter_adam(ref, grads, ref_m, ref_v, step, 1e-3, None, 0.9, 0.98, 0.01)
+            for (name, p), want in zip(named, ref):
+                np.testing.assert_array_equal(p.values, want, err_msg=name)
+                assert np.shares_memory(p.values, opt._values), name
+
+    def test_grad_check_leaves_the_arena_gradients_alone(self):
+        p = T.parameter(np.linspace(-1.0, 1.0, 4))
+        opt = Adam([("p", p)])
+        T.backward(T.reduce_sum(T.mul(p, Tensor(np.full(4, 3.0)))))
+        before = opt._grads.copy()
+        assert T.grad_check(lambda x: T.reduce_sum(T.mul(x, x)), [p]) < 1e-6
+        np.testing.assert_array_equal(opt._grads, before)
+        assert p.grad is not None and np.shares_memory(p.grad, opt._grads)
+
+    def test_mixed_dtypes_rejected(self):
+        a = T.parameter(np.ones(2, dtype=np.float32))
+        b = T.parameter(np.ones(2, dtype=np.float64))
+        with pytest.raises(ConfigError, match="one dtype"):
+            Adam([("a", a), ("b", b)])
+
+    def test_moments_lying_apart_are_copied_in(self):
+        params = self.params()
+        opt = Adam([(f"p{i}", p) for i, p in enumerate(params)])
+        rng = np.random.default_rng(6)
+        state = {}
+        for i, p in enumerate(params):  # interleaved, so no moment is one block
+            state[f"adam.m.p{i}"] = rng.normal(size=p.values.shape).astype(np.float32)
+            state[f"adam.v.p{i}"] = rng.random(p.values.shape).astype(np.float32)
+        opt.load_state_arrays(state, step_count=7)
+        assert opt.step_count == 7
+        for name, arr in opt.state_arrays().items():
+            np.testing.assert_array_equal(arr, state[name], err_msg=name)
+            assert not np.shares_memory(arr, state[name]), name
+            assert np.shares_memory(arr, opt._m if ".m." in name else opt._v), name
+
+    def test_state_arrays_list_each_moment_as_one_block(self):
+        opt = Adam([("a", T.parameter(np.ones(2))), ("b", T.parameter(np.ones(3)))])
+        assert list(opt.state_arrays()) == ["adam.m.a", "adam.m.b", "adam.v.a", "adam.v.b"]

@@ -36,7 +36,6 @@ keeps its values, but a second ``backward`` through it raises
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, GraphError, NumericError, ShapeError
 
@@ -356,8 +355,23 @@ def reduce_mean(a: Tensor, clips: int | None = None) -> Tensor:
 # Pointwise nonlinearities
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, in one exp pass over a new array.
+
+    exp may overflow to inf (the result is then exactly 0) or underflow to
+    0 (exactly 1), and the reciprocal may underflow into subnormals; none of
+    these is an error, whatever the caller's errstate.
+    """
+    s = np.negative(x)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+    return s
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    y = expit(a.values)
+    y = _logistic(a.values)
 
     def bwd(g):
         _accum(a, g * y * (1.0 - y))
@@ -367,7 +381,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    s = expit(a.values)
+    s = _logistic(a.values)
     y = a.values * s
 
     def bwd(g):
@@ -387,7 +401,7 @@ def glu(a: Tensor) -> Tensor:
         raise ShapeError(f"glu expects a 2-D input with an even column count, got {a.shape}")
     half = a.values.shape[1] // 2
     va = a.values[:, :half]
-    s = expit(a.values[:, half:])
+    s = _logistic(a.values[:, half:])
 
     def bwd(g):
         full = np.zeros_like(a.values)

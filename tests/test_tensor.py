@@ -343,7 +343,7 @@ def _reference_dropout(x, g, rate, seed):
 
 
 def _reference_swish(x, g):
-    s = expit(x)
+    s = 1.0 / (1.0 + np.exp(-x))
     y = x * s
     return y, g * (s + y * (1.0 - s))
 
@@ -361,6 +361,37 @@ def _reference_norm(x, gv, bv, g, axis, eps=1e-5):
     dx = (gx - m1 - xhat * m2) * inv
     grads = (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
     return xhat * gv + bv, grads, mu, var
+
+
+class TestSigmoidFamily:
+    """sigmoid, swish and glu form 1 / (1 + exp(-x)) in the input's dtype."""
+
+    # Relative error against scipy's expit over [-120, 120]: float32 outputs
+    # below the smallest normal number lose bits, so they get an absolute
+    # floor of a few subnormal steps. swish and glu round once more, in the
+    # product with x.
+    SIGMOID = {np.float32: dict(rtol=3e-7, atol=1e-44), np.float64: dict(rtol=5e-16, atol=0)}
+    PRODUCT = {np.float32: dict(rtol=6e-7, atol=1e-44), np.float64: dict(rtol=1e-15, atol=0)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_swish_glu_match_expit(self, dtype):
+        x = np.concatenate([np.linspace(-120, 120, 240_001), [-1000.0, 1000.0]]).astype(dtype)
+        s = expit(x)
+        with np.errstate(all="raise"):
+            sig = T.sigmoid(Tensor(x)).values
+            sw = T.swish(Tensor(x)).values
+            gated = T.glu(Tensor(np.stack([x, x], axis=1))).values[:, 0]
+        np.testing.assert_allclose(sig, s, **self.SIGMOID[dtype])
+        np.testing.assert_allclose(sw, x * s, **self.PRODUCT[dtype])
+        np.testing.assert_allclose(gated, x * s, **self.PRODUCT[dtype])
+        assert sig.dtype == dtype
+        assert sig[-2] == 0.0 and sig[-1] == 1.0  # saturate exactly at -1000 and +1000
+
+    def test_backward_at_saturation_is_finite(self):
+        x = parameter(np.array([-1000.0, 0.0, 1000.0], dtype=np.float32))
+        with np.errstate(all="raise"):
+            backward(T.reduce_sum(T.swish(x)))
+        np.testing.assert_array_equal(x.grad, np.array([0.0, 0.5, 1.0], dtype=np.float32))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -550,24 +550,37 @@ def batch_norm(
 # Regularization
 
 
+DROPOUT_LEVELS = 1 << 16  # dropout draws 16-bit words: rates are multiples of 1/65536
+
+
 def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
     """Inverted dropout; the mask is drawn from ``rng`` and kept for backward.
 
     ``rng`` is a Generator, or a list with one Generator per clip of a stack
     of equal-length clips, each of which draws its own clip's mask. In
     training mode a missing generator is a ConfigError.
+
+    The rate is rounded to a multiple of 1/65536, cut/65536: an element is
+    kept where its 16-bit word from the clip's raw generator output is at
+    least cut, and kept elements are scaled by 65536 / (65536 - cut), the
+    inverse of the keep probability. A rate that rounds to 0 drops nothing;
+    one that rounds to 1 would keep nothing and is rejected.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate {rate} outside [0, 1)")
-    if not training or rate == 0.0:
+    cut = round(rate * DROPOUT_LEVELS)
+    if not 0.0 <= rate < 1.0 or cut == DROPOUT_LEVELS:
+        raise ShapeError(f"dropout rate {rate} outside [0, 1) at a resolution of 1/65536")
+    if not training or cut == 0:
         return x
     rngs = clip_rngs(rng)
     if any(clip_rng is None for clip_rng in rngs):
         raise ConfigError("dropout in training mode needs a generator for every clip")
-    keep = np.empty(x.values.shape, dtype=bool)
-    for clip_rng, clip_keep in zip(rngs, _by_clip(keep, len(rngs), "dropout")):
-        np.greater_equal(clip_rng.random(clip_keep.shape), rate, out=clip_keep)
-    scale = x.values.dtype.type(1.0 / (1.0 - rate))
+    n = _by_clip(x.values, len(rngs), "dropout")[0].size
+    raws = [clip_rng.bit_generator.random_raw(-(-n // 4)) for clip_rng in rngs]
+    raw = raws[0] if len(raws) == 1 else np.concatenate(raws)
+    # Four 16-bit words from each raw 64-bit draw; each clip keeps its first n.
+    words = raw.view(np.uint16).reshape(len(rngs), -1)[:, :n]
+    keep = np.greater_equal(words, np.uint16(cut)).reshape(x.values.shape)
+    scale = x.values.dtype.type(DROPOUT_LEVELS / (DROPOUT_LEVELS - cut))
 
     def bwd(g):
         gx = g * keep

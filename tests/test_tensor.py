@@ -337,7 +337,10 @@ class TestLinear:
 
 
 def _reference_dropout(x, g, rate, seed):
-    keep = (np.random.default_rng(seed).random(x.shape) >= rate) / (1.0 - rate)
+    cut = round(rate * 65536)
+    raw = np.random.default_rng(seed).bit_generator.random_raw((x.size + 3) // 4)
+    words = raw.view(np.uint16)[: x.size].reshape(x.shape)
+    keep = (words >= cut) * (65536 / (65536 - cut))
     keep = keep.astype(x.dtype)
     return x * keep, g * keep
 
@@ -392,6 +395,32 @@ class TestSigmoidFamily:
         with np.errstate(all="raise"):
             backward(T.reduce_sum(T.swish(x)))
         np.testing.assert_array_equal(x.grad, np.array([0.0, 0.5, 1.0], dtype=np.float32))
+
+
+class TestDropoutMask:
+    """Masks compare 16-bit raw generator words against the rate in 1/65536ths."""
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3])
+    def test_drop_fraction_is_binomial(self, rate):
+        n = 1_000_000
+        ones = Tensor(np.ones((1000, 1000), dtype=np.float32))
+        out = T.dropout(ones, rate, np.random.default_rng(7))
+        p = round(rate * 65536) / 65536
+        dropped = np.count_nonzero(out.values == 0.0)
+        assert abs(dropped - n * p) < 4 * np.sqrt(n * p * (1 - p))
+        np.testing.assert_array_equal(np.unique(out.values), np.float32([0.0, 1 / (1 - p)]))
+
+    def test_rate_that_rounds_to_one_is_rejected(self):
+        x = Tensor(np.ones((4, 4)))
+        with pytest.raises(ShapeError, match="1/65536"):
+            T.dropout(x, 1.0 - 1e-6, np.random.default_rng(0))
+        # The largest rate that keeps anything keeps 1 word value in 65536.
+        out = T.dropout(x, 65535 / 65536, np.random.default_rng(0))
+        assert set(np.unique(out.values)) <= {0.0, 65536.0}
+
+    def test_rate_that_rounds_to_zero_drops_nothing(self):
+        x = Tensor(np.ones((4, 4)))
+        assert T.dropout(x, 1e-6, np.random.default_rng(0)) is x
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -383,8 +383,10 @@ def latest_checkpoint(out_dir: str | Path) -> Path | None:
     """Newest valid ckpt-NNNNNNNN directory under out_dir (never .tmp or -final).
 
     A checkpoint is valid when its header parses and its blob has the size
-    the header gives; the blob is not read. When checkpoints exist but none
-    is valid, the newest one's :class:`StorageError` is raised. A save that
+    the header gives; the blob is not read. Each newer checkpoint passed
+    over is named on stdout with its :class:`StorageError`. When
+    checkpoints exist but none is valid, the newest one's error is raised.
+    A save that
     crashed between its two renames leaves the checkpoint it was replacing
     only at ``ckpt-NNNNNNNN.old``; such a lone ``.old`` is renamed back
     first. An ``.old`` beside its ``ckpt-NNNNNNNN`` is left alone.
@@ -403,18 +405,26 @@ def latest_checkpoint(out_dir: str | Path) -> Path | None:
             return candidate
         except StorageError as exc:
             newest_error = newest_error or exc
+            print(f"skipping corrupt checkpoint: {exc}")
     if newest_error is not None:
         raise newest_error
     return None
 
 
 def restore_model(checkpoint: Checkpoint, expect_config: ModelConfig | None = None):
-    """Build a model from a checkpoint, optionally enforcing a config match."""
+    """Build a model from a checkpoint, optionally enforcing a config match.
+
+    Arrays that do not fit the checkpoint's own model config make it a
+    corrupt checkpoint, a :class:`StorageError`.
+    """
     if expect_config is not None and checkpoint.model_config != expect_config:
         raise ConfigError("checkpoint architecture differs from the requested config")
     model = ConformerModel(checkpoint.model_config, seed=checkpoint.seed)
     model_arrays = {
         n: a for n, a in checkpoint.arrays.items() if not n.startswith("head.")
     }
-    model.load_state_arrays(model_arrays)
+    try:
+        model.load_state_arrays(model_arrays)
+    except ConfigError as exc:
+        raise StorageError(f"checkpoint arrays do not fit its model config ({exc})") from exc
     return model

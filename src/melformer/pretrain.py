@@ -199,24 +199,25 @@ class Adam:
         dtypes = sorted({str(p.values.dtype) for _, p in self.named_params})
         if len(dtypes) > 1:
             raise ConfigError(f"Adam needs parameters of one dtype, got {', '.join(dtypes)}")
-        self.dtype = np.dtype(dtypes[0] if dtypes else np.float32)
+        dtype = np.dtype(dtypes[0] if dtypes else np.float32)
         sizes = [p.values.size for _, p in self.named_params]
         self._offsets = [0]
         for size in sizes:
             self._offsets.append(self._offsets[-1] + size)
-        values = [p.values for _, p in self.named_params]
         total = self._offsets[-1]
-        self._values = self._arena(values)
-        self._grads = np.zeros(total, self.dtype)
+        adopted = _flat_span([p.values for _, p in self.named_params], dtype)
+        self._values = np.empty(total, dtype) if adopted is None else adopted
+        self._grads = np.zeros(total, dtype)
         self._m = np.zeros_like(self._grads)
         self._v = np.zeros_like(self._grads)
         self._value_views = self._views(self._values)
         self._grad_views = self._views(self._grads)
         for (_, p), value, grad in zip(self.named_params, self._value_views, self._grad_views):
+            if adopted is None:
+                value[...] = p.values
             p.values = value
             p._grad_view = grad
-        self.m = dict(zip(self._names(), self._views(self._m)))
-        self.v = dict(zip(self._names(), self._views(self._v)))
+        self._bind_moments()
         # The norm sums each parameter whole: runs of whole parameters of
         # about ADAM_CHUNK elements, as (start, stop, parameter offsets).
         self._runs = []
@@ -230,10 +231,7 @@ class Adam:
                 first = i
         widest = max((stop - start for start, stop, _ in self._runs), default=0)
         self._squares = np.empty(widest, np.float64)
-        self._scratch = [np.empty(min(ADAM_CHUNK, total), self.dtype) for _ in range(2)]
-
-    def _names(self):
-        return [name for name, _ in self.named_params]
+        self._scratch = [np.empty(min(ADAM_CHUNK, total), dtype) for _ in range(2)]
 
     def _views(self, flat: np.ndarray) -> list:
         return [
@@ -241,16 +239,10 @@ class Adam:
             for (_, p), a, b in zip(self.named_params, self._offsets, self._offsets[1:])
         ]
 
-    def _arena(self, arrays: list) -> np.ndarray:
-        """A flat buffer holding ``arrays`` back to back: the buffer they
-        already share when they lie so in it, else a copy."""
-        span = _flat_span(arrays, self.dtype)
-        if span is not None:
-            return span
-        flat = np.empty(self._offsets[-1], self.dtype)
-        for a, lo, hi in zip(arrays, self._offsets, self._offsets[1:]):
-            flat[lo:hi] = a.reshape(-1)
-        return flat
+    def _bind_moments(self):
+        names = [name for name, _ in self.named_params]
+        self.m = dict(zip(names, self._views(self._m)))
+        self.v = dict(zip(names, self._views(self._v)))
 
     def _gather(self):
         """Bring every parameter's values and gradient into the arena."""
@@ -342,14 +334,13 @@ class Adam:
                 if arrays[key].shape != p.values.shape:
                     raise ConfigError(f"optimizer state shape mismatch for '{key}'")
                 incoming.append(arrays[key])
-            span = _flat_span(incoming, self.dtype)
+            span = _flat_span(incoming, self._values.dtype)
             if span is None:
                 for view, a in zip(self._views(getattr(self, attr)), incoming):
                     view[...] = a
             else:
                 setattr(self, attr, span)
-        self.m = dict(zip(self._names(), self._views(self._m)))
-        self.v = dict(zip(self._names(), self._views(self._v)))
+        self._bind_moments()
         self.step_count = step_count
 
 
@@ -505,9 +496,10 @@ def run_pretraining(
 
     Steps are numbered from 1. When ``out_dir`` holds a ``ckpt-NNNNNNNN``
     checkpoint, the run resumes from the newest valid one
-    (``latest_checkpoint``): its architecture and seed must match, the
-    model and Adam state are loaded from it, and a ``resuming from`` line
-    is printed. Returns the optimizer.
+    (``latest_checkpoint``, which names each corrupt newer one it skips):
+    its architecture and seed must match, the model and Adam state are
+    loaded from it, and a ``resuming from`` line is printed. Returns the
+    optimizer.
     """
     check_stackable([len(f) for f in logmels], model.config.stack_factor)
     out_dir = Path(out_dir)

@@ -368,7 +368,11 @@ class TestPretrainCommand:
         checkpoint_corruptions[corruption](part / "ckpt-00000004")
         capsys.readouterr()
         assert main(base + ["--out-dir", str(part), "--max-steps", "6"]) == 0
-        assert f"resuming from {part / 'ckpt-00000002'} at step 2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        skipped = f"skipping corrupt checkpoint: {part / 'ckpt-00000004'}: "
+        resumed = f"resuming from {part / 'ckpt-00000002'} at step 2"
+        assert out.count(skipped) == 1 and resumed in out
+        assert out.index(skipped) < out.index(resumed)
         assert tree_bytes(part) == tree_bytes(tmp_path / "full")
 
     def test_resume_with_no_valid_checkpoint_is_io_error(
@@ -666,6 +670,22 @@ class TestEvaluateAndExtract:
             assert code == 5, name
             assert f"I/O error: {ckpt}: " in capsys.readouterr().err, name
             assert not out_dir.exists(), name
+
+    def test_extract_with_arrays_that_do_not_fit_the_config_is_io_error(
+        self, dataset, tmp_path, capsys
+    ):
+        toy = json.loads((Path(__file__).parents[1] / "configs" / "toy.json").read_text())
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, ConformerModel(ModelConfig(**toy["model"]), seed=1), step=0, seed=1)
+        assert toy["model"]["ffn_dim"] == 128
+        edit_header(ckpt, lambda h: h["model_config"].update(ffn_dim=256))
+        out_dir = tmp_path / "emb"
+        wav = sorted(dataset.glob("*.wav"))[0]
+        argv = ["extract", "--init-checkpoint", str(ckpt), "--out-dir", str(out_dir)]
+        code = main(argv + [str(wav)])
+        assert code == 5
+        assert "do not fit its model config" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "edit",

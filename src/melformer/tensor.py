@@ -566,9 +566,11 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
     inverse of the keep probability. A rate that rounds to 0 drops nothing;
     one that rounds to 1 would keep nothing and is rejected.
     """
+    if not 0.0 <= rate < 1.0:
+        raise ShapeError(f"dropout rate {rate} outside [0, 1)")
     cut = round(rate * DROPOUT_LEVELS)
-    if not 0.0 <= rate < 1.0 or cut == DROPOUT_LEVELS:
-        raise ShapeError(f"dropout rate {rate} outside [0, 1) at a resolution of 1/65536")
+    if cut == DROPOUT_LEVELS:
+        raise ShapeError(f"dropout rate {rate} rounds to 1 at a resolution of 1/65536")
     if not training or cut == 0:
         return x
     rngs = clip_rngs(rng)

@@ -414,6 +414,9 @@ class TestDropoutMask:
         x = Tensor(np.ones((4, 4)))
         with pytest.raises(ShapeError, match="1/65536"):
             T.dropout(x, 1.0 - 1e-6, np.random.default_rng(0))
+        for rate in (float("nan"), float("inf"), 1.0):
+            with pytest.raises(ShapeError, match="outside"):
+                T.dropout(x, rate, np.random.default_rng(0))
         # The largest rate that keeps anything keeps 1 word value in 65536.
         out = T.dropout(x, 65535 / 65536, np.random.default_rng(0))
         assert set(np.unique(out.values)) <= {0.0, 65536.0}

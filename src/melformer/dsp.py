@@ -4,7 +4,9 @@ Converts 16 kHz mono waveforms into 64-band log mel-filterbank energies with
 a 64 ms Hann window and a 20 ms hop. Conventions: FFT size equals the window
 length (1024 samples), frames are centered via reflection padding, the mel
 scale is 2595*log10(1 + f/700), energies are floored at 1e-10 before the
-natural log. All functions here are pure.
+natural log. The math is float64 throughout: numpy's rfft, then the
+triangular filters applied as a few dense blocks of adjacent bands, each
+over only the rfft bins its bands touch. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 SAMPLE_RATE = 16_000
 WINDOW_SAMPLES = 1024  # 64 ms at 16 kHz
@@ -86,16 +88,43 @@ def filterbank_center_frequencies() -> np.ndarray:
 
 
 _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES)
+_BANDS_PER_BLOCK = 8
 
 
-def _windowed_frames(samples: np.ndarray, num_frames: int) -> np.ndarray:
-    """Centered Hann-windowed frames of length WINDOW_SAMPLES, one per hop."""
+@functools.cache
+def band_blocks() -> tuple[tuple[slice, slice, np.ndarray], ...]:
+    """``mel_filterbank()`` as dense blocks of adjacent bands, built once.
+
+    Each block is ``(bands, columns, weights)``. ``columns`` slices the rfft
+    output viewed as float64 (re and im of bin k at columns 2k and 2k + 1)
+    down to the bins its bands touch; ``weights`` is (columns, bands), each
+    filter weight on both the re and the im row of its bin. Summed over a
+    squared spectrum, the two rows give the bin's power.
+    """
+    fbank = mel_filterbank()
+    blocks = []
+    for first in range(0, NUM_MEL_BANDS, _BANDS_PER_BLOCK):
+        bands = slice(first, first + _BANDS_PER_BLOCK)
+        touched = np.flatnonzero(fbank[bands].any(axis=0))
+        lo, hi = touched[0], touched[-1] + 1
+        weights = np.repeat(fbank[bands, lo:hi].T, 2, axis=0)
+        weights.flags.writeable = False
+        blocks.append((bands, slice(2 * lo, 2 * hi), weights))
+    return tuple(blocks)
+
+
+def _padded(samples: np.ndarray) -> np.ndarray:
+    """The samples in float64 with WINDOW_SAMPLES // 2 reflected samples on
+    each side, or zeros when there are too few samples to reflect."""
     pad = WINDOW_SAMPLES // 2
-    # Reflection needs at least pad+1 samples; fall back to zeros for stubs.
-    mode = "reflect" if samples.size > pad else "constant"
-    padded = np.pad(samples, pad, mode=mode)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SAMPLES)
-    return windows[::HOP_SAMPLES][:num_frames] * _HANN
+    n = samples.size
+    if n <= pad:
+        return np.pad(samples.astype(np.float64), pad)
+    padded = np.empty(n + 2 * pad)
+    padded[pad:-pad] = samples
+    padded[:pad] = samples[pad:0:-1]
+    padded[-pad:] = samples[-2 : -pad - 2 : -1]
+    return padded
 
 
 def frame_count(num_samples: int) -> int:
@@ -107,14 +136,19 @@ def logmel(waveform: Waveform, filterbank: np.ndarray | None = None) -> LogmelSp
     """Log mel-filterbank energies of a 16 kHz waveform.
 
     Output has ceil(num_samples / 320) frames of 64 natural-log energies,
-    floored at log(1e-10).
+    floored at log(1e-10). ``filterbank`` may only be ``mel_filterbank()``
+    itself; any other array raises ConfigError.
     """
-    if filterbank is None:
-        filterbank = mel_filterbank()
+    if filterbank is not None and filterbank is not mel_filterbank():
+        raise ConfigError("logmel takes filterbank=mel_filterbank() or None, no other array")
     num_frames = frame_count(waveform.samples.size)
-    power = np.abs(np.fft.rfft(_windowed_frames(waveform.samples, num_frames), axis=1))
+    windows = np.lib.stride_tricks.sliding_window_view(_padded(waveform.samples), WINDOW_SAMPLES)
+    # Centered frames, one per hop; squaring the spectrum viewed as float64
+    # leaves re^2 and im^2 side by side for band_blocks() to sum.
+    power = np.fft.rfft(windows[::HOP_SAMPLES][:num_frames] * _HANN, axis=1).view(np.float64)
     np.square(power, out=power)
-    # One matmul over all frames: a row-blocked product rounds differently.
-    mel_energy = power @ filterbank.T
+    mel_energy = np.empty((num_frames, NUM_MEL_BANDS))
+    for bands, columns, weights in band_blocks():
+        np.matmul(power[:, columns], weights, out=mel_energy[:, bands])
     mel_energy += LOG_FLOOR
     return LogmelSpectrogram(frames=np.log(mel_energy, out=mel_energy))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import latest_checkpoint, load_checkpoint, save_checkpoint
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, StorageError
 from .model import ConformerModel, apply_mask, check_stackable, clip_groups, sample_mask
 from .tensor import Tensor, backward
 
@@ -498,8 +498,9 @@ def run_pretraining(
     checkpoint, the run resumes from the newest valid one
     (``latest_checkpoint``, which names each corrupt newer one it skips):
     its architecture and seed must match, the model and Adam state are
-    loaded from it, and a ``resuming from`` line is printed. Returns the
-    optimizer.
+    loaded from it, and a ``resuming from`` line is printed. Arrays that do
+    not fit the checkpoint's own model config raise StorageError. Returns
+    the optimizer.
     """
     check_stackable([len(f) for f in logmels], model.config.stack_factor)
     out_dir = Path(out_dir)
@@ -513,7 +514,12 @@ def run_pretraining(
         if ck.seed != config.seed:
             raise ConfigError(f"checkpoint seed {ck.seed} differs from this run's {config.seed}")
         # Loaded before Adam is built, so its arena adopts the loaded arrays.
-        model.load_state_arrays(ck.arrays)
+        try:
+            model.load_state_arrays(ck.arrays)
+        except ConfigError as exc:
+            raise StorageError(
+                f"{resume_from}: checkpoint arrays do not fit its model config ({exc})"
+            ) from exc
     optimizer = Adam(
         list(model.named_parameters()),
         beta1=config.beta1,

@@ -389,6 +389,30 @@ class TestPretrainCommand:
         assert "ckpt-00000004: blob is 100 bytes" in capsys.readouterr().err
         assert tree_bytes(part) == before
 
+    def test_resume_from_arrays_that_do_not_fit_the_config_is_io_error(
+        self, dataset, toy_config, tmp_path, capsys
+    ):
+        base = self.every_2_steps(dataset, toy_config, tmp_path)
+        part = tmp_path / "part"
+        assert main(base + ["--out-dir", str(part), "--max-steps", "2"]) == 0
+        ckpt = part / "ckpt-00000002"
+        name = "context_encoder.blocks.0.ffn_pre.lin1.weight"
+
+        def swap_shape(header):
+            (entry,) = [e for e in header["arrays"] if e[0] == name]
+            rows, cols = entry[1]
+            assert rows != cols
+            entry[1] = [cols, rows]  # same size, so the blob still parses
+
+        edit_header(ckpt, swap_shape)
+        before = tree_bytes(part)
+        capsys.readouterr()
+        assert main(base + ["--out-dir", str(part), "--max-steps", "3"]) == 5
+        err = capsys.readouterr().err
+        assert f"I/O error: {ckpt}: checkpoint arrays do not fit its model config" in err
+        assert name in err
+        assert tree_bytes(part) == before
+
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_config_file_seed_applies_unless_seed_is_given(
         self, dataset, toy_config, tmp_path, command

@@ -1,4 +1,5 @@
-"""Demos run to completion, and every exported name resolves."""
+"""Demos run to completion, every exported name resolves, and importing the
+package loads no scipy (numpy is its only dependency)."""
 
 import os
 import subprocess
@@ -33,3 +34,14 @@ def test_demo_runs(demo, tmp_path):
 def test_exports_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "import sys, melformer; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

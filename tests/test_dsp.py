@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from melformer import dsp
-from melformer.errors import DataError
+from melformer.errors import ConfigError, DataError
 
 
 def sine(freq, seconds=1.0, amp=0.5, sr=16000):
@@ -117,8 +117,23 @@ class TestPureTone:
         np.testing.assert_allclose(spec.frames[i], oracle, atol=1e-9)
 
 
-def gather_logmel(samples, filterbank):
-    """The index-gather formula ``logmel`` used before its strided rewrite."""
+def gather_logmel(samples):
+    """``logmel``'s formula with index-gather framing: the squared interleaved
+    re/im spectrum summed through ``band_blocks()``."""
+    pad = dsp.WINDOW_SAMPLES // 2
+    n = samples.size
+    padded = np.pad(samples.astype(np.float64), pad, mode="reflect" if n > pad else "constant")
+    num_frames = -(-n // dsp.HOP_SAMPLES)
+    starts = np.arange(num_frames) * dsp.HOP_SAMPLES
+    frames = padded[starts[:, None] + np.arange(dsp.WINDOW_SAMPLES)] * dsp._HANN
+    power = np.fft.rfft(frames, axis=1).view(np.float64) ** 2
+    mel = np.concatenate([power[:, cols] @ w for _, cols, w in dsp.band_blocks()], axis=1)
+    return np.log(mel + dsp.LOG_FLOOR)
+
+
+def dense_logmel(samples):
+    """The formula ``logmel`` used before its band blocks: ``np.pad`` in the
+    samples' dtype, ``np.abs`` of the rfft squared, one dense filterbank product."""
     pad = dsp.WINDOW_SAMPLES // 2
     n = samples.size
     padded = np.pad(samples, pad, mode="reflect" if n > pad else "constant")
@@ -126,7 +141,11 @@ def gather_logmel(samples, filterbank):
     starts = np.arange(num_frames) * dsp.HOP_SAMPLES
     frames = padded[starts[:, None] + np.arange(dsp.WINDOW_SAMPLES)] * dsp._HANN
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    return np.log(power @ filterbank.T + dsp.LOG_FLOOR)
+    return np.log(power @ dsp.mel_filterbank().T + dsp.LOG_FLOOR)
+
+
+def noise(n, dtype):
+    return (np.random.default_rng(n).normal(scale=0.2, size=n)).astype(dtype)
 
 
 class TestLogmelBytes:
@@ -135,6 +154,70 @@ class TestLogmelBytes:
     def test_same_bytes_as_gather_formula(self, n, dtype):
         samples = (np.random.default_rng(n).normal(scale=0.2, size=n)).astype(dtype)
         got = dsp.logmel(dsp.Waveform(samples)).frames
-        want = gather_logmel(samples, dsp.mel_filterbank())
+        want = gather_logmel(samples)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestBandBlocks:
+    def test_every_nonzero_weight_exactly_once(self):
+        fb = dsp.mel_filterbank()
+        re = np.zeros_like(fb)
+        im = np.zeros_like(fb)
+        covered = np.zeros(dsp.NUM_MEL_BANDS, dtype=int)
+        total = 0.0
+        for bands, cols, w in dsp.band_blocks():
+            assert cols.start % 2 == 0 and cols.stop % 2 == 0
+            assert w.shape == (cols.stop - cols.start, bands.stop - bands.start)
+            bins = slice(cols.start // 2, cols.stop // 2)
+            # Even rows weigh each bin's re^2, odd rows its im^2.
+            re[bands, bins] += w[0::2].T
+            im[bands, bins] += w[1::2].T
+            covered[bands] += 1
+            total += w.sum()
+        assert np.all(covered == 1)
+        np.testing.assert_array_equal(re, fb)
+        np.testing.assert_array_equal(im, fb)
+        np.testing.assert_allclose(total, 2.0 * fb.sum(), rtol=1e-14)
+
+    def test_fewer_multiply_adds_than_the_dense_product(self):
+        work = sum(w.size for _, _, w in dsp.band_blocks())
+        assert work < dsp.mel_filterbank().size / 3
+
+    def test_built_once_and_read_only(self):
+        blocks = dsp.band_blocks()
+        assert dsp.band_blocks() is blocks
+        assert not any(w.flags.writeable for _, _, w in blocks)
+
+    def test_product_matches_dense_filterbank_on_random_spectra(self):
+        rng = np.random.default_rng(3)
+        squares = rng.random((50, 2 * (dsp.WINDOW_SAMPLES // 2 + 1))) ** 4
+        power = squares[:, 0::2] + squares[:, 1::2]
+        got = np.concatenate([squares[:, c] @ w for _, c, w in dsp.band_blocks()], axis=1)
+        want = power @ dsp.mel_filterbank().T
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestAgainstDenseFormula:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # Zero padding below 513 samples, reflection from 513 on.
+    @pytest.mark.parametrize("n", [1, 5, 319, 320, 321, 512, 513, 1024, 4097, 32000, 160000])
+    def test_within_1e_12_of_the_dense_formula(self, n, dtype):
+        samples = noise(n, dtype)
+        got = dsp.logmel(dsp.Waveform(samples)).frames
+        want = dense_logmel(samples)
+        assert got.shape == want.shape == (-(-n // 320), 64)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestFilterbankArgument:
+    def test_cached_filterbank_gives_the_same_bytes(self):
+        wave = dsp.Waveform(noise(4097, np.float32))
+        got = dsp.logmel(wave, dsp.mel_filterbank()).frames
+        assert got.tobytes() == dsp.logmel(wave).frames.tobytes()
+
+    @pytest.mark.parametrize("make", [np.copy, lambda fb: 2.0 * fb, np.zeros_like])
+    def test_foreign_filterbank_rejected(self, make):
+        wave = dsp.Waveform(noise(4097, np.float32))
+        with pytest.raises(ConfigError):
+            dsp.logmel(wave, make(dsp.mel_filterbank()))

@@ -284,17 +284,19 @@ def finetune_step(
     View B is built only when consistency_weight > 0. The batch runs as
     groups of equal-length clips (``model.clip_groups``, counting both
     views' rows when the consistency term spans them), one graph per group
-    and view. Each group's loss, the mean of its clip terms, is
-    back-propagated scaled by group size / B before the next group's graph
-    is built, so only one group's graph is alive at a time; the parameter
-    gradients add up over the groups. Every clip draws its augmentations
-    and dropout masks from its own streams, as it would alone. The logged
-    ``bce`` and ``consistency`` are the means of the clip terms.
+    that stacks the group's view-A clips, then its view-B clips. Each
+    group's loss, the mean of its clip terms, is back-propagated scaled by
+    group size / B before the next group's graph is built, so only one
+    group's graph is alive at a time; the parameter gradients add up over
+    the groups. Every clip draws its augmentations and each view's dropout
+    masks from its own streams, as it would alone. The logged ``bce`` and
+    ``consistency`` are the means of the clip terms.
     """
     if not batch:
         raise ConfigError("empty batch")
     optimizer.zero_grad()
     views = _augmented_views(batch, config, step, filterbank)
+    purposes = (RNG_HEAD_DROPOUT_A, RNG_HEAD_DROPOUT_B)[: len(views)]
     stack = model.config.stack_factor
     frame_counts = [tuple(len(v[i]) // stack for v in views) for i in range(len(batch))]
     scale = 1.0 / len(batch)
@@ -302,24 +304,22 @@ def finetune_step(
     for group in clip_groups(frame_counts, model.config):
         # A group's graph keeps float32 copies of its logmels, so the step
         # drops them here and holds one group's graph and the logmels to come.
-        frames = [[view[i] for i in group] for view in views]
+        frames = [view[i] for view in views for i in group]
         for view in views:
             view[group.start : group.stop] = [None] * len(group)
-        probs_a = _group_probs(
-            model, head, frames[0], config.output_dropout,
-            [step_rng(config.seed, RNG_HEAD_DROPOUT_A, step, i) for i in group],
+        probs = _group_probs(
+            model, head, frames, config.output_dropout,
+            [step_rng(config.seed, purpose, step, i) for purpose in purposes for i in group],
         )
+        n = len(group)
+        probs_a = probs if len(views) == 1 else T.rows(probs, 0, n)
         loss = bce_loss(probs_a, np.stack([batch[i].targets for i in group]))
-        bce_sum += float(loss.values) * len(group)
+        bce_sum += float(loss.values) * n
         if len(views) > 1:
-            probs_b = _group_probs(
-                model, head, frames[1], config.output_dropout,
-                [step_rng(config.seed, RNG_HEAD_DROPOUT_B, step, i) for i in group],
-            )
-            consistency = consistency_loss(probs_a, probs_b)
-            consistency_sum += float(consistency.values) * len(group)
+            consistency = consistency_loss(probs_a, T.rows(probs, n, 2 * n))
+            consistency_sum += float(consistency.values) * n
             loss = T.add(loss, T.mul(consistency, config.consistency_weight))
-        backward(T.mul(loss, len(group) / len(batch)))
+        backward(T.mul(loss, n / len(batch)))
     lr = three_stage_lr(step, config)
     grad_norm = optimizer.step(lr)
     bce = bce_sum * scale

@@ -112,6 +112,7 @@ def primitive_cases():
     case("sum_all", lambda t: T.reduce_sum(t), (3, 4))
     case("sum_per_clip", lambda t: T.reduce_sum(t, clips=1), (3, 4))
     case("mean_2clips", lambda t: T.reduce_mean(t, clips=2), (4, 3))
+    case("rows", lambda t: T.rows(t, 1, 3), (4, 3))
     case("scale", lambda t: T.mul(t, 1.7), (3, 4))
     case("add", T.add, (3, 4), (3, 4))
     case("mul", T.mul, (3, 4), (3, 4))

@@ -325,12 +325,13 @@ class ContextEncoder(Module):
 
 # Largest activation, in float32 elements, that one stacked graph may hold:
 # rows x max(ffn_dim, num_heads x T), the FFN hidden layer or the attention
-# weights. Toy fine-tune step (batch 16 x 2 s, both views, so 6.4k elements
-# a clip), one BLAS thread, medians of 10 runs at 1/2/4/8/16 clips a graph:
-# 243/187/138/130/125 ms a step, peak RSS +0/+1.1/+3.9/+10.3/+22.1 MB. Past
-# 2^15 (4 clips there) a step gains under 10% while the graph's memory keeps
-# growing. A cf_S clip (125 frames x 1024) is 128k elements on its own, so
-# cf_S keeps one clip a graph.
+# weights. Toy fine-tune step (batch 16 x 2 s, both views in one graph, so
+# 6.4k elements a clip), one BLAS thread on a 2-vCPU Xeon host, medians of
+# 3 processes of 15 steps at 1/2/4/8/16 clips a graph: 156/113/86/84/83 ms
+# a step, peak RSS +0/+1.0/+3.8/+10.2/+23.1 MB. Past 2^15 (4 clips there) a
+# step gains under 4% while the graph's memory keeps growing. A cf_S clip
+# (125 frames x 1024) is 128k elements on its own, so cf_S keeps one clip a
+# graph.
 GROUP_CAP = 2**15
 
 

@@ -2,11 +2,11 @@
 
 Provides the primitive set needed by a conformer encoder and its training
 losses: the affine map ``linear`` (x @ W, plus an optional bias, as one node),
-elementwise arithmetic, reductions, normalizations, fused multi-head
-attention, gated activations, dropout, depthwise 1-D convolution, the three
-training losses as one node each (masked contrastive ``info_nce``,
-``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and a
-finite-difference gradient checker.
+elementwise arithmetic, reductions, the row slice ``rows``, normalizations,
+fused multi-head attention, gated activations, dropout, depthwise 1-D
+convolution, the three training losses as one node each (masked contrastive
+``info_nce``, ``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and
+a finite-difference gradient checker.
 
 Tensors store float32 or float64 values. Models are built in float32, and
 ``Module.astype(np.float64)`` casts one for gradient checking (its weights
@@ -50,6 +50,7 @@ __all__ = [
     "linear",
     "reduce_sum",
     "reduce_mean",
+    "rows",
     "sigmoid",
     "swish",
     "glu",
@@ -351,6 +352,20 @@ def reduce_mean(a: Tensor, clips: int | None = None) -> Tensor:
     return _reduce(a, clips, mean=True)
 
 
+def rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of ``a``, a non-empty run, as a view of its values;
+    the backward writes the gradient into zeros of ``a``'s shape."""
+    if a.values.ndim < 1 or not 0 <= start < stop <= a.values.shape[0]:
+        raise ShapeError(f"rows {start}:{stop} of a tensor of shape {a.shape}")
+
+    def bwd(g):
+        ga = np.zeros_like(a.values)
+        ga[start:stop] = g
+        _accum(a, ga)
+
+    return _make(a.values[start:stop], (a,), bwd, "rows")
+
+
 # ---------------------------------------------------------------------------
 # Pointwise nonlinearities
 
@@ -603,8 +618,8 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
 
     Each channel has its own filter: ``kernel`` is (k, C). Kernels must
     have odd length so "same" zero padding is symmetric and output length
-    equals input length. The clips of a stack lie side by side, like extra
-    channels, so each is padded on its own and no frame sees another clip.
+    equals input length. Each clip of a stack is padded on its own, so no
+    frame sees another clip.
     (A kernel-1 conv over all channels is a matmul; use ``linear``.)
     """
     if x.values.ndim != 2:
@@ -618,27 +633,28 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
     t = _by_clip(x.values, clips, "conv1d").shape[1]
     kv = kernel.values
     pad = k // 2
-    # Frames x clips x channels: the clips lie side by side, like channels.
-    xp = np.zeros((t + 2 * pad, clips, c), dtype=x.values.dtype)
-    xp[pad : pad + t] = x.values.reshape(clips, t, c).swapaxes(0, 1)
-    out = np.zeros((t, clips, c), dtype=np.result_type(x.values, kv))
-    for dt in range(k):
-        out += xp[dt : dt + t] * kv[dt]
+
+    def padded(a):  # (clips * T, C) -> (clips, T + 2 pad, C), each clip zero-padded
+        ap = np.zeros((clips, t + 2 * pad, c), dtype=a.dtype)
+        ap[:, pad : pad + t] = a.reshape(clips, t, c)
+        return ap
+
+    def windows(ap):  # (clips, k, C, T) view: tap d reads frames d .. d + T - 1
+        return np.lib.stride_tricks.sliding_window_view(ap, t, axis=1)
+
+    # Plain einsum (no ``optimize``) sums over the windows view in place:
+    # one pass per product, with no (clips, k, C, T) copy.
+    xp = padded(x.values)
+    out = np.einsum("bdct,dc->btc", windows(xp), kv)
 
     def bwd(g):
-        g = g.reshape(clips, t, c).swapaxes(0, 1)
         if kernel.requires_grad:
-            dk = np.zeros_like(kv)
-            for dt in range(k):
-                dk[dt] = (xp[dt : dt + t] * g).sum(axis=(0, 1))
-            _accum(kernel, dk)
+            _accum(kernel, np.einsum("bdct,btc->dc", windows(xp), g.reshape(clips, t, c)))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for dt in range(k):
-                dxp[dt : dt + t] += g * kv[dt]
-            _accum(x, dxp[pad : pad + t].swapaxes(0, 1).reshape(n, c))
+            # The input gradient correlates the padded g with the reversed kernel.
+            _accum(x, np.einsum("bdct,dc->btc", windows(padded(g)), kv[::-1]).reshape(n, c))
 
-    return _make(out.swapaxes(0, 1).reshape(n, c), (x, kernel), bwd, "conv1d")
+    return _make(out.reshape(n, c), (x, kernel), bwd, "conv1d")
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,25 @@ def per_clip_finetune_step(batch, model, head, config, step):
     return total / len(batch)
 
 
+def per_clip_stacked_views_step(batch, model, head, config, step):
+    """The step as one graph and one backward per clip, each graph stacking
+    that clip's view A and view B as the step stacks a group's views;
+    returns the logged loss, summed as the step sums it."""
+    view_a, view_b = finetune_module._augmented_views(batch, config, step, None)
+    total = 0.0
+    for i, ex in enumerate(batch):
+        rngs = [step_rng(config.seed, p, step, i) for p in (RNG_HEAD_DROPOUT_A, RNG_HEAD_DROPOUT_B)]
+        context = model.contextualize(model.encode_features([view_a[i], view_b[i]]), rng=rngs)
+        probs = head(T.dropout(context, config.output_dropout, rngs), clips=2)
+        probs_a = T.rows(probs, 0, 1)
+        bce = bce_loss(probs_a, ex.targets[None])
+        consistency = consistency_loss(probs_a, T.rows(probs, 1, 2))
+        loss = T.add(bce, T.mul(consistency, config.consistency_weight))
+        T.backward(T.mul(loss, 1.0 / len(batch)))
+        total += bce.item() + config.consistency_weight * consistency.item()
+    return total / len(batch)
+
+
 def named_grads(model, head):
     return list(model.named_parameters()) + list(head.named_parameters())
 
@@ -525,7 +544,7 @@ class TestGroupedStep:
         assert len(calls) == 3
         oracle, oracle_head = self.build(cfg, "mean-pool")
         assert record["loss"] == pytest.approx(
-            per_clip_finetune_step(batch, oracle, oracle_head, fcfg, step=0), rel=1e-14
+            per_clip_stacked_views_step(batch, oracle, oracle_head, fcfg, step=0), rel=1e-14
         )
         assert_same_grads(named_grads(grouped, grouped_head), named_grads(oracle, oracle_head))
 

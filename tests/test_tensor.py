@@ -145,6 +145,77 @@ class TestConv1d:
             T.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 3))))
 
 
+def conv1d_per_tap(x, kernel, g, clips):
+    """The depthwise conv1d as one numpy pass per tap, in the inputs' dtype:
+    output, kernel gradient and input gradient for the output gradient g."""
+    n, c = x.shape
+    k, t = kernel.shape[0], n // clips
+    pad = k // 2
+    xp = np.zeros((t + 2 * pad, clips, c), dtype=x.dtype)
+    xp[pad : pad + t] = x.reshape(clips, t, c).swapaxes(0, 1)
+    out = np.zeros((t, clips, c), dtype=x.dtype)
+    for dt in range(k):
+        out += xp[dt : dt + t] * kernel[dt]
+    g = g.reshape(clips, t, c).swapaxes(0, 1)
+    dk = np.zeros_like(kernel)
+    for dt in range(k):
+        dk[dt] = (xp[dt : dt + t] * g).sum(axis=(0, 1))
+    dxp = np.zeros_like(xp)
+    for dt in range(k):
+        dxp[dt : dt + t] += g * kernel[dt]
+    return out.swapaxes(0, 1).reshape(n, c), dk, dxp[pad : pad + t].swapaxes(0, 1).reshape(n, c)
+
+
+class TestConv1dAgainstPerTapLoop:
+    """The windowed conv1d against a pass-per-tap loop, forward and both
+    gradients, relative to the largest reference entry."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("clips", [1, 2, 3])
+    @pytest.mark.parametrize("k,t", [(1, 20), (3, 20), (15, 20), (31, 20), (31, 6)],
+                             ids=["k1", "k3", "k15", "k31", "k31-longer-than-clip"])
+    def test_matches(self, k, t, clips, dtype, tol):
+        rng = np.random.default_rng(70 + k + clips)
+        x, g = (rng.normal(size=(clips * t, 5)).astype(dtype) for _ in range(2))
+        kernel = rng.normal(size=(k, 5)).astype(dtype)
+        xt, kt = parameter(x.copy()), parameter(kernel.copy())
+        out = T.conv1d(xt, kt, clips=clips)
+        backward(_sum_against(out, g))
+        for got, want in zip((out.values, kt.grad, xt.grad), conv1d_per_tap(x, kernel, g, clips)):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+class TestRows:
+    def test_forward_is_a_view_with_the_same_bits(self):
+        a = Tensor(np.random.default_rng(80).normal(size=(6, 3)).astype(np.float32))
+        out = T.rows(a, 2, 5)
+        assert_same_bits(out.values, a.values[2:5])
+        assert np.shares_memory(out.values, a.values)
+
+    def test_backward_is_zero_outside_the_rows(self):
+        a = parameter(np.ones((6, 3)))
+        g = np.random.default_rng(81).normal(size=(3, 3))
+        backward(_sum_against(T.rows(a, 2, 5), g))
+        np.testing.assert_array_equal(a.grad[2:5], g)
+        np.testing.assert_array_equal(a.grad[:2], 0.0)
+        np.testing.assert_array_equal(a.grad[5:], 0.0)
+
+    def test_slices_that_cover_a_tensor_add_up_to_its_gradient(self):
+        rng = np.random.default_rng(82)
+        x, g = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        whole, halves = parameter(x.copy()), parameter(x.copy())
+        backward(_sum_against(T.swish(whole), g))
+        h = T.swish(halves)
+        backward(T.add(_sum_against(T.rows(h, 0, 2), g[:2]), _sum_against(T.rows(h, 2, 5), g[2:])))
+        assert_same_bits(halves.grad, whole.grad)
+
+    @pytest.mark.parametrize("start,stop", [(2, 2), (3, 1), (-1, 2), (0, 7)])
+    def test_empty_or_out_of_range_rejected(self, start, stop):
+        with pytest.raises(ShapeError):
+            T.rows(Tensor(np.ones((6, 2))), start, stop)
+
+
 def _assert_stack_matches_alone(op, stacked, shared=(), clips=3):
     """``op(xs, params, clips)`` on a stack of clips equals ``op`` on each clip alone.
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    bind_arrays,
     generate_synthetic_dataset,
     load_checkpoint,
     load_examples,
@@ -214,13 +215,7 @@ def _restore_finetuned(checkpoint_path):
         raise StorageError(f"{checkpoint_path}: malformed head_kind {kind!r} or vocabulary")
     model = restore_model(ck)
     head = make_head(kind, model.config.latent_dim, len(vocabulary), seed=ck.seed)
-    head_arrays = {
-        n[len("head.") :]: a for n, a in ck.arrays.items() if n.startswith("head.")
-    }
-    try:
-        head.load_state_arrays(head_arrays)
-    except ConfigError as exc:
-        raise StorageError(f"{checkpoint_path}: head arrays do not load ({exc})") from exc
+    bind_arrays(ck, head=head)
     return model, head, ck
 
 

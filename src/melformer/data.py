@@ -251,6 +251,7 @@ class Checkpoint:
     optimizer_arrays: dict | None = None
     optimizer_step: int = 0
     extra: dict = field(default_factory=dict)
+    path: Path | None = None
 
 
 def save_checkpoint(
@@ -376,6 +377,7 @@ def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
         optimizer_arrays=optimizer_arrays,
         optimizer_step=optimizer_step,
         extra=dict(header.get("extra", {})),
+        path=path,
     )
 
 
@@ -412,19 +414,27 @@ def latest_checkpoint(out_dir: str | Path) -> Path | None:
 
 
 def restore_model(checkpoint: Checkpoint, expect_config: ModelConfig | None = None):
-    """Build a model from a checkpoint, optionally enforcing a config match.
-
-    Arrays that do not fit the checkpoint's own model config make it a
-    corrupt checkpoint, a :class:`StorageError`.
-    """
+    """Build a model from a checkpoint, optionally enforcing a config match."""
     if expect_config is not None and checkpoint.model_config != expect_config:
         raise ConfigError("checkpoint architecture differs from the requested config")
     model = ConformerModel(checkpoint.model_config, seed=checkpoint.seed)
-    model_arrays = {
-        n: a for n, a in checkpoint.arrays.items() if not n.startswith("head.")
-    }
-    try:
-        model.load_state_arrays(model_arrays)
-    except ConfigError as exc:
-        raise StorageError(f"checkpoint arrays do not fit its model config ({exc})") from exc
+    bind_arrays(checkpoint, model=model)
     return model
+
+
+def bind_arrays(checkpoint: Checkpoint, model=None, head=None, optimizer=None):
+    """Load a checkpoint's arrays into the parts given: ``model`` takes those
+    not named ``head.*``, ``head`` the ``head.*`` ones (prefix stripped) and
+    ``optimizer`` (an Adam) the moments and step count. Arrays that do not
+    fit make the checkpoint corrupt: a :class:`StorageError` naming it."""
+    arrays = checkpoint.arrays
+    try:
+        if model is not None:
+            model.load_state_arrays({n: a for n, a in arrays.items() if not n.startswith("head.")})
+        if head is not None:
+            head.load_state_arrays({n[5:]: a for n, a in arrays.items() if n.startswith("head.")})
+        if optimizer is not None:
+            optimizer.load_state_arrays(checkpoint.optimizer_arrays or {}, checkpoint.optimizer_step)
+    except ConfigError as exc:
+        fault = f"{checkpoint.path}: checkpoint arrays do not fit its model config ({exc})"
+        raise StorageError(fault) from exc

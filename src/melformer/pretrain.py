@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import latest_checkpoint, load_checkpoint, save_checkpoint
-from .errors import ConfigError, NumericError, ShapeError, StorageError
+from .data import bind_arrays, latest_checkpoint, load_checkpoint, save_checkpoint
+from .errors import ConfigError, NumericError, ShapeError
 from .model import ConformerModel, apply_mask, check_stackable, clip_groups, sample_mask
 from .tensor import Tensor, backward
 
@@ -498,9 +498,8 @@ def run_pretraining(
     checkpoint, the run resumes from the newest valid one
     (``latest_checkpoint``, which names each corrupt newer one it skips):
     its architecture and seed must match, the model and Adam state are
-    loaded from it, and a ``resuming from`` line is printed. Arrays that do
-    not fit the checkpoint's own model config raise StorageError. Returns
-    the optimizer.
+    loaded from it, and a ``resuming from`` line is printed. Model or Adam
+    arrays that do not fit raise StorageError. Returns the optimizer.
     """
     check_stackable([len(f) for f in logmels], model.config.stack_factor)
     out_dir = Path(out_dir)
@@ -513,13 +512,8 @@ def run_pretraining(
             raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
         if ck.seed != config.seed:
             raise ConfigError(f"checkpoint seed {ck.seed} differs from this run's {config.seed}")
-        # Loaded before Adam is built, so its arena adopts the loaded arrays.
-        try:
-            model.load_state_arrays(ck.arrays)
-        except ConfigError as exc:
-            raise StorageError(
-                f"{resume_from}: checkpoint arrays do not fit its model config ({exc})"
-            ) from exc
+        # Bound before Adam is built, so its arena adopts the loaded arrays.
+        bind_arrays(ck, model=model)
     optimizer = Adam(
         list(model.named_parameters()),
         beta1=config.beta1,
@@ -529,7 +523,7 @@ def run_pretraining(
     start_step = 0
     if ck is not None:
         if ck.optimizer_arrays is not None:
-            optimizer.load_state_arrays(ck.optimizer_arrays, ck.optimizer_step)
+            bind_arrays(ck, optimizer=optimizer)
         start_step = ck.step
         print(f"resuming from {resume_from} at step {start_step}")
     model.train()

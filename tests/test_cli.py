@@ -81,6 +81,19 @@ def edit_header(ckpt, edit):
     (ckpt / "header.json").write_text(json.dumps(header))
 
 
+def transpose_in_header(ckpt, name):
+    """Swap the two dimensions of one array in a checkpoint's header. Its
+    size is unchanged, so the blob still parses."""
+
+    def swap_shape(header):
+        (entry,) = [e for e in header["arrays"] if e[0] == name]
+        rows, cols = entry[1]
+        assert rows != cols
+        entry[1] = [cols, rows]
+
+    edit_header(ckpt, swap_shape)
+
+
 def tree_bytes(root):
     """Every file under ``root``, by relative path, with its bytes."""
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -389,22 +402,12 @@ class TestPretrainCommand:
         assert "ckpt-00000004: blob is 100 bytes" in capsys.readouterr().err
         assert tree_bytes(part) == before
 
-    def test_resume_from_arrays_that_do_not_fit_the_config_is_io_error(
-        self, dataset, toy_config, tmp_path, capsys
-    ):
+    def resume_past_a_transposed_array(self, dataset, toy_config, tmp_path, capsys, name):
         base = self.every_2_steps(dataset, toy_config, tmp_path)
         part = tmp_path / "part"
         assert main(base + ["--out-dir", str(part), "--max-steps", "2"]) == 0
         ckpt = part / "ckpt-00000002"
-        name = "context_encoder.blocks.0.ffn_pre.lin1.weight"
-
-        def swap_shape(header):
-            (entry,) = [e for e in header["arrays"] if e[0] == name]
-            rows, cols = entry[1]
-            assert rows != cols
-            entry[1] = [cols, rows]  # same size, so the blob still parses
-
-        edit_header(ckpt, swap_shape)
+        transpose_in_header(ckpt, name)
         before = tree_bytes(part)
         capsys.readouterr()
         assert main(base + ["--out-dir", str(part), "--max-steps", "3"]) == 5
@@ -412,6 +415,18 @@ class TestPretrainCommand:
         assert f"I/O error: {ckpt}: checkpoint arrays do not fit its model config" in err
         assert name in err
         assert tree_bytes(part) == before
+
+    def test_resume_from_arrays_that_do_not_fit_the_config_is_io_error(
+        self, dataset, toy_config, tmp_path, capsys
+    ):
+        name = "context_encoder.blocks.0.ffn_pre.lin1.weight"
+        self.resume_past_a_transposed_array(dataset, toy_config, tmp_path, capsys, name)
+
+    def test_resume_from_adam_moments_that_do_not_fit_is_io_error(
+        self, dataset, toy_config, tmp_path, capsys
+    ):
+        name = "adam.m.context_encoder.blocks.0.ffn_pre.lin1.weight"
+        self.resume_past_a_transposed_array(dataset, toy_config, tmp_path, capsys, name)
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_config_file_seed_applies_unless_seed_is_given(
@@ -708,7 +723,9 @@ class TestEvaluateAndExtract:
         argv = ["extract", "--init-checkpoint", str(ckpt), "--out-dir", str(out_dir)]
         code = main(argv + [str(wav)])
         assert code == 5
-        assert "do not fit its model config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "do not fit its model config" in err
+        assert f"I/O error: {ckpt}: checkpoint arrays do not fit" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -736,6 +753,20 @@ class TestEvaluateAndExtract:
         argv = ["evaluate", "--init-checkpoint", ckpt, "--manifest", dataset / "manifest.tsv"]
         assert main([str(a) for a in argv + ["--out-dir", out]]) == 5
         assert f"I/O error: {ckpt}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_with_head_arrays_that_do_not_fit_is_io_error(
+        self, dataset, finetuned, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(finetuned, ckpt)
+        transpose_in_header(ckpt, "head.proj.weight")
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--init-checkpoint", ckpt, "--manifest", dataset / "manifest.tsv"]
+        assert main([str(a) for a in argv + ["--out-dir", out]]) == 5
+        err = capsys.readouterr().err
+        assert f"I/O error: {ckpt}: checkpoint arrays do not fit its model config" in err
+        assert "'proj.weight'" in err
         assert not out.exists()
 
     def test_evaluate_with_pretrain_checkpoint_is_config_error(

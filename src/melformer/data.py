@@ -313,17 +313,13 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint directory back, validating its version and sizes.
 
-    The blob is read once; the arrays are writable, non-overlapping views
-    of that one buffer. A header with missing or mistyped fields, a
-    negative dimension or a model config that does not validate raises
-    :class:`StorageError`.
+    A bad header, a wrong version or a blob of the wrong size (its ``stat``
+    size) is rejected before the blob is read. The blob is read once; the
+    arrays are writable, non-overlapping views of that one buffer. A header
+    with missing or mistyped fields, a negative dimension or a model config
+    that does not validate raises :class:`StorageError`.
     """
-    return _read_checkpoint(Path(path), read_blob=True)
-
-
-def _read_checkpoint(path: Path, read_blob: bool) -> Checkpoint:
-    """Without ``read_blob``, the arrays view an unread buffer of the blob's
-    size: the header is checked against the blob's size alone."""
+    path = Path(path)
     header_path = path / "header.json"
     blob_path = path / "arrays.bin"
     if not header_path.is_file() or not blob_path.is_file():
@@ -332,17 +328,13 @@ def _read_checkpoint(path: Path, read_blob: bool) -> Checkpoint:
         header = json.loads(header_path.read_text())
     except ValueError as exc:
         raise StorageError(f"{path}: corrupt header ({exc})") from exc
-    if read_blob:
-        blob = np.fromfile(blob_path, dtype=np.uint8)
-    else:
-        blob = np.empty(blob_path.stat().st_size, dtype=np.uint8)
     try:
-        return _parse_checkpoint(path, header, blob)
+        return _parse_checkpoint(path, header, blob_path)
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise StorageError(f"{path}: malformed header ({exc!r})") from exc
 
 
-def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
+def _parse_checkpoint(path: Path, header: dict, blob_path: Path) -> Checkpoint:
     """The checkpoint a parsed header describes: its arrays lie back to back
     in header order, 4 bytes per element, as ``save_checkpoint`` writes them."""
     if header.get("format_version") != CHECKPOINT_VERSION:
@@ -351,8 +343,10 @@ def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
             f" (this build reads version {CHECKPOINT_VERSION})"
         )
     expected = sum(4 * math.prod(shape) for _, shape in header["arrays"])
-    if blob.size != expected:
-        raise StorageError(f"{path}: blob is {blob.size} bytes, header says {expected}")
+    size = blob_path.stat().st_size
+    if size != expected:
+        raise StorageError(f"{path}: blob is {size} bytes, header says {expected}")
+    blob = np.fromfile(blob_path, dtype=np.uint8)
     arrays = {}
     offset = 0
     for name, shape in header["arrays"]:
@@ -381,17 +375,15 @@ def _parse_checkpoint(path: Path, header: dict, blob: np.ndarray) -> Checkpoint:
     )
 
 
-def latest_checkpoint(out_dir: str | Path) -> Path | None:
-    """Newest valid ckpt-NNNNNNNN directory under out_dir (never .tmp or -final).
-
-    A checkpoint is valid when its header parses and its blob has the size
-    the header gives; the blob is not read. Each newer checkpoint passed
-    over is named on stdout with its :class:`StorageError`. When
-    checkpoints exist but none is valid, the newest one's error is raised.
-    A save that
-    crashed between its two renames leaves the checkpoint it was replacing
-    only at ``ckpt-NNNNNNNN.old``; such a lone ``.old`` is renamed back
-    first. An ``.old`` beside its ``ckpt-NNNNNNNN`` is left alone.
+def resume_newest(out_dir: str | Path, fit):
+    """What ``fit(checkpoint)`` returns for the newest ckpt-NNNNNNNN directory
+    under ``out_dir`` (never .tmp, .old or -final) that loads and fits; None
+    when there is none. ``fit`` raises StorageError on arrays that do not fit.
+    Each newer checkpoint passed over is named on stdout with its error; when
+    checkpoints exist but none loads and fits, the newest one's error is
+    raised. A lone ``ckpt-NNNNNNNN.old``, left by a save that crashed between
+    its two renames, is renamed back first; an ``.old`` beside its
+    checkpoint is left alone.
     """
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
@@ -403,8 +395,7 @@ def latest_checkpoint(out_dir: str | Path) -> Path | None:
     newest_error = None
     for candidate in sorted((p for p in out_dir.glob(pattern) if p.is_dir()), reverse=True):
         try:
-            _read_checkpoint(candidate, read_blob=False)
-            return candidate
+            return fit(load_checkpoint(candidate))
         except StorageError as exc:
             newest_error = newest_error or exc
             print(f"skipping corrupt checkpoint: {exc}")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import bind_arrays, latest_checkpoint, load_checkpoint, save_checkpoint
+from .data import bind_arrays, resume_newest, save_checkpoint
 from .errors import ConfigError, NumericError, ShapeError
 from .model import ConformerModel, apply_mask, check_stackable, clip_groups, sample_mask
 from .tensor import Tensor, backward
@@ -495,37 +495,39 @@ def run_pretraining(
     """Pretrain with periodic checkpoints and a JSONL metrics log.
 
     Steps are numbered from 1. When ``out_dir`` holds a ``ckpt-NNNNNNNN``
-    checkpoint, the run resumes from the newest valid one
-    (``latest_checkpoint``, which names each corrupt newer one it skips):
-    its architecture and seed must match, the model and Adam state are
-    loaded from it, and a ``resuming from`` line is printed. Model or Adam
-    arrays that do not fit raise StorageError. Returns the optimizer.
+    checkpoint, the run resumes from the newest one that loads and fits
+    (``resume_newest``, which names each newer one it skips): its
+    architecture and seed must match (else ConfigError), its model and Adam
+    arrays are bound, and a ``resuming from`` line is printed. A checkpoint
+    whose model or Adam arrays do not fit, or that has no Adam state, is
+    skipped; when none fits, the newest one's StorageError is raised.
+    Returns the optimizer.
     """
     check_stackable([len(f) for f in logmels], model.config.stack_factor)
     out_dir = Path(out_dir)
     end_step = last_step(config.total_steps, max_steps)
-    resume_from = latest_checkpoint(out_dir)
-    ck = None
-    if resume_from is not None:
-        ck = load_checkpoint(resume_from)
+
+    def new_adam():
+        return Adam(
+            list(model.named_parameters()),
+            beta1=config.beta1,
+            beta2=config.beta2,
+            weight_decay=config.weight_decay,
+        )
+
+    def resume(ck):
         if ck.model_config != model.config:
-            raise ConfigError(f"checkpoint at {resume_from} has a different architecture")
+            raise ConfigError(f"checkpoint at {ck.path} has a different architecture")
         if ck.seed != config.seed:
             raise ConfigError(f"checkpoint seed {ck.seed} differs from this run's {config.seed}")
         # Bound before Adam is built, so its arena adopts the loaded arrays.
         bind_arrays(ck, model=model)
-    optimizer = Adam(
-        list(model.named_parameters()),
-        beta1=config.beta1,
-        beta2=config.beta2,
-        weight_decay=config.weight_decay,
-    )
-    start_step = 0
-    if ck is not None:
-        if ck.optimizer_arrays is not None:
-            bind_arrays(ck, optimizer=optimizer)
-        start_step = ck.step
-        print(f"resuming from {resume_from} at step {start_step}")
+        optimizer = new_adam()
+        bind_arrays(ck, optimizer=optimizer)
+        print(f"resuming from {ck.path} at step {ck.step}")
+        return optimizer, ck.step
+
+    optimizer, start_step = resume_newest(out_dir, resume) or (new_adam(), 0)
     model.train()
 
     def step_fn(step):

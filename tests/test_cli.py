@@ -10,7 +10,13 @@ import pytest
 
 from melformer import cli
 from melformer.cli import build_parser, main
-from melformer.data import load_checkpoint, read_manifest, save_checkpoint, write_wav
+from melformer.data import (
+    load_checkpoint,
+    read_manifest,
+    restore_model,
+    save_checkpoint,
+    write_wav,
+)
 from melformer.model import ConformerModel, ModelConfig
 
 TOY_MODEL = dict(
@@ -427,6 +433,40 @@ class TestPretrainCommand:
     ):
         name = "adam.m.context_encoder.blocks.0.ffn_pre.lin1.weight"
         self.resume_past_a_transposed_array(dataset, toy_config, tmp_path, capsys, name)
+
+    @pytest.mark.parametrize(
+        "transposed",
+        [
+            "context_encoder.blocks.0.ffn_pre.lin1.weight",
+            "adam.m.context_encoder.blocks.0.ffn_pre.lin1.weight",
+            None,
+        ],
+        ids=["model-array", "adam-moment", "no-adam-state"],
+    )
+    def test_resume_falls_back_past_a_newest_checkpoint_that_does_not_fit(
+        self, dataset, toy_config, tmp_path, capsys, transposed
+    ):
+        base = self.every_2_steps(dataset, toy_config, tmp_path)
+        assert main(base + ["--out-dir", str(tmp_path / "full"), "--max-steps", "6"]) == 0
+        part = tmp_path / "part"
+        assert main(base + ["--out-dir", str(part), "--max-steps", "4"]) == 0
+        ckpt = part / "ckpt-00000004"
+        if transposed is None:
+            ck = load_checkpoint(ckpt)
+            save_checkpoint(ckpt, restore_model(ck), step=ck.step, seed=ck.seed)
+            assert load_checkpoint(ckpt).optimizer_arrays is None
+        else:
+            transpose_in_header(ckpt, transposed)
+        capsys.readouterr()
+        assert main(base + ["--out-dir", str(part), "--max-steps", "6"]) == 0
+        out = capsys.readouterr().out
+        fault = "checkpoint arrays do not fit its model config"
+        skipped = f"skipping corrupt checkpoint: {ckpt}: {fault}"
+        resumed = f"resuming from {part / 'ckpt-00000002'} at step 2"
+        assert out.count("skipping corrupt checkpoint") == 1 and skipped in out
+        assert resumed in out and out.index(skipped) < out.index(resumed)
+        # metrics.jsonl and every checkpoint, ckpt-00000006 among them.
+        assert tree_bytes(part) == tree_bytes(tmp_path / "full")
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_config_file_seed_applies_unless_seed_is_given(

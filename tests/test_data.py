@@ -13,12 +13,12 @@ from melformer.data import (
     ManifestRecord,
     class_frequency,
     generate_synthetic_dataset,
-    latest_checkpoint,
     load_checkpoint,
     load_examples,
     read_manifest,
     read_wav,
     restore_model,
+    resume_newest,
     save_checkpoint,
     write_manifest,
     write_wav,
@@ -27,6 +27,12 @@ from melformer.errors import ConfigError, DataError, StorageError
 from melformer.finetune import make_head
 from melformer.model import ConformerModel, ModelConfig
 from melformer.pretrain import Adam
+
+
+def newest(out_dir):
+    """The checkpoint ``resume_newest`` resumes from when every one that
+    loads also fits."""
+    return resume_newest(out_dir, lambda ck: ck.path)
 
 
 def crash_between_renames(path, model, monkeypatch):
@@ -346,7 +352,7 @@ class TestCheckpoint:
         assert survivor.step == 1
         for name, arr in old.state_arrays().items():
             assert np.array_equal(survivor.arrays[name], arr), name
-        assert latest_checkpoint(tmp_path) is None
+        assert newest(tmp_path) is None
         # The next save succeeds and clears the stale aside copy.
         save_checkpoint(tmp_path / "ck", new, step=2, seed=15)
         assert load_checkpoint(tmp_path / "ck").step == 2
@@ -360,7 +366,7 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ckpt-00000005", "ckpt-00000010.old", "ckpt-00000010.tmp"
         ]
-        assert latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000010"
+        assert newest(tmp_path) == tmp_path / "ckpt-00000010"
         assert load_checkpoint(tmp_path / "ckpt-00000010").step == 10
         assert not (tmp_path / "ckpt-00000010.old").exists()
 
@@ -369,7 +375,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ckpt-00000003", model, step=3, seed=18)
         save_checkpoint(tmp_path / "ckpt-00000004", model, step=4, seed=18)
         save_checkpoint(tmp_path / "ckpt-00000004.old", model, step=1, seed=18)
-        assert latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000004"
+        assert newest(tmp_path) == tmp_path / "ckpt-00000004"
         assert load_checkpoint(tmp_path / "ckpt-00000004").step == 4
         assert load_checkpoint(tmp_path / "ckpt-00000004.old").step == 1
 
@@ -394,8 +400,8 @@ class TestCheckpoint:
         model = tiny_model(seed=11)
         for step in (5, 12, 9):
             save_checkpoint(tmp_path / f"ckpt-{step:08d}", model, step=step, seed=11)
-        assert latest_checkpoint(tmp_path).name == "ckpt-00000012"
-        assert latest_checkpoint(tmp_path / "nope") is None
+        assert newest(tmp_path).name == "ckpt-00000012"
+        assert newest(tmp_path / "nope") is None
 
     @pytest.mark.parametrize("corruption", ["truncated-blob", "bad-json", "wrong-version"])
     def test_latest_checkpoint_skips_a_corrupt_newest_without_reading_blobs(
@@ -407,8 +413,15 @@ class TestCheckpoint:
         checkpoint_corruptions[corruption](tmp_path / "ckpt-00000004")
         with pytest.raises(StorageError):
             load_checkpoint(tmp_path / "ckpt-00000004")
-        monkeypatch.setattr(np, "fromfile", lambda *a, **k: pytest.fail("blob read"))
-        assert latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000002"
+        real_fromfile = np.fromfile
+
+        def fromfile(file, *args, **kwargs):
+            if Path(file).parent.name == "ckpt-00000004":
+                pytest.fail("blob read")
+            return real_fromfile(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", fromfile)
+        assert newest(tmp_path) == tmp_path / "ckpt-00000002"
 
     def test_latest_checkpoint_raises_the_newest_error_when_none_is_valid(
         self, tmp_path, checkpoint_corruptions
@@ -419,13 +432,13 @@ class TestCheckpoint:
         checkpoint_corruptions["wrong-version"](tmp_path / "ckpt-00000002")
         checkpoint_corruptions["truncated-blob"](tmp_path / "ckpt-00000004")
         with pytest.raises(StorageError, match="ckpt-00000004: blob is 100 bytes"):
-            latest_checkpoint(tmp_path)
+            newest(tmp_path)
 
     def test_latest_checkpoint_skips_staging_and_final(self, tmp_path):
         model = tiny_model(seed=12)
         for name in ("ckpt-00000012", "ckpt-00000013.tmp", "ckpt-final"):
             save_checkpoint(tmp_path / name, model, step=12, seed=12)
-        assert latest_checkpoint(tmp_path).name == "ckpt-00000012"
+        assert newest(tmp_path).name == "ckpt-00000012"
 
     def test_restore_adopts_loaded_arrays(self, tmp_path):
         model = tiny_model(seed=13)

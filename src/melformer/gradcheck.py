@@ -1,7 +1,7 @@
 """Finite-difference verification suite.
 
 Checks every autodiff primitive (the per-clip ones also on a stack of two
-clips), one full conformer block, and the
+clips), the three fused sub-module nodes, one full conformer block, and the
 end-to-end contrastive loss of a two-block model against central
 differences, in both single and double precision. Thresholds: 1e-3 for
 float32 graphs, 1e-5 for float64 graphs, at eps=1e-4.
@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .model import ConformerBlock, ConformerModel, ModelConfig, apply_mask, time_stack
+from .model import ConformerBlock, ConformerModel, ConvolutionModule, FeedForward, ModelConfig
+from .model import SelfAttention, apply_mask, time_stack
 from .pretrain import contrastive_loss
 from .tensor import Tensor, grad_check
 
@@ -205,6 +206,28 @@ def check_block(seed: int, dtype) -> float:
     return module_grad_check(_tiny_block, _block_readout(seed), seed, dtype, max_coords=4)
 
 
+# name -> (build(rng), input rows, clips) of the fused sub-module checks.
+SUB_MODULES = {
+    "feed_forward": (lambda rng: FeedForward(8, 12, 0.4, rng), 5, 1),
+    "conv_module_2clips": (lambda rng: ConvolutionModule(8, 3, 0.4, rng), 8, 2),
+    "self_attention_2clips": (lambda rng: SelfAttention(8, 2, 0.4, rng), 6, 2),
+}
+
+
+def check_sub_module(name: str, seed: int, dtype) -> float:
+    """A fused sub-module node w.r.t. its input and its module's parameters.
+    Each call draws the dropout masks from freshly seeded per-clip streams,
+    so they stay fixed."""
+    make, rows, clips = SUB_MODULES[name]
+
+    def readout(module, xt):
+        w = Tensor(np.random.default_rng(seed).normal(size=(rows, 8)).astype(xt.values.dtype))
+        rngs = [np.random.default_rng([seed, 7, i]) for i in range(clips)]
+        return T.reduce_sum(T.mul(module(xt, rngs), w))
+
+    return module_grad_check(lambda rng: (make(rng), rng.normal(size=(rows, 8))), readout, seed, dtype)
+
+
 def check_end_to_end(seed: int, dtype) -> float:
     """Contrastive loss through a 2-block model, leaves = stacked input + params."""
 
@@ -259,6 +282,9 @@ def run_gradcheck_suite(points_per_case: int = 10, log=None) -> list[CheckResult
                 fn, pts = make(np.random.default_rng(1000 + point), dtype)
                 err = grad_check(fn, pts, rng=np.random.default_rng(point))
                 worst = max(worst, err)
+            record(name, label, worst, tol)
+        for i, name in enumerate(SUB_MODULES):
+            worst = max(check_sub_module(name, 4000 + 100 * i + p, dtype) for p in range(points_per_case))
             record(name, label, worst, tol)
         worst = max(check_block(2000 + p, dtype) for p in range(points_per_case))
         record("conformer_block_d32", label, worst, tol)

@@ -178,6 +178,10 @@ class Linear(Module):
         self.weight = _glorot(rng, in_dim, out_dim, (in_dim, out_dim))
         self.bias = T.parameter(np.zeros(out_dim, dtype=np.float32)) if bias else None
 
+    @property
+    def args(self):
+        return self.weight, self.bias
+
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
@@ -186,6 +190,10 @@ class LayerNorm(Module):
     def __init__(self, dim):
         self.gain = T.parameter(np.ones(dim, dtype=np.float32))
         self.bias = T.parameter(np.zeros(dim, dtype=np.float32))
+
+    @property
+    def args(self):
+        return self.gain, self.bias
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
@@ -200,15 +208,14 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(dim, dtype=np.float32)
         self.running_var = np.ones(dim, dtype=np.float32)
 
-    def __call__(self, x: Tensor, clips: int = 1) -> Tensor:
-        return T.batch_norm(
-            x, self.gain, self.bias, self.running_mean, self.running_var, self.training,
-            clips=clips,
-        )
+    @property
+    def args(self):
+        return self.gain, self.bias, self.running_mean, self.running_var
 
 
 class FeedForward(Module):
-    """layer-norm -> linear -> swish -> dropout -> linear -> dropout."""
+    """Half-step residual FFN: x + (layer-norm -> linear -> swish -> dropout
+    -> linear -> dropout)(x) / 2, one ``T.feed_forward`` node."""
 
     def __init__(self, dim, hidden, dropout, rng):
         self.norm = LayerNorm(dim)
@@ -217,14 +224,15 @@ class FeedForward(Module):
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        h = T.swish(self.lin1(self.norm(x)))
-        h = T.dropout(h, self.dropout, rng, self.training)
-        h = self.lin2(h)
-        return T.dropout(h, self.dropout, rng, self.training)
+        return T.feed_forward(
+            x, self.norm.args, self.lin1.args, self.lin2.args, self.dropout, rng, self.training
+        )
 
 
 class ConvolutionModule(Module):
-    """layer-norm -> pointwise (2x) -> GLU -> depthwise -> batch-norm -> swish -> pointwise -> dropout.
+    """Residual convolution module, one ``T.conv_module`` node: x + (layer-norm
+    -> pointwise (2x) -> GLU -> depthwise -> batch-norm -> swish -> pointwise
+    -> dropout)(x).
 
     The pointwise (kernel-1) convolutions are per-frame affine maps, so they
     are ``Linear`` layers; only the depthwise convolution is a ``conv1d``.
@@ -241,19 +249,19 @@ class ConvolutionModule(Module):
         self.dropout = dropout
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        clips = len(T.clip_rngs(rng))
-        h = T.glu(self.pointwise_in(self.norm(x)))
-        h = T.conv1d(h, self.depthwise, clips=clips)
-        h = T.swish(self.batch_norm(h, clips))
-        return T.dropout(self.pointwise_out(h), self.dropout, rng, self.training)
+        return T.conv_module(
+            x, self.norm.args, self.pointwise_in.args, self.depthwise, self.batch_norm.args,
+            self.pointwise_out.args, self.dropout, rng, self.training,
+        )
 
 
 class SelfAttention(Module):
-    """Multi-head scaled dot-product attention over the full sequence.
+    """Residual multi-head self-attention over each clip, one
+    ``T.self_attention`` node: x + (layer-norm -> q/k/v -> attention -> out
+    -> dropout)(x).
 
-    The q/k/v projections feed one fused ``T.attention`` node that runs all
-    heads as a batched matmul. No positional terms are added; the preceding
-    convolution module carries the positional information.
+    No positional terms are added; the preceding convolution module carries
+    the positional information.
     """
 
     def __init__(self, dim, num_heads, dropout, rng):
@@ -269,21 +277,18 @@ class SelfAttention(Module):
         self.out = Linear(dim, dim, rng)
         self.dropout = dropout
 
-    def attend(self, x: Tensor, clips: int = 1) -> Tensor:
-        """Attention without the pre-norm/dropout wrapper."""
-        heads = T.attention(self.query(x), self.key(x), self.value(x), self.num_heads, clips)
-        return self.out(heads)
-
     def __call__(self, x: Tensor, rng) -> Tensor:
-        h = self.attend(self.norm(x), len(T.clip_rngs(rng)))
-        return T.dropout(h, self.dropout, rng, self.training)
+        return T.self_attention(
+            x, self.norm.args, self.query.args, self.key.args, self.value.args, self.out.args,
+            self.num_heads, self.dropout, rng, self.training,
+        )
 
 
 class ConformerBlock(Module):
     """Half-step FFN -> convolution module -> MHSA -> half-step FFN -> layer-norm.
 
-    Every sub-module sits on a residual path; the FFN residuals are scaled
-    by 1/2 (macaron style).
+    Every sub-module returns its input plus its output, the FFNs half their
+    output (macaron style).
     """
 
     def __init__(self, dim, num_heads, ffn_dim, kernel_size, dropout, rng):
@@ -294,11 +299,10 @@ class ConformerBlock(Module):
         self.norm = LayerNorm(dim)
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        x = T.add(x, T.mul(self.ffn_pre(x, rng), 0.5))
-        x = T.add(x, self.conv(x, rng))
-        x = T.add(x, self.attention(x, rng))
-        x = T.add(x, T.mul(self.ffn_post(x, rng), 0.5))
-        return self.norm(x)
+        x = self.ffn_pre(x, rng)
+        x = self.conv(x, rng)
+        x = self.attention(x, rng)
+        return self.norm(self.ffn_post(x, rng))
 
 
 class ContextEncoder(Module):

@@ -4,9 +4,16 @@ Provides the primitive set needed by a conformer encoder and its training
 losses: the affine map ``linear`` (x @ W, plus an optional bias, as one node),
 elementwise arithmetic, reductions, the row slice ``rows``, normalizations,
 fused multi-head attention, gated activations, dropout, depthwise 1-D
-convolution, the three training losses as one node each (masked contrastive
-``info_nce``, ``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and
-a finite-difference gradient checker.
+convolution, the three conformer sub-modules with their residuals as one node
+each (``feed_forward``, ``conv_module`` and ``self_attention``), the three
+training losses as one node each (masked contrastive ``info_nce``,
+``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and a
+finite-difference gradient checker.
+
+The array math of a conformer block's primitives is written once, as private
+kernels that return their output and a ``back`` function from its gradient
+to the input's (adding parameter gradients on the way). A public primitive
+wraps one kernel in a node; a sub-module node chains several.
 
 Tensors store float32 or float64 values. Models are built in float32, and
 ``Module.astype(np.float64)`` casts one for gradient checking (its weights
@@ -59,6 +66,9 @@ __all__ = [
     "batch_norm",
     "dropout",
     "conv1d",
+    "feed_forward",
+    "conv_module",
+    "self_attention",
     "l2_normalize_rows",
     "info_nce",
     "binary_cross_entropy",
@@ -134,10 +144,15 @@ def _check_finite(values: np.ndarray, op: str):
         raise NumericError(f"non-finite output of '{op}'")
 
 
+def _tracked(parents) -> bool:
+    """Whether a node over ``parents`` records its backward."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(values: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     _check_finite(values, op)
     out = Tensor(values)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _tracked(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -297,6 +312,24 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # Linear algebra and reductions
 
 
+def _linear(xv: np.ndarray, weight: Tensor, bias: Tensor | None):
+    """xv @ weight (+ bias) as ``(out, back)``: ``back(g, need_x)`` adds the
+    weight and bias gradients and returns g @ weightᵀ (None without ``need_x``)."""
+    wv = weight.values
+    out = xv @ wv
+    if bias is not None:
+        out += bias.values
+
+    def back(g, need_x=True):
+        if weight.requires_grad:
+            _accum(weight, xv.T @ g)
+        if bias is not None:
+            _accum(bias, g.sum(axis=0))
+        return g @ wv.T if need_x else None
+
+    return out, back
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias) as one node; bias is a (out,) vector added to every row."""
     if x.values.ndim != 2 or weight.values.ndim != 2:
@@ -305,22 +338,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: inner dims disagree {x.shape} @ {weight.shape}")
     if bias is not None and bias.values.shape != (weight.values.shape[1],):
         raise ShapeError(f"linear: bias {bias.shape} does not match weight {weight.shape}")
-    xv, wv = x.values, weight.values
-    out = xv @ wv
-    parents = (x, weight)
-    if bias is not None:
-        out += bias.values
-        parents = (x, weight, bias)
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g @ wv.T)
-        if weight.requires_grad:
-            _accum(weight, xv.T @ g)
-        if bias is not None:
-            _accum(bias, g.sum(axis=0))
-
-    return _make(out, parents, bwd, "linear")
+    out, back = _linear(x.values, weight, bias)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _make(out, parents, lambda g: _accum(x, back(g, x.requires_grad)), "linear")
 
 
 def _reduce(a: Tensor, clips, mean: bool) -> Tensor:
@@ -394,53 +414,58 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(y, (a,), bwd, "sigmoid")
 
 
+def _swish(av: np.ndarray, need_grad: bool, out=None):
+    """av * sigmoid(av), into ``out`` if given, as ``(y, back)``. With
+    ``need_grad`` the derivative (1 - s) * y + s is formed here, and ``back``
+    multiplies it by g in place (so it runs once); without, ``back`` is None."""
+    s = _logistic(av)
+    y = np.multiply(av, s, out=out)
+    if not need_grad:
+        return y, None
+    d = 1.0 - s
+    d *= y
+    d += s
+    return y, lambda g: np.multiply(d, g, out=d)
+
+
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    s = _logistic(a.values)
-    y = a.values * s
+    y, back = _swish(a.values, _tracked((a,)))
+    return _make(y, (a,), lambda g: _accum(a, back(g)), "swish")
 
-    def bwd(g):
-        # ((1 - s) * y + s) * g in one temporary.
-        d = 1.0 - s
-        d *= y
-        d += s
-        d *= g
-        _accum(a, d)
 
-    return _make(y, (a,), bwd, "swish")
+def _glu(av: np.ndarray):
+    """First half of av's columns * sigmoid(second half), as ``(out, back)``."""
+    half = av.shape[1] // 2
+    va = av[:, :half]
+    s = _logistic(av[:, half:])
+
+    def back(g):
+        full = np.empty_like(av)
+        np.multiply(g, s, out=full[:, :half])
+        gate = np.multiply(g, va, out=full[:, half:])
+        gate *= s
+        gate *= 1.0 - s
+        return full
+
+    return va * s, back
 
 
 def glu(a: Tensor) -> Tensor:
     """Gated linear unit of a T x 2C input: first C columns * sigmoid(last C)."""
     if a.values.ndim != 2 or a.values.shape[1] % 2 != 0:
         raise ShapeError(f"glu expects a 2-D input with an even column count, got {a.shape}")
-    half = a.values.shape[1] // 2
-    va = a.values[:, :half]
-    s = _logistic(a.values[:, half:])
-
-    def bwd(g):
-        full = np.zeros_like(a.values)
-        full[:, :half] = g * s
-        full[:, half:] = g * va * s * (1.0 - s)
-        _accum(a, full)
-
-    return _make(va * s, (a,), bwd, "glu")
+    out, back = _glu(a.values)
+    return _make(out, (a,), lambda g: _accum(a, back(g)), "glu")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention over T x D projections.
-
-    Head h owns columns [h*dh, (h+1)*dh) of q, k and v, with dh = D / num_heads.
-    The output holds each head's softmax(q_h k_hᵀ / sqrt(dh)) v_h side by side,
-    computed for all clips and heads at once as one (clips, H, T, dh) batched
-    matmul; each clip's frames attend only to frames of the same clip.
-    """
-    if q.values.ndim != 2 or not q.values.shape == k.values.shape == v.values.shape:
-        raise ShapeError(f"attention: q/k/v shapes disagree {q.shape}, {k.shape}, {v.shape}")
-    n, d = q.values.shape
+def _attention(qv, kv, vv, num_heads: int, clips: int):
+    """Multi-head attention of :func:`attention` as ``(out, back)``, with
+    ``back(g)`` the (q, k, v) gradients."""
+    n, d = qv.shape
     if num_heads < 1 or d % num_heads != 0:
         raise ShapeError(f"attention: dim {d} not divisible by {num_heads} heads")
-    t = _by_clip(q.values, clips, "attention").shape[1]
+    t = _by_clip(qv, clips, "attention").shape[1]
     dh = d // num_heads
     scale = dh**-0.5
     # A lone clip keeps a 3-D (H, T, dh) batch, which numpy multiplies
@@ -453,24 +478,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -
     def merge(a):  # ([clips,] H, T, dh) -> (clips * T, D)
         return a.swapaxes(-3, -2).reshape(n, d)
 
-    qh, kh, vh = (heads(x.values) for x in (q, k, v))
+    qh, kh, vh = heads(qv), heads(kv), heads(vv)
     w = qh @ kh.swapaxes(-1, -2)
     w *= scale
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
+    def back(g):
         gh = heads(g)
         dw = gh @ vh.swapaxes(-1, -2)
         dw -= (dw * w).sum(axis=-1, keepdims=True)
         dw *= w
         dw *= scale
-        grads = (dw @ kh, dw.swapaxes(-1, -2) @ qh, w.swapaxes(-1, -2) @ gh)
-        for x, dx in zip((q, k, v), grads):
-            _accum(x, merge(dx))
+        return merge(dw @ kh), merge(dw.swapaxes(-1, -2) @ qh), merge(w.swapaxes(-1, -2) @ gh)
 
-    return _make(merge(w @ vh), (q, k, v), bwd, "attention")
+    return merge(w @ vh), back
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention over T x D projections.
+
+    Head h owns columns [h*dh, (h+1)*dh) of q, k and v, with dh = D / num_heads.
+    The output holds each head's softmax(q_h k_hᵀ / sqrt(dh)) v_h side by side,
+    computed for all clips and heads at once as one (clips, H, T, dh) batched
+    matmul; each clip's frames attend only to frames of the same clip.
+    """
+    if q.values.ndim != 2 or not q.values.shape == k.values.shape == v.values.shape:
+        raise ShapeError(f"attention: q/k/v shapes disagree {q.shape}, {k.shape}, {v.shape}")
+    out, back = _attention(q.values, k.values, v.values, num_heads, clips)
+
+    def bwd(g):
+        for x, dx in zip((q, k, v), back(g)):
+            _accum(x, dx)
+
+    return _make(out, (q, k, v), bwd, "attention")
 
 
 # ---------------------------------------------------------------------------
@@ -480,42 +522,91 @@ NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
 BATCH_NORM_MOMENTUM = 0.1  # weight of a clip's statistics in the running ones
 
 
-def _standardize(x: Tensor, gain: Tensor, bias: Tensor, view, op: str):
-    """Standardize ``x`` along axis 1 of its reshape to ``view``, then scale by
-    ``gain`` and shift by ``bias`` per feature (last axis).
+def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor):
+    """xhat * gain + bias per feature (last axis), as ``(out, back)`` where
+    ``back(g)`` adds the gain and bias gradients and returns g * gain."""
+    out = xhat * gain.values
+    out += bias.values
 
-    Returns the output tensor and the (view[0], 1, ...) mean and variance.
-    """
-    shape = x.values.shape
-    xv = x.values.reshape(view)
-    mu = xv.mean(axis=1, keepdims=True)
-    xhat = xv - mu
-    # The variance exactly as np.var forms it from the centred input.
-    var = np.square(xhat).sum(axis=1, keepdims=True) / view[1]
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat *= inv
-    xhat = xhat.reshape(shape)
-    gv = gain.values
-
-    def bwd(g):
+    def back(g):
         _accum(gain, (g * xhat).sum(axis=0))
         _accum(bias, g.sum(axis=0))
-        gx, xh = (g * gv).reshape(view), xhat.reshape(view)
-        m1 = gx.mean(axis=1, keepdims=True)
-        m2 = (gx * xh).mean(axis=1, keepdims=True)
-        _accum(x, ((gx - m1 - xh * m2) * inv).reshape(shape))
+        return g * gain.values
 
-    return _make(xhat * gv + bias.values, (x, gain, bias), bwd, op), mu, var
+    return out, back
+
+
+def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view):
+    """Standardize ``xv`` along axis 1 of its reshape to ``view``, then scale
+    by ``gain`` and shift by ``bias`` per feature (last axis).
+
+    Returns ``(out, back, mean, var)``, the statistics (view[0], 1, ...).
+    """
+    v = xv.reshape(view)
+    n = view[1]
+    # The mean and variance exactly as np.mean and np.var form them.
+    mu = v.sum(axis=1, keepdims=True)
+    mu /= n
+    xhat = v - mu
+    var = np.square(xhat).sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    xhat *= inv
+    out, affine_back = _scale_shift(xhat.reshape(xv.shape), gain, bias)
+
+    def back(g):
+        gx = affine_back(g).reshape(view)
+        m1 = gx.sum(axis=1, keepdims=True)
+        m1 /= n
+        t = gx * xhat
+        m2 = t.sum(axis=1, keepdims=True)
+        m2 /= n
+        gx -= m1
+        gx -= np.multiply(xhat, m2, out=t)
+        gx *= inv
+        return gx.reshape(xv.shape)
+
+    return out, back, mu, var
+
+
+def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str):
+    if x.values.ndim != 2:
+        raise ShapeError(f"{op} expects a 2-D tensor")
+    d = x.values.shape[1]
+    if gain.values.shape != (d,) or bias.values.shape != (d,):
+        raise ShapeError(f"{op}: gain/bias must match the feature dim")
+
+
+def _layer_norm(xv: np.ndarray, gain: Tensor, bias: Tensor):
+    return _standardize(xv, gain, bias, xv.shape)[:2]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
-    if x.values.ndim != 2:
-        raise ShapeError("layer_norm expects a 2-D tensor")
-    d = x.values.shape[1]
-    if gain.values.shape != (d,) or bias.values.shape != (d,):
-        raise ShapeError("layer_norm: gain/bias must match the feature dim")
-    return _standardize(x, gain, bias, x.values.shape, "layer_norm")[0]
+    _check_norm(x, gain, bias, "layer_norm")
+    out, back = _layer_norm(x.values, gain, bias)
+    return _make(out, (x, gain, bias), lambda g: _accum(x, back(g)), "layer_norm")
+
+
+def _batch_norm(xv, gain, bias, running_mean, running_var, training: bool, clips: int):
+    """Batch norm of :func:`batch_norm` as ``(out, back)``; training mode
+    folds each clip's statistics into the running buffers here."""
+    if not training:
+        inv = 1.0 / np.sqrt(running_var + NORM_EPS)
+        out, affine_back = _scale_shift((xv - running_mean) * inv, gain, bias)
+
+        def back(g):
+            gx = affine_back(g)
+            gx *= inv
+            return gx
+
+        return out, back
+    view = _by_clip(xv, clips, "batch_norm").shape
+    out, back, mu, var = _standardize(xv, gain, bias, view)
+    m = BATCH_NORM_MOMENTUM
+    for clip_stats in zip(mu[:, 0], var[:, 0]):
+        for buf, stat in zip((running_mean, running_var), clip_stats):
+            buf[...] = ((1.0 - m) * buf + m * stat).astype(buf.dtype, copy=False)
+    return out, back
 
 
 def batch_norm(
@@ -536,29 +627,8 @@ def batch_norm(
     """
     if x.values.ndim != 2:
         raise ShapeError("batch_norm expects a 2-D tensor")
-    if training:
-        view = _by_clip(x.values, clips, "batch_norm").shape
-        out, mu, var = _standardize(x, gain, bias, view, "batch_norm")
-        m = BATCH_NORM_MOMENTUM
-        for clip_mu, clip_var in zip(mu[:, 0], var[:, 0]):
-            running_mean[...] = ((1.0 - m) * running_mean + m * clip_mu).astype(
-                running_mean.dtype, copy=False
-            )
-            running_var[...] = ((1.0 - m) * running_var + m * clip_var).astype(
-                running_var.dtype, copy=False
-            )
-        return out
-
-    gv = gain.values
-    inv = 1.0 / np.sqrt(running_var + NORM_EPS)
-    xhat = (x.values - running_mean) * inv
-
-    def bwd_eval(g):
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
-        _accum(x, g * gv * inv)
-
-    return _make(xhat * gv + bias.values, (x, gain, bias), bwd_eval, "batch_norm")
+    out, back = _batch_norm(x.values, gain, bias, running_mean, running_var, training, clips)
+    return _make(out, (x, gain, bias), lambda g: _accum(x, back(g)), "batch_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +636,38 @@ def batch_norm(
 
 
 DROPOUT_LEVELS = 1 << 16  # dropout draws 16-bit words: rates are multiples of 1/65536
+
+
+def _dropout(xv: np.ndarray, rate: float, rng, training: bool, out=None):
+    """Inverted dropout of :func:`dropout`, into ``out`` if given, as
+    ``(out, back)``, with ``back(g, out=None)`` likewise. When nothing is
+    dropped the result is ``xv`` itself and ``back`` is None."""
+    if not 0.0 <= rate < 1.0:
+        raise ShapeError(f"dropout rate {rate} outside [0, 1)")
+    cut = round(rate * DROPOUT_LEVELS)
+    if cut == DROPOUT_LEVELS:
+        raise ShapeError(f"dropout rate {rate} rounds to 1 at a resolution of 1/65536")
+    if not training or cut == 0:
+        return xv, None
+    rngs = clip_rngs(rng)
+    if any(clip_rng is None for clip_rng in rngs):
+        raise ConfigError("dropout in training mode needs a generator for every clip")
+    n = _by_clip(xv, len(rngs), "dropout")[0].size
+    raws = [clip_rng.bit_generator.random_raw(-(-n // 4)) for clip_rng in rngs]
+    raw = raws[0] if len(raws) == 1 else np.concatenate(raws)
+    # Four 16-bit words from each raw 64-bit draw; each clip keeps its first n.
+    words = raw.view(np.uint16).reshape(len(rngs), -1)[:, :n]
+    keep = np.greater_equal(words, np.uint16(cut)).reshape(xv.shape)
+    scale = xv.dtype.type(DROPOUT_LEVELS / (DROPOUT_LEVELS - cut))
+
+    def back(g, out=None):
+        gx = np.multiply(g, keep, out=out)
+        gx *= scale
+        return gx
+
+    out = np.multiply(xv, keep, out=out)
+    out *= scale
+    return out, back
 
 
 def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
@@ -581,36 +683,46 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
     inverse of the keep probability. A rate that rounds to 0 drops nothing;
     one that rounds to 1 would keep nothing and is rejected.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate {rate} outside [0, 1)")
-    cut = round(rate * DROPOUT_LEVELS)
-    if cut == DROPOUT_LEVELS:
-        raise ShapeError(f"dropout rate {rate} rounds to 1 at a resolution of 1/65536")
-    if not training or cut == 0:
+    out, back = _dropout(x.values, rate, rng, training)
+    if back is None:
         return x
-    rngs = clip_rngs(rng)
-    if any(clip_rng is None for clip_rng in rngs):
-        raise ConfigError("dropout in training mode needs a generator for every clip")
-    n = _by_clip(x.values, len(rngs), "dropout")[0].size
-    raws = [clip_rng.bit_generator.random_raw(-(-n // 4)) for clip_rng in rngs]
-    raw = raws[0] if len(raws) == 1 else np.concatenate(raws)
-    # Four 16-bit words from each raw 64-bit draw; each clip keeps its first n.
-    words = raw.view(np.uint16).reshape(len(rngs), -1)[:, :n]
-    keep = np.greater_equal(words, np.uint16(cut)).reshape(x.values.shape)
-    scale = x.values.dtype.type(DROPOUT_LEVELS / (DROPOUT_LEVELS - cut))
-
-    def bwd(g):
-        gx = g * keep
-        gx *= scale
-        _accum(x, gx)
-
-    out = x.values * keep
-    out *= scale
-    return _make(out, (x,), bwd, "dropout")
+    return _make(out, (x,), lambda g: _accum(x, back(g)), "dropout")
 
 
 # ---------------------------------------------------------------------------
 # Convolution
+
+
+def _conv1d(xv: np.ndarray, kernel: Tensor, clips: int):
+    """Depthwise conv of :func:`conv1d` as ``(out, back)``: ``back(g, need_x)``
+    adds the kernel gradient and returns the input's (None without ``need_x``)."""
+    n, c = xv.shape
+    kv = kernel.values
+    pad = kv.shape[0] // 2
+    t = _by_clip(xv, clips, "conv1d").shape[1]
+
+    def padded(a):  # (clips * T, C) -> (clips, T + 2 pad, C), each clip zero-padded
+        ap = np.zeros((clips, t + 2 * pad, c), dtype=a.dtype)
+        ap[:, pad : pad + t] = a.reshape(clips, t, c)
+        return ap
+
+    def windows(ap):  # (clips, k, C, T) view: tap d reads frames d .. d + T - 1
+        return np.lib.stride_tricks.sliding_window_view(ap, t, axis=1)
+
+    # Plain einsum (no ``optimize``) sums over the windows view in place:
+    # one pass per product, with no (clips, k, C, T) copy.
+    xp = padded(xv)
+    out = np.einsum("bdct,dc->btc", windows(xp), kv)
+
+    def back(g, need_x=True):
+        if kernel.requires_grad:
+            _accum(kernel, np.einsum("bdct,btc->dc", windows(xp), g.reshape(clips, t, c)))
+        if need_x:
+            # The input gradient correlates the padded g with the reversed kernel.
+            return np.einsum("bdct,dc->btc", windows(padded(g)), kv[::-1]).reshape(n, c)
+        return None
+
+    return out.reshape(n, c), back
 
 
 def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
@@ -624,37 +736,127 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
     """
     if x.values.ndim != 2:
         raise ShapeError("conv1d expects a T x C input")
-    n, c = x.values.shape
+    c = x.values.shape[1]
     k = kernel.values.shape[0]
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     if kernel.values.ndim != 2 or kernel.values.shape[1] != c:
         raise ShapeError(f"conv1d: depthwise kernel {kernel.shape} incompatible with {c} channels")
-    t = _by_clip(x.values, clips, "conv1d").shape[1]
-    kv = kernel.values
-    pad = k // 2
+    out, back = _conv1d(x.values, kernel, clips)
+    return _make(out, (x, kernel), lambda g: _accum(x, back(g, x.requires_grad)), "conv1d")
 
-    def padded(a):  # (clips * T, C) -> (clips, T + 2 pad, C), each clip zero-padded
-        ap = np.zeros((clips, t + 2 * pad, c), dtype=a.dtype)
-        ap[:, pad : pad + t] = a.reshape(clips, t, c)
-        return ap
 
-    def windows(ap):  # (clips, k, C, T) view: tap d reads frames d .. d + T - 1
-        return np.lib.stride_tricks.sliding_window_view(ap, t, axis=1)
+# ---------------------------------------------------------------------------
+# Conformer sub-modules
+#
+# Each is one node, x plus the sub-module's output, chaining the kernels
+# above with the ufunc sequence, mask draws and running-statistic updates of
+# the composed primitives, so every bit is kept; intermediates are
+# overwritten in place once no backward needs them. ``norm`` is the
+# pre-norm's (gain, bias), each projection a (weight, bias or None) pair, and
+# ``rng``/``training`` are as in :func:`dropout` (a list gives the clips).
 
-    # Plain einsum (no ``optimize``) sums over the windows view in place:
-    # one pass per product, with no (clips, k, C, T) copy.
-    xp = padded(x.values)
-    out = np.einsum("bdct,dc->btc", windows(xp), kv)
+
+def _sub_module(x: Tensor, norm, params, op: str):
+    """Checks x against the pre-norm; returns (parents, whether tracked)."""
+    _check_norm(x, *norm, op)
+    parents = tuple(p for p in (x, *norm, *params) if p is not None)
+    return parents, _tracked(parents)
+
+
+def _residual(x: Tensor, out: np.ndarray, parents, branch_back, op: str) -> Tensor:
+    """The node x + out; its backward hands x g plus ``branch_back(g)``, the
+    gradient that reaches x through the sub-module."""
+    out += x.values
 
     def bwd(g):
-        if kernel.requires_grad:
-            _accum(kernel, np.einsum("bdct,btc->dc", windows(xp), g.reshape(clips, t, c)))
-        if x.requires_grad:
-            # The input gradient correlates the padded g with the reversed kernel.
-            _accum(x, np.einsum("bdct,dc->btc", windows(padded(g)), kv[::-1]).reshape(n, c))
+        gx = branch_back(g)
+        gx += g
+        _accum(x, gx)
 
-    return _make(out.reshape(n, c), (x, kernel), bwd, "conv1d")
+    return _make(out, parents, bwd, op)
+
+
+def feed_forward(x: Tensor, norm, lin1, lin2, rate: float, rng, training: bool = True) -> Tensor:
+    """x + FFN(x) / 2, FFN = layer-norm -> linear -> swish -> dropout ->
+    linear -> dropout; the two masks are drawn in that order."""
+    parents, tracked = _sub_module(x, norm, (*lin1, *lin2), "feed_forward")
+    h, norm_back = _layer_norm(x.values, *norm)
+    a, lin1_back = _linear(h, *lin1)
+    a, swish_back = _swish(a, tracked, out=a)
+    a, drop1_back = _dropout(a, rate, rng, training, out=a)
+    out, lin2_back = _linear(a, *lin2)
+    out, drop2_back = _dropout(out, rate, rng, training, out=out)
+    out *= 0.5
+
+    def back(g):
+        gh = g * 0.5
+        if drop2_back is not None:
+            drop2_back(gh, out=gh)
+        gh = lin2_back(gh)
+        if drop1_back is not None:
+            drop1_back(gh, out=gh)
+        return norm_back(lin1_back(swish_back(gh)))
+
+    return _residual(x, out, parents, back, "feed_forward")
+
+
+def conv_module(
+    x: Tensor, norm, pointwise_in, depthwise: Tensor, batch_norm, pointwise_out,
+    rate: float, rng, training: bool = True,
+) -> Tensor:
+    """x + ConvModule(x): layer-norm -> pointwise_in (C -> 2C) -> GLU ->
+    depthwise conv1d -> batch-norm -> swish -> pointwise_out -> dropout.
+
+    ``batch_norm`` is (gain, bias, running_mean, running_var), used as by
+    :func:`batch_norm` in ``training`` mode or not.
+    """
+    gain, bias, running_mean, running_var = batch_norm
+    parents, tracked = _sub_module(
+        x, norm, (*pointwise_in, depthwise, gain, bias, *pointwise_out), "conv_module"
+    )
+    clips = len(clip_rngs(rng))
+    h, norm_back = _layer_norm(x.values, *norm)
+    h, in_back = _linear(h, *pointwise_in)
+    h, glu_back = _glu(h)
+    h, conv_back = _conv1d(h, depthwise, clips)
+    h, bn_back = _batch_norm(h, gain, bias, running_mean, running_var, training, clips)
+    h, swish_back = _swish(h, tracked, out=h)
+    out, out_back = _linear(h, *pointwise_out)
+    out, drop_back = _dropout(out, rate, rng, training, out=out)
+
+    def back(g):
+        gh = out_back(g if drop_back is None else drop_back(g))
+        return norm_back(in_back(glu_back(conv_back(bn_back(swish_back(gh))))))
+
+    return _residual(x, out, parents, back, "conv_module")
+
+
+def self_attention(
+    x: Tensor, norm, query, key, value, out_proj, num_heads: int,
+    rate: float, rng, training: bool = True,
+) -> Tensor:
+    """x + MHSA(x): layer-norm -> q/k/v projections -> :func:`attention`
+    within each clip -> output projection -> dropout."""
+    parents, _ = _sub_module(x, norm, (*query, *key, *value, *out_proj), "self_attention")
+    h, norm_back = _layer_norm(x.values, *norm)
+    q, q_back = _linear(h, *query)
+    k, k_back = _linear(h, *key)
+    v, v_back = _linear(h, *value)
+    a, attn_back = _attention(q, k, v, num_heads, len(clip_rngs(rng)))
+    out, out_back = _linear(a, *out_proj)
+    out, drop_back = _dropout(out, rate, rng, training, out=out)
+
+    def back(g):
+        gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g)))
+        # The normalized input's gradient sums q's, k's and v's parts in
+        # that order, as backward visits the three projections.
+        gh = q_back(gq)
+        gh += k_back(gk)
+        gh += v_back(gv)
+        return norm_back(gh)
+
+    return _residual(x, out, parents, back, "self_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from melformer import tensor as T
-from melformer.errors import ConfigError, ShapeError
+from melformer.errors import ConfigError, NumericError, ShapeError
 from melformer import model as model_module
 from melformer.model import (
     GROUP_CAP,
     ConformerBlock,
     ConformerModel,
+    ConvolutionModule,
+    FeedForward,
     ModelConfig,
     SelfAttention,
     apply_mask,
@@ -200,6 +202,12 @@ class TestApplyMask:
 
 
 class TestSelfAttention:
+    @staticmethod
+    def _values(attn, x):
+        """The pre-normed input's value projection."""
+        h = T.layer_norm(x, attn.norm.gain, attn.norm.bias).values
+        return h @ attn.value.weight.values + attn.value.bias.values
+
     def test_constant_keys_average_the_values(self):
         rng = np.random.default_rng(10)
         attn = SelfAttention(8, 2, 0.0, rng).astype(np.float64)
@@ -208,9 +216,9 @@ class TestSelfAttention:
         attn.query.weight.values[:] = 0.0
         attn.key.weight.values[:] = 0.0
         x = Tensor(rng.normal(size=(5, 8)))
-        out = attn.attend(x)
-        v = x.values @ attn.value.weight.values + attn.value.bias.values
-        expected = (
+        out = attn(x, None)
+        v = self._values(attn, x)
+        expected = x.values + (
             np.repeat(v.mean(axis=0, keepdims=True), 5, axis=0) @ attn.out.weight.values
             + attn.out.bias.values
         )
@@ -220,9 +228,9 @@ class TestSelfAttention:
         rng = np.random.default_rng(11)
         attn = SelfAttention(8, 2, 0.0, rng).astype(np.float64)
         x = Tensor(rng.normal(size=(1, 8)))
-        out = attn.attend(x)
-        v = x.values @ attn.value.weight.values + attn.value.bias.values
-        expected = v @ attn.out.weight.values + attn.out.bias.values
+        out = attn(x, None)
+        v = self._values(attn, x)
+        expected = x.values + v @ attn.out.weight.values + attn.out.bias.values
         np.testing.assert_allclose(out.values, expected, rtol=1e-10)
 
 
@@ -258,7 +266,96 @@ class TestConformerBlock:
         block = ConformerBlock(64, 4, 128, 31, 0.1, rng)
         x = Tensor(rng.normal(size=(20, 64)).astype(np.float32))
         loss = T.reduce_sum(block(x, np.random.default_rng(0)))
-        assert len(T._topological_order(loss)) <= 68
+        # Four sub-module nodes, the final layer norm, the sum, the input
+        # and 32 parameters.
+        assert len(T._topological_order(loss)) <= 39
+
+
+# The unfused compositions of public primitives that the fused sub-module
+# nodes replace, kept as their oracles.
+
+
+def _ffn_oracle(m, x, rng):
+    h = T.swish(T.linear(T.layer_norm(x, *m.norm.args), *m.lin1.args))
+    h = T.dropout(h, m.dropout, rng, m.training)
+    h = T.dropout(T.linear(h, *m.lin2.args), m.dropout, rng, m.training)
+    return T.add(x, T.mul(h, 0.5))
+
+
+def _conv_oracle(m, x, rng):
+    clips = len(T.clip_rngs(rng))
+    h = T.glu(T.linear(T.layer_norm(x, *m.norm.args), *m.pointwise_in.args))
+    h = T.conv1d(h, m.depthwise, clips=clips)
+    h = T.swish(T.batch_norm(h, *m.batch_norm.args, m.training, clips))
+    return T.add(x, T.dropout(T.linear(h, *m.pointwise_out.args), m.dropout, rng, m.training))
+
+
+def _attention_oracle(m, x, rng):
+    h = T.layer_norm(x, *m.norm.args)
+    q, k, v = (T.linear(h, *proj.args) for proj in (m.query, m.key, m.value))
+    heads = T.attention(q, k, v, m.num_heads, len(T.clip_rngs(rng)))
+    return T.add(x, T.dropout(T.linear(heads, *m.out.args), m.dropout, rng, m.training))
+
+
+SUB_MODULES = {
+    "feed_forward": (lambda rng: FeedForward(16, 24, 0.3, rng), _ffn_oracle),
+    "conv_module": (lambda rng: ConvolutionModule(16, 5, 0.3, rng), _conv_oracle),
+    "self_attention": (lambda rng: SelfAttention(16, 4, 0.3, rng), _attention_oracle),
+}
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFusedSubModules:
+    CLIPS, FRAMES = 3, 7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("name", list(SUB_MODULES))
+    def test_bits_match_the_composition(self, name, training, dtype):
+        """Output, input and parameter gradients, running buffers and the
+        generators' next draws, on a stack of 3 clips."""
+        build, oracle = SUB_MODULES[name]
+        rng = np.random.default_rng(40)
+        module = build(rng).astype(dtype)
+        (module.train if training else module.eval)()
+        for _, buf in module.named_buffers():
+            buf[...] = np.abs(rng.normal(size=buf.shape)) + 0.5
+        buffers = {n: b.copy() for n, b in module.named_buffers()}
+        x = rng.normal(size=(self.CLIPS * self.FRAMES, 16)).astype(dtype)
+        w = rng.normal(size=x.shape).astype(dtype)
+
+        def run(forward):
+            for n, b in module.named_buffers():
+                b[...] = buffers[n]
+            gens = [np.random.default_rng([41, i]) for i in range(self.CLIPS)]
+            leaf = Tensor(x.copy(), requires_grad=True)
+            out = forward(module, leaf, gens)
+            backward(T.reduce_sum(T.mul(out, Tensor(w))))
+            grads = [leaf.grad] + [p.grad for p in module.parameters()]
+            for p in module.parameters():
+                p.grad = None
+            state = [b.copy() for _, b in module.named_buffers()]
+            draws = [g.bit_generator.random_raw(4) for g in gens]
+            return [out.values, *grads, *state, *draws]
+
+        got = run(lambda m, leaf, gens: m(leaf, gens))
+        want = run(oracle)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("name", list(SUB_MODULES))
+    def test_non_finite_input_names_the_node(self, name):
+        module = SUB_MODULES[name][0](np.random.default_rng(42))
+        x = np.ones((self.FRAMES, 16), dtype=np.float32)
+        x[2, 3] = np.nan
+        with pytest.raises(NumericError, match=f"'{name}'"):
+            module(Tensor(x), np.random.default_rng(43))
 
 
 class TestContextEncoder:

@@ -868,16 +868,26 @@ class TestGradCheck:
             assert worst < tol, f"{name}: {worst:.3g} at {np.dtype(dtype).name}"
 
     @pytest.mark.parametrize("precision", ["single", "double"])
-    @pytest.mark.parametrize("case", ["block", "end_to_end"])
+    @pytest.mark.parametrize(
+        "case",
+        ["block", "end_to_end", "feed_forward", "conv_module_2clips", "self_attention_2clips"],
+    )
     def test_composite_cases(self, case, precision):
-        """The suite's conformer block and end-to-end contrastive loss (which
-        covers apply_mask, both normalizations and info_nce) at their first
-        two points."""
+        """The suite's conformer block, end-to-end contrastive loss (which
+        covers apply_mask, both normalizations and info_nce) and fused
+        sub-module nodes at their first two points."""
+        from functools import partial
+
         from melformer import gradcheck
 
+        names = list(gradcheck.SUB_MODULES)
         check, base = {
             "block": (gradcheck.check_block, 2000),
             "end_to_end": (gradcheck.check_end_to_end, 3000),
+            **{
+                name: (partial(gradcheck.check_sub_module, name), 4000 + 100 * i)
+                for i, name in enumerate(names)
+            },
         }[case]
         dtype, tol = {
             "single": (np.float32, gradcheck.SINGLE_TOLERANCE),

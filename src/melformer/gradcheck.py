@@ -10,6 +10,7 @@ float32 graphs, 1e-5 for float64 graphs, at eps=1e-4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -259,6 +260,16 @@ def check_end_to_end(seed: int, dtype) -> float:
     return module_grad_check(build, readout, seed, dtype, max_coords=3)
 
 
+# name -> (check(seed, dtype), first seed) of each composite row, in row order.
+COMPOSITE_CASES = {
+    "feed_forward": (partial(check_sub_module, "feed_forward"), 4000),
+    "conv_module_2clips": (partial(check_sub_module, "conv_module_2clips"), 4100),
+    "self_attention_2clips": (partial(check_sub_module, "self_attention_2clips"), 4200),
+    "conformer_block_d32": (check_block, 2000),
+    "contrastive_2block_e2e": (check_end_to_end, 3000),
+}
+
+
 def run_gradcheck_suite(points_per_case: int = 10, log=None) -> list[CheckResult]:
     """Run the full verification suite and return one result row per case."""
     if points_per_case < 1:
@@ -283,11 +294,7 @@ def run_gradcheck_suite(points_per_case: int = 10, log=None) -> list[CheckResult
                 err = grad_check(fn, pts, rng=np.random.default_rng(point))
                 worst = max(worst, err)
             record(name, label, worst, tol)
-        for i, name in enumerate(SUB_MODULES):
-            worst = max(check_sub_module(name, 4000 + 100 * i + p, dtype) for p in range(points_per_case))
+        for name, (check, first) in COMPOSITE_CASES.items():
+            worst = max(check(first + p, dtype) for p in range(points_per_case))
             record(name, label, worst, tol)
-        worst = max(check_block(2000 + p, dtype) for p in range(points_per_case))
-        record("conformer_block_d32", label, worst, tol)
-        worst = max(check_end_to_end(3000 + p, dtype) for p in range(points_per_case))
-        record("contrastive_2block_e2e", label, worst, tol)
     return results

@@ -178,12 +178,12 @@ class Linear(Module):
         self.weight = _glorot(rng, in_dim, out_dim, (in_dim, out_dim))
         self.bias = T.parameter(np.zeros(out_dim, dtype=np.float32)) if bias else None
 
-    @property
-    def args(self):
-        return self.weight, self.bias
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
+
+    def kernel(self, xv: np.ndarray):
+        """The engine's linear kernel on this layer's tensors: (out, back)."""
+        return T._linear(xv, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -191,12 +191,13 @@ class LayerNorm(Module):
         self.gain = T.parameter(np.ones(dim, dtype=np.float32))
         self.bias = T.parameter(np.zeros(dim, dtype=np.float32))
 
-    @property
-    def args(self):
-        return self.gain, self.bias
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
+
+    def kernel(self, x: Tensor, op: str):
+        """Checks x against this norm for ``op``; the kernel on x's values."""
+        T._check_norm(x, self.gain, self.bias, op)
+        return T._layer_norm(x.values, self.gain, self.bias)
 
 
 class BatchNorm(Module):
@@ -208,37 +209,56 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(dim, dtype=np.float32)
         self.running_var = np.ones(dim, dtype=np.float32)
 
-    @property
-    def args(self):
-        return self.gain, self.bias, self.running_mean, self.running_var
+
+# Each conformer sub-module is one node: ``__call__`` chains the engine's
+# kernels exactly as the composed public primitives run them, so every bit
+# is kept, and closes the chain with ``T.residual`` over x and ``_params``
+# (the module's parameters in walk order, collected once at construction).
 
 
 class FeedForward(Module):
-    """Half-step residual FFN: x + (layer-norm -> linear -> swish -> dropout
-    -> linear -> dropout)(x) / 2, one ``T.feed_forward`` node."""
+    """Half-step residual FFN, one node: x + (layer-norm -> linear -> swish
+    -> dropout -> linear -> dropout)(x) / 2, the masks drawn in that order."""
 
     def __init__(self, dim, hidden, dropout, rng):
         self.norm = LayerNorm(dim)
         self.lin1 = Linear(dim, hidden, rng)
         self.lin2 = Linear(hidden, dim, rng)
         self.dropout = dropout
+        self._params = tuple(self.parameters())
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        return T.feed_forward(
-            x, self.norm.args, self.lin1.args, self.lin2.args, self.dropout, rng, self.training
-        )
+        h, norm_back = self.norm.kernel(x, "feed_forward")
+        parents = (x, *self._params)
+        a, lin1_back = self.lin1.kernel(h)
+        a, swish_back = T._swish(a, T._tracked(parents), out=a)
+        a, drop1_back = T._dropout(a, self.dropout, rng, self.training, out=a)
+        out, lin2_back = self.lin2.kernel(a)
+        out, drop2_back = T._dropout(out, self.dropout, rng, self.training, out=out)
+        out *= 0.5
+
+        def back(g):
+            gh = g * 0.5
+            gh = lin2_back(gh if drop2_back is None else drop2_back(gh, out=gh))
+            gh = gh if drop1_back is None else drop1_back(gh, out=gh)
+            return norm_back(lin1_back(swish_back(gh)))
+
+        return T.residual(x, out, parents, back, "feed_forward")
 
 
 class ConvolutionModule(Module):
-    """Residual convolution module, one ``T.conv_module`` node: x + (layer-norm
-    -> pointwise (2x) -> GLU -> depthwise -> batch-norm -> swish -> pointwise
-    -> dropout)(x).
+    """Residual convolution module, one node: x + (layer-norm -> pointwise
+    (2x) -> GLU -> depthwise -> batch-norm -> swish -> pointwise ->
+    dropout)(x), batch-norm per clip as ``T.batch_norm``.
 
     The pointwise (kernel-1) convolutions are per-frame affine maps, so they
-    are ``Linear`` layers; only the depthwise convolution is a ``conv1d``.
+    are ``Linear`` layers; only the depthwise convolution, of odd length, is
+    a ``conv1d``.
     """
 
     def __init__(self, dim, kernel_size, dropout, rng):
+        if kernel_size < 1 or kernel_size % 2 == 0:
+            raise ConfigError(f"depthwise kernel {kernel_size} must be odd and positive")
         self.norm = LayerNorm(dim)
         self.pointwise_in = Linear(dim, 2 * dim, rng)
         # No depthwise bias: the batch-norm right after removes any
@@ -247,18 +267,31 @@ class ConvolutionModule(Module):
         self.batch_norm = BatchNorm(dim)
         self.pointwise_out = Linear(dim, dim, rng)
         self.dropout = dropout
+        self._params = tuple(self.parameters())
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        return T.conv_module(
-            x, self.norm.args, self.pointwise_in.args, self.depthwise, self.batch_norm.args,
-            self.pointwise_out.args, self.dropout, rng, self.training,
+        h, norm_back = self.norm.kernel(x, "conv_module")
+        parents, bn, clips = (x, *self._params), self.batch_norm, len(T.clip_rngs(rng))
+        h, in_back = self.pointwise_in.kernel(h)
+        h, glu_back = T._glu(h)
+        h, conv_back = T._conv1d(h, self.depthwise, clips)
+        h, bn_back = T._batch_norm(
+            h, bn.gain, bn.bias, bn.running_mean, bn.running_var, self.training, clips
         )
+        h, swish_back = T._swish(h, T._tracked(parents), out=h)
+        out, out_back = self.pointwise_out.kernel(h)
+        out, drop_back = T._dropout(out, self.dropout, rng, self.training, out=out)
+
+        def back(g):
+            gh = out_back(g if drop_back is None else drop_back(g))
+            return norm_back(in_back(glu_back(conv_back(bn_back(swish_back(gh))))))
+
+        return T.residual(x, out, parents, back, "conv_module")
 
 
 class SelfAttention(Module):
-    """Residual multi-head self-attention over each clip, one
-    ``T.self_attention`` node: x + (layer-norm -> q/k/v -> attention -> out
-    -> dropout)(x).
+    """Residual multi-head self-attention over each clip, one node: x +
+    (layer-norm -> q/k/v -> attention -> out -> dropout)(x).
 
     No positional terms are added; the preceding convolution module carries
     the positional information.
@@ -276,12 +309,27 @@ class SelfAttention(Module):
         self.value = Linear(dim, dim, rng)
         self.out = Linear(dim, dim, rng)
         self.dropout = dropout
+        self._params = tuple(self.parameters())
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        return T.self_attention(
-            x, self.norm.args, self.query.args, self.key.args, self.value.args, self.out.args,
-            self.num_heads, self.dropout, rng, self.training,
-        )
+        h, norm_back = self.norm.kernel(x, "self_attention")
+        q, q_back = self.query.kernel(h)
+        k, k_back = self.key.kernel(h)
+        v, v_back = self.value.kernel(h)
+        a, attn_back = T._attention(q, k, v, self.num_heads, len(T.clip_rngs(rng)))
+        out, out_back = self.out.kernel(a)
+        out, drop_back = T._dropout(out, self.dropout, rng, self.training, out=out)
+
+        def back(g):
+            gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g)))
+            # The normalized input's gradient sums q's, k's and v's parts in
+            # that order, as backward visits the three projections.
+            gh = q_back(gq)
+            gh += k_back(gk)
+            gh += v_back(gv)
+            return norm_back(gh)
+
+        return T.residual(x, out, (x, *self._params), back, "self_attention")
 
 
 class ConformerBlock(Module):
@@ -461,9 +509,11 @@ class ConformerModel(Module):
         """
         return self.context_encoder(z, rng)
 
-    def embed(self, frames: np.ndarray) -> Tensor:
-        """Unmasked end-to-end encoding (feature extraction path)."""
-        return self.contextualize(self.encode_features(frames))
+    def embed(self, frames) -> Tensor:
+        """Unmasked end-to-end encoding (feature extraction path). A list of
+        clips is one stack, in which each clip is encoded as if alone."""
+        rng = [None] * len(frames) if isinstance(frames, list) else None
+        return self.contextualize(self.encode_features(frames), rng)
 
 
 def param_count(config: ModelConfig) -> int:

@@ -4,16 +4,15 @@ Provides the primitive set needed by a conformer encoder and its training
 losses: the affine map ``linear`` (x @ W, plus an optional bias, as one node),
 elementwise arithmetic, reductions, the row slice ``rows``, normalizations,
 fused multi-head attention, gated activations, dropout, depthwise 1-D
-convolution, the three conformer sub-modules with their residuals as one node
-each (``feed_forward``, ``conv_module`` and ``self_attention``), the three
-training losses as one node each (masked contrastive ``info_nce``,
-``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and a
+convolution, the three training losses as one node each (masked contrastive
+``info_nce``, ``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and a
 finite-difference gradient checker.
 
-The array math of a conformer block's primitives is written once, as private
-kernels that return their output and a ``back`` function from its gradient
-to the input's (adding parameter gradients on the way). A public primitive
-wraps one kernel in a node; a sub-module node chains several.
+The array math of most primitives is written once, as private kernels that
+return their output and a ``back`` function from its gradient to the input's
+(adding parameter gradients on the way). A public primitive wraps one kernel
+in a node; a caller that chains kernels itself closes the chain with
+``residual``, one node.
 
 Tensors store float32 or float64 values. Models are built in float32, and
 ``Module.astype(np.float64)`` casts one for gradient checking (its weights
@@ -66,9 +65,7 @@ __all__ = [
     "batch_norm",
     "dropout",
     "conv1d",
-    "feed_forward",
-    "conv_module",
-    "self_attention",
+    "residual",
     "l2_normalize_rows",
     "info_nce",
     "binary_cross_entropy",
@@ -747,116 +744,22 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Conformer sub-modules
-#
-# Each is one node, x plus the sub-module's output, chaining the kernels
-# above with the ufunc sequence, mask draws and running-statistic updates of
-# the composed primitives, so every bit is kept; intermediates are
-# overwritten in place once no backward needs them. ``norm`` is the
-# pre-norm's (gain, bias), each projection a (weight, bias or None) pair, and
-# ``rng``/``training`` are as in :func:`dropout` (a list gives the clips).
+# Residual nodes
 
 
-def _sub_module(x: Tensor, norm, params, op: str):
-    """Checks x against the pre-norm; returns (parents, whether tracked)."""
-    _check_norm(x, *norm, op)
-    parents = tuple(p for p in (x, *norm, *params) if p is not None)
-    return parents, _tracked(parents)
-
-
-def _residual(x: Tensor, out: np.ndarray, parents, branch_back, op: str) -> Tensor:
-    """The node x + out; its backward hands x g plus ``branch_back(g)``, the
-    gradient that reaches x through the sub-module."""
+def residual(x: Tensor, out: np.ndarray, parents, back, op: str) -> Tensor:
+    """The node x + out, named ``op``. A caller computes ``out`` from x by
+    chaining the kernels above, and this adds x into it in place. ``parents``
+    are x and the chain's parameters; ``back(g)`` returns the gradient that
+    reaches x through the chain, and the node's backward adds g to it."""
     out += x.values
 
     def bwd(g):
-        gx = branch_back(g)
+        gx = back(g)
         gx += g
         _accum(x, gx)
 
     return _make(out, parents, bwd, op)
-
-
-def feed_forward(x: Tensor, norm, lin1, lin2, rate: float, rng, training: bool = True) -> Tensor:
-    """x + FFN(x) / 2, FFN = layer-norm -> linear -> swish -> dropout ->
-    linear -> dropout; the two masks are drawn in that order."""
-    parents, tracked = _sub_module(x, norm, (*lin1, *lin2), "feed_forward")
-    h, norm_back = _layer_norm(x.values, *norm)
-    a, lin1_back = _linear(h, *lin1)
-    a, swish_back = _swish(a, tracked, out=a)
-    a, drop1_back = _dropout(a, rate, rng, training, out=a)
-    out, lin2_back = _linear(a, *lin2)
-    out, drop2_back = _dropout(out, rate, rng, training, out=out)
-    out *= 0.5
-
-    def back(g):
-        gh = g * 0.5
-        if drop2_back is not None:
-            drop2_back(gh, out=gh)
-        gh = lin2_back(gh)
-        if drop1_back is not None:
-            drop1_back(gh, out=gh)
-        return norm_back(lin1_back(swish_back(gh)))
-
-    return _residual(x, out, parents, back, "feed_forward")
-
-
-def conv_module(
-    x: Tensor, norm, pointwise_in, depthwise: Tensor, batch_norm, pointwise_out,
-    rate: float, rng, training: bool = True,
-) -> Tensor:
-    """x + ConvModule(x): layer-norm -> pointwise_in (C -> 2C) -> GLU ->
-    depthwise conv1d -> batch-norm -> swish -> pointwise_out -> dropout.
-
-    ``batch_norm`` is (gain, bias, running_mean, running_var), used as by
-    :func:`batch_norm` in ``training`` mode or not.
-    """
-    gain, bias, running_mean, running_var = batch_norm
-    parents, tracked = _sub_module(
-        x, norm, (*pointwise_in, depthwise, gain, bias, *pointwise_out), "conv_module"
-    )
-    clips = len(clip_rngs(rng))
-    h, norm_back = _layer_norm(x.values, *norm)
-    h, in_back = _linear(h, *pointwise_in)
-    h, glu_back = _glu(h)
-    h, conv_back = _conv1d(h, depthwise, clips)
-    h, bn_back = _batch_norm(h, gain, bias, running_mean, running_var, training, clips)
-    h, swish_back = _swish(h, tracked, out=h)
-    out, out_back = _linear(h, *pointwise_out)
-    out, drop_back = _dropout(out, rate, rng, training, out=out)
-
-    def back(g):
-        gh = out_back(g if drop_back is None else drop_back(g))
-        return norm_back(in_back(glu_back(conv_back(bn_back(swish_back(gh))))))
-
-    return _residual(x, out, parents, back, "conv_module")
-
-
-def self_attention(
-    x: Tensor, norm, query, key, value, out_proj, num_heads: int,
-    rate: float, rng, training: bool = True,
-) -> Tensor:
-    """x + MHSA(x): layer-norm -> q/k/v projections -> :func:`attention`
-    within each clip -> output projection -> dropout."""
-    parents, _ = _sub_module(x, norm, (*query, *key, *value, *out_proj), "self_attention")
-    h, norm_back = _layer_norm(x.values, *norm)
-    q, q_back = _linear(h, *query)
-    k, k_back = _linear(h, *key)
-    v, v_back = _linear(h, *value)
-    a, attn_back = _attention(q, k, v, num_heads, len(clip_rngs(rng)))
-    out, out_back = _linear(a, *out_proj)
-    out, drop_back = _dropout(out, rate, rng, training, out=out)
-
-    def back(g):
-        gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g)))
-        # The normalized input's gradient sums q's, k's and v's parts in
-        # that order, as backward visits the three projections.
-        gh = q_back(gq)
-        gh += k_back(gk)
-        gh += v_back(gv)
-        return norm_back(gh)
-
-    return _residual(x, out, parents, back, "self_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,14 @@ class TestStackedClips:
         ]
         np.testing.assert_allclose(stacked.values, np.concatenate(alone), rtol=1e-12)
 
+    def test_embed_of_a_list_encodes_each_clip_alone(self):
+        model = ConformerModel(tiny_config(), seed=5).astype(np.float64).eval()
+        rng = np.random.default_rng(18)
+        clips = [rng.normal(size=(20, 64)) for _ in range(3)]
+        stacked = model.embed(clips).values
+        alone = [model.embed(c).values for c in clips]
+        np.testing.assert_allclose(stacked, np.concatenate(alone), rtol=1e-12)
+
     def test_clips_of_unequal_latent_length_rejected(self):
         model = ConformerModel(tiny_config(), seed=0)
         with pytest.raises(ShapeError, match="unequal"):
@@ -275,26 +283,35 @@ class TestConformerBlock:
 # nodes replace, kept as their oracles.
 
 
+def _norm(norm, x):
+    return T.layer_norm(x, norm.gain, norm.bias)
+
+
+def _linear(lin, x):
+    return T.linear(x, lin.weight, lin.bias)
+
+
 def _ffn_oracle(m, x, rng):
-    h = T.swish(T.linear(T.layer_norm(x, *m.norm.args), *m.lin1.args))
+    h = T.swish(_linear(m.lin1, _norm(m.norm, x)))
     h = T.dropout(h, m.dropout, rng, m.training)
-    h = T.dropout(T.linear(h, *m.lin2.args), m.dropout, rng, m.training)
+    h = T.dropout(_linear(m.lin2, h), m.dropout, rng, m.training)
     return T.add(x, T.mul(h, 0.5))
 
 
 def _conv_oracle(m, x, rng):
-    clips = len(T.clip_rngs(rng))
-    h = T.glu(T.linear(T.layer_norm(x, *m.norm.args), *m.pointwise_in.args))
+    clips, bn = len(T.clip_rngs(rng)), m.batch_norm
+    h = T.glu(_linear(m.pointwise_in, _norm(m.norm, x)))
     h = T.conv1d(h, m.depthwise, clips=clips)
-    h = T.swish(T.batch_norm(h, *m.batch_norm.args, m.training, clips))
-    return T.add(x, T.dropout(T.linear(h, *m.pointwise_out.args), m.dropout, rng, m.training))
+    h = T.batch_norm(h, bn.gain, bn.bias, bn.running_mean, bn.running_var, m.training, clips)
+    h = T.swish(h)
+    return T.add(x, T.dropout(_linear(m.pointwise_out, h), m.dropout, rng, m.training))
 
 
 def _attention_oracle(m, x, rng):
-    h = T.layer_norm(x, *m.norm.args)
-    q, k, v = (T.linear(h, *proj.args) for proj in (m.query, m.key, m.value))
+    h = _norm(m.norm, x)
+    q, k, v = (_linear(proj, h) for proj in (m.query, m.key, m.value))
     heads = T.attention(q, k, v, m.num_heads, len(T.clip_rngs(rng)))
-    return T.add(x, T.dropout(T.linear(heads, *m.out.args), m.dropout, rng, m.training))
+    return T.add(x, T.dropout(_linear(m.out, heads), m.dropout, rng, m.training))
 
 
 SUB_MODULES = {
@@ -356,6 +373,18 @@ class TestFusedSubModules:
         x[2, 3] = np.nan
         with pytest.raises(NumericError, match=f"'{name}'"):
             module(Tensor(x), np.random.default_rng(43))
+
+    @pytest.mark.parametrize("name", list(SUB_MODULES))
+    def test_input_of_the_wrong_width_names_the_node(self, name):
+        module = SUB_MODULES[name][0](np.random.default_rng(44))
+        x = Tensor(np.ones((self.FRAMES, 15), dtype=np.float32))
+        with pytest.raises(ShapeError, match=f"^{name}: gain/bias must match the feature dim"):
+            module(x, np.random.default_rng(45))
+
+    @pytest.mark.parametrize("kernel", [4, 0, -3])
+    def test_even_or_non_positive_depthwise_kernel_is_config_error(self, kernel):
+        with pytest.raises(ConfigError, match=f"kernel {kernel} must be odd and positive"):
+            ConvolutionModule(16, kernel, 0.3, np.random.default_rng(46))
 
 
 class TestContextEncoder:

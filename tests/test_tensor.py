@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from melformer import gradcheck
 from melformer import tensor as T
 from melformer.errors import GraphError, NumericError, ShapeError
 from melformer.tensor import Tensor, backward, grad_check, parameter
@@ -857,9 +858,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-3), (np.float64, 1e-5)])
     def test_every_primitive(self, dtype, tol):
         """Each primitive at 10 random points, both precisions."""
-        from melformer.gradcheck import primitive_cases
-
-        for name, make in primitive_cases().items():
+        for name, make in gradcheck.primitive_cases().items():
             worst = 0.0
             for point_seed in range(10):
                 fn, points = make(np.random.default_rng(100 + point_seed), dtype)
@@ -868,32 +867,17 @@ class TestGradCheck:
             assert worst < tol, f"{name}: {worst:.3g} at {np.dtype(dtype).name}"
 
     @pytest.mark.parametrize("precision", ["single", "double"])
-    @pytest.mark.parametrize(
-        "case",
-        ["block", "end_to_end", "feed_forward", "conv_module_2clips", "self_attention_2clips"],
-    )
+    @pytest.mark.parametrize("case", list(gradcheck.COMPOSITE_CASES))
     def test_composite_cases(self, case, precision):
-        """The suite's conformer block, end-to-end contrastive loss (which
-        covers apply_mask, both normalizations and info_nce) and fused
-        sub-module nodes at their first two points."""
-        from functools import partial
-
-        from melformer import gradcheck
-
-        names = list(gradcheck.SUB_MODULES)
-        check, base = {
-            "block": (gradcheck.check_block, 2000),
-            "end_to_end": (gradcheck.check_end_to_end, 3000),
-            **{
-                name: (partial(gradcheck.check_sub_module, name), 4000 + 100 * i)
-                for i, name in enumerate(names)
-            },
-        }[case]
+        """The suite's fused sub-module nodes, conformer block and end-to-end
+        contrastive loss (which covers apply_mask, both normalizations and
+        info_nce) at their first two points."""
+        check, first = gradcheck.COMPOSITE_CASES[case]
         dtype, tol = {
             "single": (np.float32, gradcheck.SINGLE_TOLERANCE),
             "double": (np.float64, gradcheck.DOUBLE_TOLERANCE),
         }[precision]
-        worst = max(check(base + point, dtype) for point in range(2))
+        worst = max(check(first + point, dtype) for point in range(2))
         assert worst < tol, f"{case}: {worst:.3g} in {precision} precision"
 
     def test_deterministic_forward_backward(self):
@@ -962,8 +946,6 @@ class TestGradCheckInPlace:
         self._assert_restored(points, before)
 
     def test_module_check_flags_a_dropped_parameter_gradient(self, monkeypatch):
-        from melformer import gradcheck
-
         assert gradcheck.check_block(2000, np.float64) < gradcheck.DOUBLE_TOLERANCE
         layer_norm = T.layer_norm
         # The gain enters as a constant, so its analytic gradient is lost.

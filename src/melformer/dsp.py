@@ -142,10 +142,14 @@ def logmel(waveform: Waveform, filterbank: np.ndarray | None = None) -> LogmelSp
     if filterbank is not None and filterbank is not mel_filterbank():
         raise ConfigError("logmel takes filterbank=mel_filterbank() or None, no other array")
     num_frames = frame_count(waveform.samples.size)
-    windows = np.lib.stride_tricks.sliding_window_view(_padded(waveform.samples), WINDOW_SAMPLES)
+    padded = _padded(waveform.samples)
+    step = padded.itemsize
+    frames = np.lib.stride_tricks.as_strided(
+        padded, (num_frames, WINDOW_SAMPLES), (HOP_SAMPLES * step, step), writeable=False
+    )
     # Centered frames, one per hop; squaring the spectrum viewed as float64
     # leaves re^2 and im^2 side by side for band_blocks() to sum.
-    power = np.fft.rfft(windows[::HOP_SAMPLES][:num_frames] * _HANN, axis=1).view(np.float64)
+    power = np.fft.rfft(frames * _HANN, axis=1).view(np.float64)
     np.square(power, out=power)
     mel_energy = np.empty((num_frames, NUM_MEL_BANDS))
     for bands, columns, weights in band_blocks():

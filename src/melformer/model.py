@@ -30,6 +30,11 @@ PRESETS = {
 }
 
 
+def _check_dropout(rate):
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout {rate} outside [0, 1)")
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters. Defaults are the small preset (cf_S)."""
@@ -60,8 +65,7 @@ class ModelConfig:
             raise ConfigError("stack_factor must be >= 1")
         if any(k < 1 or k % 2 == 0 for k in (self.kernel_first, self.kernel_rest)):
             raise ConfigError("conformer kernels must be odd and positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
+        _check_dropout(self.dropout)
         if self.num_blocks < 0:
             raise ConfigError("num_blocks must be >= 0")
 
@@ -221,6 +225,7 @@ class FeedForward(Module):
     -> dropout -> linear -> dropout)(x) / 2, the masks drawn in that order."""
 
     def __init__(self, dim, hidden, dropout, rng):
+        _check_dropout(dropout)
         self.norm = LayerNorm(dim)
         self.lin1 = Linear(dim, hidden, rng)
         self.lin2 = Linear(hidden, dim, rng)
@@ -259,6 +264,7 @@ class ConvolutionModule(Module):
     def __init__(self, dim, kernel_size, dropout, rng):
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise ConfigError(f"depthwise kernel {kernel_size} must be odd and positive")
+        _check_dropout(dropout)
         self.norm = LayerNorm(dim)
         self.pointwise_in = Linear(dim, 2 * dim, rng)
         # No depthwise bias: the batch-norm right after removes any
@@ -298,8 +304,11 @@ class SelfAttention(Module):
     """
 
     def __init__(self, dim, num_heads, dropout, rng):
+        if num_heads < 1:
+            raise ConfigError(f"num_heads {num_heads} must be >= 1")
         if dim % num_heads != 0:
             raise ConfigError(f"dim {dim} not divisible by {num_heads} heads")
+        _check_dropout(dropout)
         self.num_heads = num_heads
         self.norm = LayerNorm(dim)
         self.query = Linear(dim, dim, rng)

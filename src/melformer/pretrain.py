@@ -357,7 +357,7 @@ def global_grad_norm(grads: np.ndarray, runs, squares: np.ndarray) -> float:
         sq = squares[: stop - start]
         np.square(grads[start:stop], out=sq, dtype=np.float64)
         for a, b in zip(bounds, bounds[1:]):
-            total += float(sq[a:b].sum())
+            total += float(np.add.reduce(sq[a:b]))
     return float(np.sqrt(total))
 
 

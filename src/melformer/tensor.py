@@ -600,9 +600,12 @@ def _batch_norm(xv, gain, bias, running_mean, running_var, training: bool, clips
     view = _by_clip(xv, clips, "batch_norm").shape
     out, back, mu, var = _standardize(xv, gain, bias, view)
     m = BATCH_NORM_MOMENTUM
-    for clip_stats in zip(mu[:, 0], var[:, 0]):
-        for buf, stat in zip((running_mean, running_var), clip_stats):
-            buf[...] = ((1.0 - m) * buf + m * stat).astype(buf.dtype, copy=False)
+    # In place, clip by clip, this rounds as (1 - m) * buf + m * stat cast
+    # to the buffer's dtype would, float32 and float64 mixed either way.
+    for buf, stats in ((running_mean, mu[:, 0]), (running_var, var[:, 0])):
+        for s in m * stats:
+            buf *= 1.0 - m
+            buf += s
     return out, back
 
 
@@ -695,7 +698,8 @@ def _conv1d(xv: np.ndarray, kernel: Tensor, clips: int):
     adds the kernel gradient and returns the input's (None without ``need_x``)."""
     n, c = xv.shape
     kv = kernel.values
-    pad = kv.shape[0] // 2
+    k = kv.shape[0]
+    pad = k // 2
     t = _by_clip(xv, clips, "conv1d").shape[1]
 
     def padded(a):  # (clips * T, C) -> (clips, T + 2 pad, C), each clip zero-padded
@@ -704,16 +708,17 @@ def _conv1d(xv: np.ndarray, kernel: Tensor, clips: int):
         return ap
 
     def windows(ap):  # (clips, k, C, T) view: tap d reads frames d .. d + T - 1
-        return np.lib.stride_tricks.sliding_window_view(ap, t, axis=1)
+        s = ap.strides  # clip, frame, channel
+        return np.lib.stride_tricks.as_strided(ap, (clips, k, c, t), (*s, s[1]), writeable=False)
 
     # Plain einsum (no ``optimize``) sums over the windows view in place:
     # one pass per product, with no (clips, k, C, T) copy.
-    xp = padded(xv)
-    out = np.einsum("bdct,dc->btc", windows(xp), kv)
+    xw = windows(padded(xv))
+    out = np.einsum("bdct,dc->btc", xw, kv)
 
     def back(g, need_x=True):
         if kernel.requires_grad:
-            _accum(kernel, np.einsum("bdct,btc->dc", windows(xp), g.reshape(clips, t, c)))
+            _accum(kernel, np.einsum("bdct,btc->dc", xw, g.reshape(clips, t, c)))
         if need_x:
             # The input gradient correlates the padded g with the reversed kernel.
             return np.einsum("bdct,dc->btc", windows(padded(g)), kv[::-1]).reshape(n, c)
@@ -813,7 +818,10 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates: list, scale: float) -> Te
         m += c.shape[0]
     # A clip with fewer candidates repeats its last one, scored as -inf.
     width = max(c.shape[1] for c in per_clip)
-    idx = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), "edge") for c in per_clip])
+    # ``take`` keeps idx C-ordered: the reductions over scores follow its layout.
+    idx = np.concatenate(
+        [c.take(np.minimum(np.arange(width), c.shape[1] - 1), axis=1) for c in per_clip]
+    )
     rows = np.arange(m)[:, None]
     picked = cv[idx[:, 0]]
     # Seeded logs depend on these exact GEMMs: a contiguous copy of zᵀ and the

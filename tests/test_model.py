@@ -386,6 +386,21 @@ class TestFusedSubModules:
         with pytest.raises(ConfigError, match=f"kernel {kernel} must be odd and positive"):
             ConvolutionModule(16, kernel, 0.3, np.random.default_rng(46))
 
+    @pytest.mark.parametrize("build", [
+        lambda rate, rng: FeedForward(16, 24, rate, rng),
+        lambda rate, rng: ConvolutionModule(16, 5, rate, rng),
+        lambda rate, rng: SelfAttention(16, 4, rate, rng),
+    ], ids=list(SUB_MODULES))
+    @pytest.mark.parametrize("rate", [1.5, 1.0, -0.1])
+    def test_dropout_rate_outside_unit_interval_is_config_error(self, build, rate):
+        with pytest.raises(ConfigError, match=rf"dropout {rate} outside \[0, 1\)"):
+            build(rate, np.random.default_rng(47))
+
+    @pytest.mark.parametrize("heads", [0, -4])
+    def test_attention_with_fewer_than_one_head_is_config_error(self, heads):
+        with pytest.raises(ConfigError, match=f"num_heads {heads} must be >= 1"):
+            SelfAttention(16, heads, 0.3, np.random.default_rng(48))
+
 
 class TestContextEncoder:
     def test_shape_contract(self):

@@ -294,6 +294,25 @@ class TestPerClipPrimitives:
         assert_same_bits(mean, want_mean)
         assert_same_bits(var, want_var)
 
+    @pytest.mark.parametrize("x_dtype, buf_dtype", [
+        (np.float32, np.float64), (np.float64, np.float32),
+    ], ids=["float32-input-float64-buffers", "float64-input-float32-buffers"])
+    def test_batch_norm_fold_rounds_as_one_cast_per_clip(self, x_dtype, buf_dtype):
+        """Mixed dtypes, as gradcheck's batch_norm_train rows build them
+        (float32 points, float64 buffers) and the reverse."""
+        x = (self.normal(15, 4) * 3.0 + np.arange(15)[:, None]).astype(x_dtype)
+        mean = self.normal(4).astype(buf_dtype)
+        var = (np.abs(self.normal(4)) + 0.5).astype(buf_dtype)
+        want_mean, want_var = mean.copy(), var.copy()
+        T.batch_norm(Tensor(x), Tensor(np.ones(4, x_dtype)), Tensor(np.zeros(4, x_dtype)),
+                     mean, var, True, clips=3)
+        m = T.BATCH_NORM_MOMENTUM
+        for clip in np.split(x, 3):
+            for buf, stat in ((want_mean, clip.mean(axis=0)), (want_var, clip.var(axis=0))):
+                buf[...] = ((1.0 - m) * buf + m * stat).astype(buf.dtype)
+        assert_same_bits(mean, want_mean)
+        assert_same_bits(var, want_var)
+
     @pytest.mark.parametrize("reduce", [T.reduce_sum, T.reduce_mean])
     @pytest.mark.parametrize("lone", [False, True])
     def test_reductions_pool_each_clip_to_a_row(self, reduce, lone):
@@ -351,6 +370,23 @@ class TestPerClipPrimitives:
         for leaf, ref in zip(leaves, want_grads):
             np.testing.assert_allclose(leaf.grad, ref, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("ks", [(4, 1, 2), (10, 1, 2)], ids=["K=4,1,2", "K=10,1,2"])
+    def test_info_nce_pads_clips_of_fewer_candidates_with_their_last(self, ks):
+        """Loss and gradients keep the bits of padding each clip's matrix
+        with np.pad's "edge" mode into a C-ordered index matrix; rows of 8
+        or more scores are where numpy's sums follow the layout."""
+        rng = np.random.default_rng(62)
+        c, z = rng.normal(size=(120, 6)), rng.normal(size=(120, 6))
+        stacked = [_candidates(rng, 40, k) + 40 * j for j, k in enumerate(ks)]
+        assert [cand.shape[1] - 1 for cand in stacked] == list(ks)
+        leaves = [parameter(a) for a in (c, z)]
+        loss = T.info_nce(*leaves, stacked, 1.3)
+        backward(loss)
+        want, want_gc, want_gz = _info_nce_edge_padded(c, z, stacked, 1.3)
+        assert_same_bits(loss.values, want)
+        assert_same_bits(leaves[0].grad, want_gc)
+        assert_same_bits(leaves[1].grad, want_gz)
+
     @pytest.mark.parametrize("candidates", [
         np.array([[0, 1], [1, 0]]),
         [np.array([[0, 1], [1, 0]]), np.empty((0, 2), dtype=np.intp)],
@@ -360,6 +396,40 @@ class TestPerClipPrimitives:
         c = Tensor(np.ones((4, 3)))
         with pytest.raises(ShapeError):
             T.info_nce(c, c, candidates, 1.0)
+
+
+def _info_nce_edge_padded(cv, zv, per_clip, scale):
+    """info_nce's loss and gradients (for an upstream gradient of 1), its
+    candidate matrices padded with np.pad(..., "edge")."""
+    clips, width = len(per_clip), max(c.shape[1] for c in per_clip)
+    idx = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), "edge") for c in per_clip])
+    m, rows = idx.shape[0], np.arange(idx.shape[0])[:, None]
+    picked, zt = cv[idx[:, 0]], zv.T.copy()
+    sims = picked @ zt
+    sims *= scale
+    scores = sims[rows, idx]
+    widths = np.repeat([c.shape[1] for c in per_clip], [c.shape[0] for c in per_clip])
+    scores[np.arange(width) >= widths[:, None]] = -np.inf
+    top = scores.max(axis=1, keepdims=True)
+    w = np.exp(scores - top)
+    total = w.sum(axis=1, keepdims=True)
+    w /= total
+    nll = np.log(total) + top
+    nll -= scores[:, :1]
+    ends = np.cumsum([c.shape[0] for c in per_clip])
+    spans = list(zip(np.concatenate(([0], ends[:-1])), ends))
+    loss = np.array([nll[a:b].mean() for a, b in spans]).sum() / clips
+    gr = np.empty((m, 1))
+    for a, b in spans:
+        gr[a:b] = 1.0 / clips / (b - a)
+    gs = gr * w
+    gs[:, :1] -= gr
+    gsims = np.zeros_like(sims)
+    np.add.at(gsims, (rows, idx), gs)
+    gsims *= scale
+    gc = np.zeros_like(cv)
+    np.add.at(gc, idx[:, 0], gsims @ zt.T)
+    return loss, gc, (picked.T @ gsims).T
 
 
 def _sum_against(out, g):

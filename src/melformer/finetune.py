@@ -71,8 +71,7 @@ class FinetuneConfig:
             raise ConfigError("peak_lr must be >= 0 and final_lr_factor > 0")
         if min(self.batch_size, self.total_steps) < 1:
             raise ConfigError("batch_size and total_steps must be >= 1")
-        if not 0.0 <= self.output_dropout < 1.0:
-            raise ConfigError("output_dropout outside [0, 1)")
+        T._dropout_cut(self.output_dropout, ConfigError, "output_dropout")
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +281,9 @@ def finetune_step(
     """Augmented views -> BCE(view A) + consistency_weight * symKL(A, B).
 
     View B is built only when consistency_weight > 0. The batch runs as
-    groups of equal-length clips (``model.clip_groups``, counting both
-    views' rows when the consistency term spans them), one graph per group
+    groups of equal-length clips (``model.clip_groups``: at most
+    ``GROUP_ROWS`` rows a group, counting both views' rows when the
+    consistency term spans them), one graph per group
     that stacks the group's view-A clips, then its view-B clips. Each
     group's loss, the mean of its clip terms, is back-propagated scaled by
     group size / B before the next group's graph is built, so only one
@@ -301,7 +301,7 @@ def finetune_step(
     frame_counts = [tuple(len(v[i]) // stack for v in views) for i in range(len(batch))]
     scale = 1.0 / len(batch)
     bce_sum = consistency_sum = 0.0
-    for group in clip_groups(frame_counts, model.config):
+    for group in clip_groups(frame_counts):
         # A group's graph keeps float32 copies of its logmels, so the step
         # drops them here and holds one group's graph and the logmels to come.
         frames = [view[i] for view in views for i in group]
@@ -346,7 +346,7 @@ def evaluate_model(model, head, examples, filterbank=None) -> EvalReport:
     scores = []
     try:
         with T.no_grad():
-            for group in clip_groups(frame_counts, model.config):
+            for group in clip_groups(frame_counts):
                 frames = [
                     _clip_frames(examples[i], jitter=False, rng=None, filterbank=filterbank)
                     for i in group

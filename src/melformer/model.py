@@ -31,8 +31,8 @@ PRESETS = {
 
 
 def _check_dropout(rate):
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout {rate} outside [0, 1)")
+    """A rate outside [0, 1), or one that dropout would round to 1, is a ConfigError."""
+    T._dropout_cut(rate, ConfigError)
 
 
 @dataclass
@@ -186,7 +186,8 @@ class Linear(Module):
         return T.linear(x, self.weight, self.bias)
 
     def kernel(self, xv: np.ndarray):
-        """The engine's linear kernel on this layer's tensors: (out, back)."""
+        """The engine's linear kernel on this layer's tensors: (out, back),
+        with ``back(g, xv)`` given the input again."""
         return T._linear(xv, self.weight, self.bias)
 
 
@@ -199,7 +200,8 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias)
 
     def kernel(self, x: Tensor, op: str):
-        """Checks x against this norm for ``op``; the kernel on x's values."""
+        """Checks x against this norm for ``op``; the kernel on x's values,
+        (out, back, again)."""
         T._check_norm(x, self.gain, self.bias, op)
         return T._layer_norm(x.values, self.gain, self.bias)
 
@@ -218,6 +220,7 @@ class BatchNorm(Module):
 # kernels exactly as the composed public primitives run them, so every bit
 # is kept, and closes the chain with ``T.residual`` over x and ``_params``
 # (the module's parameters in walk order, collected once at construction).
+# The node holds no layer-norm output: backward forms it again from x.
 
 
 class FeedForward(Module):
@@ -233,20 +236,21 @@ class FeedForward(Module):
         self._params = tuple(self.parameters())
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        h, norm_back = self.norm.kernel(x, "feed_forward")
+        h, norm_back, h_again = self.norm.kernel(x, "feed_forward")
         parents = (x, *self._params)
         a, lin1_back = self.lin1.kernel(h)
-        a, swish_back = T._swish(a, T._tracked(parents), out=a)
-        a, drop1_back = T._dropout(a, self.dropout, rng, self.training, out=a)
+        a, d = T._swish(a, T._tracked(parents), out=a)
+        # The first mask goes into the swish derivative d, so it is not held.
+        a, drop1_back = T._dropout(a, self.dropout, rng, self.training, out=a, fold=d)
         out, lin2_back = self.lin2.kernel(a)
         out, drop2_back = T._dropout(out, self.dropout, rng, self.training, out=out)
         out *= 0.5
 
         def back(g):
             gh = g * 0.5
-            gh = lin2_back(gh if drop2_back is None else drop2_back(gh, out=gh))
+            gh = lin2_back(gh if drop2_back is None else drop2_back(gh, out=gh), a)
             gh = gh if drop1_back is None else drop1_back(gh, out=gh)
-            return norm_back(lin1_back(swish_back(gh)))
+            return norm_back(lin1_back(np.multiply(d, gh, out=d), h_again()))
 
         return T.residual(x, out, parents, back, "feed_forward")
 
@@ -276,7 +280,7 @@ class ConvolutionModule(Module):
         self._params = tuple(self.parameters())
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        h, norm_back = self.norm.kernel(x, "conv_module")
+        h, norm_back, h_again = self.norm.kernel(x, "conv_module")
         parents, bn, clips = (x, *self._params), self.batch_norm, len(T.clip_rngs(rng))
         h, in_back = self.pointwise_in.kernel(h)
         h, glu_back = T._glu(h)
@@ -284,13 +288,14 @@ class ConvolutionModule(Module):
         h, bn_back = T._batch_norm(
             h, bn.gain, bn.bias, bn.running_mean, bn.running_var, self.training, clips
         )
-        h, swish_back = T._swish(h, T._tracked(parents), out=h)
-        out, out_back = self.pointwise_out.kernel(h)
+        s, d = T._swish(h, T._tracked(parents), out=h)
+        out, out_back = self.pointwise_out.kernel(s)
         out, drop_back = T._dropout(out, self.dropout, rng, self.training, out=out)
 
         def back(g):
-            gh = out_back(g if drop_back is None else drop_back(g))
-            return norm_back(in_back(glu_back(conv_back(bn_back(swish_back(gh))))))
+            gh = out_back(g if drop_back is None else drop_back(g), s)
+            gh = bn_back(np.multiply(d, gh, out=d))
+            return norm_back(in_back(glu_back(conv_back(gh)), h_again()))
 
         return T.residual(x, out, parents, back, "conv_module")
 
@@ -321,7 +326,7 @@ class SelfAttention(Module):
         self._params = tuple(self.parameters())
 
     def __call__(self, x: Tensor, rng) -> Tensor:
-        h, norm_back = self.norm.kernel(x, "self_attention")
+        h, norm_back, h_again = self.norm.kernel(x, "self_attention")
         q, q_back = self.query.kernel(h)
         k, k_back = self.key.kernel(h)
         v, v_back = self.value.kernel(h)
@@ -330,12 +335,13 @@ class SelfAttention(Module):
         out, drop_back = T._dropout(out, self.dropout, rng, self.training, out=out)
 
         def back(g):
-            gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g)))
+            gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g), a))
             # The normalized input's gradient sums q's, k's and v's parts in
             # that order, as backward visits the three projections.
-            gh = q_back(gq)
-            gh += k_back(gk)
-            gh += v_back(gv)
+            hv = h_again()
+            gh = q_back(gq, hv)
+            gh += k_back(gk, hv)
+            gh += v_back(gv, hv)
             return norm_back(gh)
 
         return T.residual(x, out, (x, *self._params), back, "self_attention")
@@ -384,35 +390,38 @@ class ContextEncoder(Module):
         return self.proj_out(h)
 
 
-# Largest activation, in float32 elements, that one stacked graph may hold:
-# rows x max(ffn_dim, num_heads x T), the FFN hidden layer or the attention
-# weights. Toy fine-tune step (batch 16 x 2 s, both views in one graph, so
-# 6.4k elements a clip), one BLAS thread on a 2-vCPU Xeon host, medians of
-# 3 processes of 15 steps at 1/2/4/8/16 clips a graph: 156/113/86/84/83 ms
-# a step, peak RSS +0/+1.0/+3.8/+10.2/+23.1 MB. Past 2^15 (4 clips there) a
-# step gains under 4% while the graph's memory keeps growing. A cf_S clip
-# (125 frames x 1024) is 128k elements on its own, so cf_S keeps one clip a
-# graph.
-GROUP_CAP = 2**15
+# Most rows, all views counted, that one stacked graph may hold. One BLAS
+# thread on a 2-vCPU Xeon host, cf_S's projections with each block's
+# weights streamed from memory: a 125-row sgemm runs at ~105-110 GFLOP/s
+# and a 250-row one at ~118-127. A toy fine-tune step (batch 16 x 2 s, both
+# views in one graph, 50 rows a clip) at 1/2/4/8 clips a graph took
+# 95/71/48/50 ms (medians of 3 processes of 15 steps), so past ~200 rows a
+# step gains nothing. 256 rows keep the toy groups (pretraining 8 x 25,
+# fine-tuning 4 x 2 x 25, evaluation 10 x 25) and pair the 125-row cf_S
+# clips. A two-clip graph holds about twice a clip's activations (a cf_S
+# step's tracemalloc peak: 78.4 MB at one clip a graph with the graph the
+# sub-modules held before, 155.4 MB at two, 122.5 MB at two now that they
+# hold no layer-norm output, standardized rows or first FFN mask); it
+# grows with the model's width too.
+GROUP_ROWS = 256
 
 
-def clip_groups(frame_counts, config: ModelConfig) -> list[range]:
+def clip_groups(frame_counts) -> list[range]:
     """Runs of consecutive clips to stack into one graph each, in batch order.
 
     ``frame_counts[i]`` is a tuple of clip i's latent frame counts, one per
-    view that the same backward spans. Each run of consecutive clips with
-    equal counts splits into the fewest near-equal groups whose
-    rows x max(ffn_dim, num_heads x T) stays within ``GROUP_CAP``; a clip
-    over the cap forms a group by itself.
+    view that the same backward spans, so a clip's rows are their sum. Each
+    run of consecutive clips with equal counts splits into the fewest
+    near-equal groups of at most ``GROUP_ROWS`` rows; a clip over that
+    forms a group by itself.
     """
     groups, start, n = [], 0, len(frame_counts)
     while start < n:
         stop = start + 1
         while stop < n and frame_counts[stop] == frame_counts[start]:
             stop += 1
-        counts = frame_counts[start]
-        clip_cost = max(1, sum(counts) * max(config.ffn_dim, config.num_heads * max(counts)))
-        parts = -(-(stop - start) // max(1, GROUP_CAP // clip_cost))
+        per_group = max(1, GROUP_ROWS // max(1, sum(frame_counts[start])))
+        parts = -(-(stop - start) // per_group)
         size, extra = divmod(stop - start, parts)
         for part in range(parts):
             end = start + size + (part < extra)

@@ -371,8 +371,8 @@ def pretrain_step(
     """One full training step over a batch of logmel matrices.
 
     The batch runs as groups of equal-length clips (``model.clip_groups``:
-    consecutive clips, each group's activations within ``GROUP_CAP``), one
-    graph per group. Per group: feature-encode the stacked clips, mask each
+    consecutive clips, at most ``GROUP_ROWS`` rows a group), one graph per
+    group. Per group: feature-encode the stacked clips, mask each
     clip, contextualize, contrastive loss (the mean of the clip losses),
     then back-propagate it scaled by group size / B, so only one group's
     graph is alive at a time and the parameter gradients add up over the
@@ -386,7 +386,7 @@ def pretrain_step(
     scale = 1.0 / len(batch_logmels)
     loss_sum = 0.0
     frame_counts = [(len(f) // model.config.stack_factor,) for f in batch_logmels]
-    for group in clip_groups(frame_counts, model.config):
+    for group in clip_groups(frame_counts):
         z = model.encode_features([batch_logmels[i] for i in group])
         t = z.shape[0] // len(group)
         mask = np.concatenate([

@@ -310,14 +310,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _linear(xv: np.ndarray, weight: Tensor, bias: Tensor | None):
-    """xv @ weight (+ bias) as ``(out, back)``: ``back(g, need_x)`` adds the
-    weight and bias gradients and returns g @ weightᵀ (None without ``need_x``)."""
+    """xv @ weight (+ bias) as ``(out, back)``: ``back(g, xv, need_x)`` adds
+    the weight and bias gradients and returns g @ weightᵀ (None without
+    ``need_x``). ``back`` does not hold xv: the caller passes it in again,
+    held or formed anew with the same bits."""
     wv = weight.values
     out = xv @ wv
     if bias is not None:
         out += bias.values
 
-    def back(g, need_x=True):
+    def back(g, xv, need_x=True):
         if weight.requires_grad:
             _accum(weight, xv.T @ g)
         if bias is not None:
@@ -335,9 +337,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: inner dims disagree {x.shape} @ {weight.shape}")
     if bias is not None and bias.values.shape != (weight.values.shape[1],):
         raise ShapeError(f"linear: bias {bias.shape} does not match weight {weight.shape}")
-    out, back = _linear(x.values, weight, bias)
+    xv = x.values
+    out, back = _linear(xv, weight, bias)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out, parents, lambda g: _accum(x, back(g, x.requires_grad)), "linear")
+    return _make(out, parents, lambda g: _accum(x, back(g, xv, x.requires_grad)), "linear")
 
 
 def _reduce(a: Tensor, clips, mean: bool) -> Tensor:
@@ -412,9 +415,11 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _swish(av: np.ndarray, need_grad: bool, out=None):
-    """av * sigmoid(av), into ``out`` if given, as ``(y, back)``. With
-    ``need_grad`` the derivative (1 - s) * y + s is formed here, and ``back``
-    multiplies it by g in place (so it runs once); without, ``back`` is None."""
+    """av * sigmoid(av), into ``out`` if given, as ``(y, d)``. With
+    ``need_grad``, d is the derivative (1 - s) * y + s, which backward
+    multiplies by g in place, ``np.multiply(d, g, out=d)``, so it runs once;
+    a caller may fold a mask into d first (see ``_dropout``). Without, d is
+    None."""
     s = _logistic(av)
     y = np.multiply(av, s, out=out)
     if not need_grad:
@@ -422,13 +427,13 @@ def _swish(av: np.ndarray, need_grad: bool, out=None):
     d = 1.0 - s
     d *= y
     d += s
-    return y, lambda g: np.multiply(d, g, out=d)
+    return y, d
 
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    y, back = _swish(a.values, _tracked((a,)))
-    return _make(y, (a,), lambda g: _accum(a, back(g)), "swish")
+    y, d = _swish(a.values, _tracked((a,)))
+    return _make(y, (a,), lambda g: _accum(a, np.multiply(d, g, out=d)), "swish")
 
 
 def _glu(av: np.ndarray):
@@ -521,11 +526,12 @@ BATCH_NORM_MOMENTUM = 0.1  # weight of a clip's statistics in the running ones
 
 def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor):
     """xhat * gain + bias per feature (last axis), as ``(out, back)`` where
-    ``back(g)`` adds the gain and bias gradients and returns g * gain."""
+    ``back(g, xhat)``, given xhat again, adds the gain and bias gradients
+    and returns g * gain."""
     out = xhat * gain.values
     out += bias.values
 
-    def back(g):
+    def back(g, xhat):
         _accum(gain, (g * xhat).sum(axis=0))
         _accum(bias, g.sum(axis=0))
         return g * gain.values
@@ -533,11 +539,16 @@ def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor):
     return out, back
 
 
-def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view):
+def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view, keep_xhat: bool):
     """Standardize ``xv`` along axis 1 of its reshape to ``view``, then scale
     by ``gain`` and shift by ``bias`` per feature (last axis).
 
-    Returns ``(out, back, mean, var)``, the statistics (view[0], 1, ...).
+    Returns ``(out, back, again, mean, var)``, the statistics (view[0], 1,
+    ...); ``again()`` forms out again. Without ``keep_xhat`` the
+    standardized input is not held: whichever of the two runs first forms
+    it again from xv and the statistics, with the same ufuncs and so the
+    same bits. For a caller whose graph holds xv anyway, that is one array
+    less.
     """
     v = xv.reshape(view)
     n = view[1]
@@ -549,20 +560,32 @@ def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view):
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     out, affine_back = _scale_shift(xhat.reshape(xv.shape), gain, bias)
+    kept = xhat if keep_xhat else None
+
+    def standardized():  # formed again at most once, by whichever runs first
+        nonlocal kept
+        if kept is None:
+            kept = v - mu
+            kept *= inv
+        return kept
 
     def back(g):
-        gx = affine_back(g).reshape(view)
+        xh = standardized()
+        gx = affine_back(g, xh.reshape(xv.shape)).reshape(view)
         m1 = gx.sum(axis=1, keepdims=True)
         m1 /= n
-        t = gx * xhat
+        t = gx * xh
         m2 = t.sum(axis=1, keepdims=True)
         m2 /= n
         gx -= m1
-        gx -= np.multiply(xhat, m2, out=t)
+        gx -= np.multiply(xh, m2, out=t)
         gx *= inv
         return gx.reshape(xv.shape)
 
-    return out, back, mu, var
+    def again():
+        return _scale_shift(standardized().reshape(xv.shape), gain, bias)[0]
+
+    return out, back, again, mu, var
 
 
 def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str):
@@ -574,13 +597,16 @@ def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str):
 
 
 def _layer_norm(xv: np.ndarray, gain: Tensor, bias: Tensor):
-    return _standardize(xv, gain, bias, xv.shape)[:2]
+    """Layer norm as ``(out, back, again)``: ``back`` and ``again()``, which
+    forms out again bit for bit, hold xv (the caller's graph holds it too)
+    and the row statistics, not the standardized rows."""
+    return _standardize(xv, gain, bias, xv.shape, keep_xhat=False)[:3]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
     _check_norm(x, gain, bias, "layer_norm")
-    out, back = _layer_norm(x.values, gain, bias)
+    out, back, _ = _layer_norm(x.values, gain, bias)
     return _make(out, (x, gain, bias), lambda g: _accum(x, back(g)), "layer_norm")
 
 
@@ -589,16 +615,18 @@ def _batch_norm(xv, gain, bias, running_mean, running_var, training: bool, clips
     folds each clip's statistics into the running buffers here."""
     if not training:
         inv = 1.0 / np.sqrt(running_var + NORM_EPS)
-        out, affine_back = _scale_shift((xv - running_mean) * inv, gain, bias)
+        xhat = (xv - running_mean) * inv
+        out, affine_back = _scale_shift(xhat, gain, bias)
 
         def back(g):
-            gx = affine_back(g)
+            gx = affine_back(g, xhat)
             gx *= inv
             return gx
 
         return out, back
     view = _by_clip(xv, clips, "batch_norm").shape
-    out, back, mu, var = _standardize(xv, gain, bias, view)
+    # Nothing else holds the input here, so the standardized input is kept.
+    out, back, _, mu, var = _standardize(xv, gain, bias, view, keep_xhat=True)
     m = BATCH_NORM_MOMENTUM
     # In place, clip by clip, this rounds as (1 - m) * buf + m * stat cast
     # to the buffer's dtype would, float32 and float64 mixed either way.
@@ -638,15 +666,29 @@ def batch_norm(
 DROPOUT_LEVELS = 1 << 16  # dropout draws 16-bit words: rates are multiples of 1/65536
 
 
-def _dropout(xv: np.ndarray, rate: float, rng, training: bool, out=None):
-    """Inverted dropout of :func:`dropout`, into ``out`` if given, as
-    ``(out, back)``, with ``back(g, out=None)`` likewise. When nothing is
-    dropped the result is ``xv`` itself and ``back`` is None."""
+def _dropout_cut(rate: float, error=ShapeError, name: str = "dropout") -> int:
+    """``rate`` rounded to cut / 65536, the one rounding rule of dropout.
+    Raises ``error`` for a rate outside [0, 1) or one that rounds to 1; the
+    model's configs call this to reject such a rate when they are built."""
     if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate {rate} outside [0, 1)")
+        raise error(f"{name} {rate} outside [0, 1)")
     cut = round(rate * DROPOUT_LEVELS)
     if cut == DROPOUT_LEVELS:
-        raise ShapeError(f"dropout rate {rate} rounds to 1 at a resolution of 1/65536")
+        raise error(f"{name} {rate} rounds to 1 at a resolution of 1/65536")
+    return cut
+
+
+def _dropout(xv: np.ndarray, rate: float, rng, training: bool, out=None, fold=None):
+    """Inverted dropout of :func:`dropout`, into ``out`` if given, as
+    ``(out, back)``, with ``back(g, out=None)`` likewise. When nothing is
+    dropped the result is ``xv`` itself and ``back`` is None.
+
+    ``fold`` is an array of xv's shape by which backward multiplies the
+    gradient after this ``back`` (the derivative of the op before). The
+    keep mask is multiplied into it here, so ``back`` only scales and the
+    mask is not held; the product has the same bits, signed zeros included.
+    """
+    cut = _dropout_cut(rate)
     if not training or cut == 0:
         return xv, None
     rngs = clip_rngs(rng)
@@ -659,14 +701,17 @@ def _dropout(xv: np.ndarray, rate: float, rng, training: bool, out=None):
     words = raw.view(np.uint16).reshape(len(rngs), -1)[:, :n]
     keep = np.greater_equal(words, np.uint16(cut)).reshape(xv.shape)
     scale = xv.dtype.type(DROPOUT_LEVELS / (DROPOUT_LEVELS - cut))
+    out = np.multiply(xv, keep, out=out)
+    out *= scale
+    if fold is not None:
+        np.multiply(fold, keep, out=fold)
+        return out, lambda g, out=None: np.multiply(g, scale, out=out)
 
     def back(g, out=None):
         gx = np.multiply(g, keep, out=out)
         gx *= scale
         return gx
 
-    out = np.multiply(xv, keep, out=out)
-    out *= scale
     return out, back
 
 

@@ -968,11 +968,13 @@ class TestSmallCommands:
             ("model", "embed_dim", 0),
             ("model", "ffn_dim", 0),
             ("model", "kernel_first", -1),
+            ("model", "dropout", 0.999999),
             ("finetune", "peak_lr", -1e-3),
             ("finetune", "batch_size", 0),
             ("finetune", "total_steps", -5),
             ("finetune", "final_lr_factor", 0),
             ("finetune", "final_lr_factor", -0.5),
+            ("finetune", "output_dropout", 0.999999),
         ],
     )
     def test_bad_config_value_is_config_error(
@@ -998,6 +1000,24 @@ class TestSmallCommands:
             ]
         )
         assert code == 2
+        assert not out.exists()
+
+    def test_dropout_that_rounds_to_one_exits_before_any_data_is_read(
+        self, toy_config, tmp_path, monkeypatch, capsys
+    ):
+        config = json.loads(toy_config.read_text())
+        config["model"]["dropout"] = 0.999999
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+
+        def read_manifest(path):
+            raise AssertionError(f"read {path} before the config was checked")
+
+        monkeypatch.setattr(cli, "read_manifest", read_manifest)
+        out = tmp_path / "run"
+        argv = ["pretrain", "--config", bad, "--manifest", tmp_path / "none.tsv", "--out-dir", out]
+        assert main([str(a) for a in argv]) == 2
+        assert "dropout 0.999999 rounds to 1" in capsys.readouterr().err
         assert not out.exists()
 
 

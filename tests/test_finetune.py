@@ -29,7 +29,7 @@ from melformer.finetune import (
     three_stage_lr,
     time_mask_augment,
 )
-from melformer.model import GROUP_CAP, ConformerModel, ModelConfig
+from melformer.model import GROUP_ROWS, ConformerModel, ModelConfig
 from melformer.pretrain import Adam, step_rng
 from melformer.tensor import Tensor, backward, grad_check
 
@@ -529,20 +529,17 @@ class TestGroupedStep:
         )
 
     def test_clips_over_the_cap_backpropagate_one_at_a_time(self, backward_calls):
-        cfg = ModelConfig(
-            num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=2048,
-            stack_factor=2, kernel_first=3, kernel_rest=3, dropout=0.1,
-        )
-        # One view's 12 rows would fit; a group counts both views' rows.
-        assert 12 * cfg.ffn_dim <= GROUP_CAP < (12 + 12) * cfg.ffn_dim
-        batch = self.batch([8000] * 3)
+        # 260 logmel frames, 130 latent rows a view: one view's rows would
+        # fit; a group counts both views' rows.
+        assert 130 <= GROUP_ROWS < 130 + 130
+        batch = self.batch([83200] * 3)
         fcfg = FinetuneConfig(num_classes=3, total_steps=100, batch_size=3, output_dropout=0.1)
-        grouped, grouped_head = self.build(cfg, "mean-pool")
+        grouped, grouped_head = self.build(self.CFG, "mean-pool")
         calls = backward_calls(finetune_module)
         opt = Adam(named_grads(grouped, grouped_head))
         record = finetune_step(batch, grouped, grouped_head, opt, fcfg, step=0)
         assert len(calls) == 3
-        oracle, oracle_head = self.build(cfg, "mean-pool")
+        oracle, oracle_head = self.build(self.CFG, "mean-pool")
         assert record["loss"] == pytest.approx(
             per_clip_stacked_views_step(batch, oracle, oracle_head, fcfg, step=0), rel=1e-14
         )
@@ -557,6 +554,6 @@ class TestGroupedStep:
             finetune_module, "evaluate_scores", lambda scores, targets: seen.append(scores)
         )
         finetune_module.evaluate_model(model, head, batch)
-        monkeypatch.setattr(model_module, "GROUP_CAP", 0)
+        monkeypatch.setattr(model_module, "GROUP_ROWS", 0)
         finetune_module.evaluate_model(model, head, batch)
         np.testing.assert_allclose(seen[0], seen[1], rtol=1e-12)

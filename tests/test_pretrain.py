@@ -9,7 +9,7 @@ from melformer import pretrain as pretrain_module
 from melformer import tensor as T
 from melformer.errors import ConfigError, NumericError, ShapeError
 from melformer.model import (
-    GROUP_CAP,
+    GROUP_ROWS,
     ConformerModel,
     ModelConfig,
     apply_mask,
@@ -417,7 +417,7 @@ class TestGroupedStep:
         clips = [rng.normal(size=(n, 64)) for n in (40, 40, 40, 48, 48, 40, 40)]
         pcfg = toy_pretrain_config(seed=5, batch_size=len(clips), mask_span=3)
         counts = [(len(c) // 2,) for c in clips]
-        assert clip_groups(counts, self.CFG) == [range(0, 3), range(3, 5), range(5, 7)]
+        assert clip_groups(counts) == [range(0, 3), range(3, 5), range(5, 7)]
         masked = [
             sample_mask(n, 0.3, 3, rng=step_rng(5, RNG_MASK, 0, i)).sum()
             for i, (n,) in enumerate(counts)
@@ -438,15 +438,11 @@ class TestGroupedStep:
             np.testing.assert_allclose(a, b, rtol=1e-10, err_msg=name)
 
     def test_clips_over_the_cap_backpropagate_one_at_a_time(self, backward_calls):
-        cfg = ModelConfig(
-            num_blocks=1, embed_dim=16, num_heads=2, ffn_dim=2048,
-            stack_factor=2, kernel_first=3, kernel_rest=3, dropout=0.1,
-        )
-        assert 20 * cfg.ffn_dim > GROUP_CAP
         rng = np.random.default_rng(43)
-        clips = [rng.normal(size=(40, 64)) for _ in range(3)]
+        clips = [rng.normal(size=(520, 64)) for _ in range(3)]  # 260 latent rows each
+        assert 260 > GROUP_ROWS
         pcfg = toy_pretrain_config(seed=6, batch_size=3)
-        grouped, oracle = self.models(cfg)
+        grouped, oracle = self.models(self.CFG)
         calls = backward_calls(pretrain_module)
         record = pretrain_step(clips, grouped, Adam(list(grouped.named_parameters())), pcfg, 0)
         assert len(calls) == 3

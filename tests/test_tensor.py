@@ -48,6 +48,22 @@ class TestForwardValues:
         y = T.glu(x)
         np.testing.assert_allclose(y.values, [[0.5, 1.0]])
 
+    @pytest.mark.parametrize("op", ["layer_norm", "glu"])
+    def test_forward_and_backward_leave_the_input_untouched(self, op):
+        """layer_norm's backward forms the standardized rows again from its
+        input, and a GLU that formed its gate in place would overwrite its
+        input's second half; neither primitive may write into its input."""
+        rng = np.random.default_rng(70)
+        x = parameter(rng.normal(size=(6, 8)).astype(np.float32))
+        before = x.values.copy()
+        if op == "layer_norm":
+            gain, bias = (parameter(rng.normal(size=8).astype(np.float32)) for _ in range(2))
+            out = T.layer_norm(x, gain, bias)
+        else:
+            out = T.glu(x)
+        backward(_sum_against(out, rng.normal(size=out.shape).astype(np.float32)))
+        assert_same_bits(x.values, before)
+
     def test_add_rejects_a_trailing_dim_bias(self):
         # Biases ride on ``linear``; ``add`` takes same-shape tensors or scalars.
         with pytest.raises(ShapeError):
@@ -350,16 +366,17 @@ class TestPerClipPrimitives:
 
     def test_info_nce_is_the_mean_of_the_clip_losses(self):
         rng = np.random.default_rng(61)
-        c, z = rng.normal(size=(30, 6)), rng.normal(size=(30, 6))
-        # Three clips of 10 rows, with K = 4, K = 1 and K = 2.
-        alone_candidates = [_candidates(rng, 10, k) for k in (4, 1, 2)]
-        stacked = [cand + 10 * j for j, cand in enumerate(alone_candidates)]
+        c, z = rng.normal(size=(120, 6)), rng.normal(size=(120, 6))
+        # Three clips of 40 rows (12 masked), with K = 4, K = 1 and K = 2.
+        alone_candidates = [_candidates(rng, 40, k) for k in (4, 1, 2)]
+        assert [cand.shape[1] - 1 for cand in alone_candidates] == [4, 1, 2]
+        stacked = [cand + 40 * j for j, cand in enumerate(alone_candidates)]
         leaves = [parameter(a) for a in (c, z)]
         loss = T.info_nce(*leaves, stacked, 1.3)
         backward(loss)
         want, want_grads = 0.0, [np.zeros_like(c), np.zeros_like(z)]
         for j, cand in enumerate(alone_candidates):
-            rows = slice(10 * j, 10 * j + 10)
+            rows = slice(40 * j, 40 * j + 40)
             alone = [parameter(a[rows]) for a in (c, z)]
             clip_loss = T.info_nce(*alone, [cand], 1.3)
             backward(T.mul(clip_loss, 1.0 / 3))

@@ -1,8 +1,8 @@
 """The reverse-mode autodiff core, from scalars to a conformer block.
 
 Shows gradient computation through composed primitives, fan-out
-accumulation, and the finite-difference checker that underwrites every
-backward rule in the package.
+accumulation, a new op defined with ``T.node``, and the finite-difference
+checker that underwrites every backward rule in the package.
 """
 
 import numpy as np
@@ -27,6 +27,17 @@ rng = np.random.default_rng(0)
 point = Tensor(rng.normal(size=(4, 6)))
 err = grad_check(lambda t: T.reduce_sum(T.swish(T.l2_normalize_rows(t))), point)
 print(f"l2-normalize+swish composite: max relative error {err:.2e}")
+
+# A new op is one ``T.node``: its output, its parents, a ``back`` that
+# returns the parent's gradient, and a name for errors. softplus(x) =
+# log(1 + e^x), whose derivative is sigmoid(x).
+def softplus(t):
+    sig = 1.0 / (1.0 + np.exp(-t.values))
+    return T.node(np.logaddexp(0.0, t.values), (t,), lambda g: g * sig, "softplus")
+
+
+err = grad_check(lambda t: T.reduce_sum(T.mul(softplus(t), t)), point)
+print(f"softplus(x) * x, a T.node op: max relative error {err:.2e}")
 
 # A full conformer block in both precisions.
 from melformer.gradcheck import check_block

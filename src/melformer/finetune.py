@@ -22,7 +22,7 @@ from .dsp import Waveform, frame_count, logmel
 from .errors import ConfigError, DataError, ShapeError
 from .metrics import EvalReport, evaluate_scores
 from .model import ConformerModel, Linear, Module, check_stackable, clip_groups
-from .pretrain import Adam, last_step, step_rng, training_loop
+from .pretrain import Adam, check_finite_fields, last_step, step_rng, training_loop
 from .tensor import Tensor, backward
 
 RNG_VIEW_A = 10
@@ -57,6 +57,7 @@ class FinetuneConfig:
         self.validate()
 
     def validate(self):
+        check_finite_fields(self)
         if self.head_kind not in HEADS:
             raise ConfigError(f"head_kind must be one of {HEAD_KINDS}")
         if len(self.stage_fractions) != 3 or any(f <= 0 for f in self.stage_fractions):
@@ -71,7 +72,7 @@ class FinetuneConfig:
             raise ConfigError("peak_lr must be >= 0 and final_lr_factor > 0")
         if min(self.batch_size, self.total_steps) < 1:
             raise ConfigError("batch_size and total_steps must be >= 1")
-        T._dropout_cut(self.output_dropout, ConfigError, "output_dropout")
+        T.dropout_cut(self.output_dropout, ConfigError, "output_dropout")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ PRESETS = {
 
 def _check_dropout(rate):
     """A rate outside [0, 1), or one that dropout would round to 1, is a ConfigError."""
-    T._dropout_cut(rate, ConfigError)
+    T.dropout_cut(rate, ConfigError)
 
 
 @dataclass
@@ -188,7 +188,7 @@ class Linear(Module):
     def kernel(self, xv: np.ndarray):
         """The engine's linear kernel on this layer's tensors: (out, back),
         with ``back(g, xv)`` given the input again."""
-        return T._linear(xv, self.weight, self.bias)
+        return T.linear_kernel(xv, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -202,8 +202,8 @@ class LayerNorm(Module):
     def kernel(self, x: Tensor, op: str):
         """Checks x against this norm for ``op``; the kernel on x's values,
         (out, back, again)."""
-        T._check_norm(x, self.gain, self.bias, op)
-        return T._layer_norm(x.values, self.gain, self.bias)
+        T.check_norm(x, self.gain, self.bias, op)
+        return T.layer_norm_kernel(x.values, self.gain, self.bias)
 
 
 class BatchNorm(Module):
@@ -239,11 +239,11 @@ class FeedForward(Module):
         h, norm_back, h_again = self.norm.kernel(x, "feed_forward")
         parents = (x, *self._params)
         a, lin1_back = self.lin1.kernel(h)
-        a, d = T._swish(a, T._tracked(parents), out=a)
+        a, d = T.swish_kernel(a, T.tracked(parents), out=a)
         # The first mask goes into the swish derivative d, so it is not held.
-        a, drop1_back = T._dropout(a, self.dropout, rng, self.training, out=a, fold=d)
+        a, drop1_back = T.dropout_kernel(a, self.dropout, rng, self.training, out=a, fold=d)
         out, lin2_back = self.lin2.kernel(a)
-        out, drop2_back = T._dropout(out, self.dropout, rng, self.training, out=out)
+        out, drop2_back = T.dropout_kernel(out, self.dropout, rng, self.training, out=out)
         out *= 0.5
 
         def back(g):
@@ -283,14 +283,14 @@ class ConvolutionModule(Module):
         h, norm_back, h_again = self.norm.kernel(x, "conv_module")
         parents, bn, clips = (x, *self._params), self.batch_norm, len(T.clip_rngs(rng))
         h, in_back = self.pointwise_in.kernel(h)
-        h, glu_back = T._glu(h)
-        h, conv_back = T._conv1d(h, self.depthwise, clips)
-        h, bn_back = T._batch_norm(
+        h, glu_back = T.glu_kernel(h)
+        h, conv_back = T.conv1d_kernel(h, self.depthwise, clips)
+        h, bn_back = T.batch_norm_kernel(
             h, bn.gain, bn.bias, bn.running_mean, bn.running_var, self.training, clips
         )
-        s, d = T._swish(h, T._tracked(parents), out=h)
+        s, d = T.swish_kernel(h, T.tracked(parents), out=h)
         out, out_back = self.pointwise_out.kernel(s)
-        out, drop_back = T._dropout(out, self.dropout, rng, self.training, out=out)
+        out, drop_back = T.dropout_kernel(out, self.dropout, rng, self.training, out=out)
 
         def back(g):
             gh = out_back(g if drop_back is None else drop_back(g), s)
@@ -330,9 +330,9 @@ class SelfAttention(Module):
         q, q_back = self.query.kernel(h)
         k, k_back = self.key.kernel(h)
         v, v_back = self.value.kernel(h)
-        a, attn_back = T._attention(q, k, v, self.num_heads, len(T.clip_rngs(rng)))
+        a, attn_back = T.attention_kernel(q, k, v, self.num_heads, len(T.clip_rngs(rng)))
         out, out_back = self.out.kernel(a)
-        out, drop_back = T._dropout(out, self.dropout, rng, self.training, out=out)
+        out, drop_back = T.dropout_kernel(out, self.dropout, rng, self.training, out=out)
 
         def back(g):
             gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g), a))

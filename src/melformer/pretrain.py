@@ -10,8 +10,10 @@ schedule.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,16 @@ RNG_DROPOUT = 4
 
 def step_rng(seed: int, purpose: int, step: int, item: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, purpose, step, item])
+
+
+def check_finite_fields(config):
+    """Raise ConfigError when a number in a field of the dataclass ``config``,
+    or in one of its tuple fields, is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, numbers.Real) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} {value} is not finite")
 
 
 @dataclass
@@ -55,6 +67,7 @@ class PretrainConfig:
         self.validate()
 
     def validate(self):
+        check_finite_fields(self)
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ConfigError("warmup_steps must be >= 0 and below total_steps")
         if min(self.num_distractors, self.peak_lr, self.weight_decay) < 0:

@@ -8,18 +8,22 @@ convolution, the three training losses as one node each (masked contrastive
 ``info_nce``, ``binary_cross_entropy`` and ``symmetric_bernoulli_kl``), and a
 finite-difference gradient checker.
 
-The array math of most primitives is written once, as private kernels that
-return their output and a ``back`` function from its gradient to the input's
-(adding parameter gradients on the way). A public primitive wraps one kernel
-in a node; a caller that chains kernels itself closes the chain with
-``residual``, one node.
+``node(values, parents, back, op)`` makes every node; a non-finite output
+raises :class:`NumericError` naming ``op``. ``back(g)`` returns the first
+parent's gradient, or a tuple of the first parents' gradients in order,
+None where none is needed, and only ``backward`` adds them in. Below the
+nodes, the array math of the primitives a conformer block uses is written
+once, as ``*_kernel`` functions that return ``(out, back)``: their ``back``
+adds the kernel's own parameters' gradients and returns the input's. A
+primitive wraps one kernel in a node; a caller that chains kernels closes
+the chain with ``residual``, x plus one node (``tracked``, ``check_norm``
+and ``dropout_cut`` serve it too).
 
 Tensors store float32 or float64 values. Models are built in float32, and
 ``Module.astype(np.float64)`` casts one for gradient checking (its weights
-are then the float32 draws, cast up). Every primitive validates that its
-output is finite and raises :class:`NumericError` otherwise. The computation
-graph is recorded implicitly through parent links; ``backward`` topologically
-sorts the reachable subgraph and visits each node exactly once, accumulating
+are then the float32 draws, cast up). The computation graph is recorded
+implicitly through parent links; ``backward`` topologically sorts the
+reachable subgraph and visits each node exactly once, accumulating
 gradients additively across fan-out.
 
 A T x D tensor may stack several equal-length clips: ``clips`` row blocks of
@@ -50,6 +54,7 @@ __all__ = [
     "parameter",
     "no_grad",
     "backward",
+    "node",
     "add",
     "mul",
     "div",
@@ -71,6 +76,14 @@ __all__ = [
     "binary_cross_entropy",
     "symmetric_bernoulli_kl",
     "grad_check",
+    "linear_kernel",
+    "layer_norm_kernel",
+    "batch_norm_kernel",
+    "swish_kernel",
+    "glu_kernel",
+    "attention_kernel",
+    "dropout_kernel",
+    "conv1d_kernel",
 ]
 
 _GRAD_ENABLED = True
@@ -136,28 +149,27 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _check_finite(values: np.ndarray, op: str):
-    if not np.isfinite(values).all():
-        raise NumericError(f"non-finite output of '{op}'")
-
-
-def _tracked(parents) -> bool:
+def tracked(parents) -> bool:
     """Whether a node over ``parents`` records its backward."""
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
-def _make(values: np.ndarray, parents, backward_fn, op: str) -> Tensor:
-    _check_finite(values, op)
+def node(values: np.ndarray, parents, back, op: str) -> Tensor:
+    """The node ``op`` over ``parents``, recorded when ``tracked(parents)``;
+    ``back`` is as the module docstring says, and each array it returns must
+    be fresh and writable: ``backward`` adopts it without a copy."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"non-finite output of '{op}'")
     out = Tensor(values)
-    if _tracked(parents):
+    if tracked(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward_fn
+        out._backward = back
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+def _accum(t: Tensor, g):
+    if g is None or not t.requires_grad:
         return
     if t.grad is None:
         if t._grad_view is not None:
@@ -165,8 +177,8 @@ def _accum(t: Tensor, g: np.ndarray):
             np.copyto(t._grad_view, g)
             t.grad = t._grad_view
             return
-        # Adopt ``g``: every backward rule hands over a fresh, writable array
-        # that no other tensor holds (``add`` copies it for its second parent;
+        # Adopt ``g``: every ``back`` hands over a fresh, writable array that
+        # no other tensor holds (``add`` copies it for its second parent;
         # ``reduce_sum``/``reduce_mean`` materialize their broadcast views).
         t.grad = np.asarray(g, dtype=t.values.dtype)
     else:
@@ -215,14 +227,21 @@ def backward(loss: Tensor):
         loss.grad = np.zeros_like(loss.values)
     loss.grad += np.ones_like(loss.values)
     while order:
-        node = order.pop()
-        if node._backward is None:
+        t = order.pop()
+        if t._backward is None:
             continue
-        if node.grad is not None:
-            node._backward(node.grad)
-        node.grad = None
-        node._backward = None
-        node._parents = None
+        if t.grad is not None:
+            _accum_all(t._parents, t._backward(t.grad))
+        t.grad = None
+        t._backward = None
+        t._parents = None
+
+
+def _accum_all(parents, grads):
+    """Add what a node's ``back`` returned into its parents; a function of its
+    own, so the gradients are released as soon as they are added in."""
+    for p, g in zip(parents, grads if isinstance(grads, tuple) else (grads,)):
+        _accum(p, g)
 
 
 def _topological_order(root: Tensor):
@@ -231,17 +250,17 @@ def _topological_order(root: Tensor):
     visited = set()
     stack = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(t)
             continue
-        if id(node) in visited:
+        if id(t) in visited:
             continue
-        if node._parents is None:
+        if t._parents is None:
             raise GraphError("backward through a graph that an earlier backward consumed")
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        visited.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
             if id(p) not in visited:
                 stack.append((p, False))
     return order
@@ -254,19 +273,9 @@ def _topological_order(root: Tensor):
 def add(a: Tensor, b) -> Tensor:
     """a + b with b a tensor of the same shape or a scalar."""
     if not isinstance(b, Tensor):
-        s = float(b)
-
-        def bwd_scalar(g):
-            _accum(a, g)
-
-        return _make(a.values + s, (a,), bwd_scalar, "add")
+        return node(a.values + float(b), (a,), lambda g: g, "add")
     if a.values.shape == b.values.shape:
-
-        def bwd_same(g):
-            _accum(a, g)
-            _accum(b, g.copy())
-
-        return _make(a.values + b.values, (a, b), bwd_same, "add")
+        return node(a.values + b.values, (a, b), lambda g: (g, g.copy()), "add")
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -274,20 +283,11 @@ def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with a same-shape tensor or a scalar."""
     if not isinstance(b, Tensor):
         s = float(b)
-
-        def bwd_scalar(g):
-            _accum(a, g * s)
-
-        return _make(a.values * s, (a,), bwd_scalar, "mul")
+        return node(a.values * s, (a,), lambda g: g * s, "mul")
     if a.values.shape != b.values.shape:
         raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
     av, bv = a.values, b.values
-
-    def bwd(g):
-        _accum(a, g * bv)
-        _accum(b, g * av)
-
-    return _make(av * bv, (a, b), bwd, "mul")
+    return node(av * bv, (a, b), lambda g: (g * bv, g * av), "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -295,21 +295,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise ShapeError(f"div: shape mismatch {a.shape} vs {b.shape}")
     av, bv = a.values, b.values
-
-    def bwd(g):
-        _accum(a, g / bv)
-        _accum(b, -g * av / (bv * bv))
-
     with np.errstate(divide="ignore", invalid="ignore"):
         values = av / bv
-    return _make(values, (a, b), bwd, "div")
+    return node(values, (a, b), lambda g: (g / bv, -g * av / (bv * bv)), "div")
 
 
 # ---------------------------------------------------------------------------
 # Linear algebra and reductions
 
 
-def _linear(xv: np.ndarray, weight: Tensor, bias: Tensor | None):
+def linear_kernel(xv: np.ndarray, weight: Tensor, bias: Tensor | None):
     """xv @ weight (+ bias) as ``(out, back)``: ``back(g, xv, need_x)`` adds
     the weight and bias gradients and returns g @ weightᵀ (None without
     ``need_x``). ``back`` does not hold xv: the caller passes it in again,
@@ -338,9 +333,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.values.shape != (weight.values.shape[1],):
         raise ShapeError(f"linear: bias {bias.shape} does not match weight {weight.shape}")
     xv = x.values
-    out, back = _linear(xv, weight, bias)
+    out, back = linear_kernel(xv, weight, bias)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out, parents, lambda g: _accum(x, back(g, xv, x.requires_grad)), "linear")
+    return node(out, parents, lambda g: back(g, xv, x.requires_grad), "linear")
 
 
 def _reduce(a: Tensor, clips, mean: bool) -> Tensor:
@@ -350,15 +345,15 @@ def _reduce(a: Tensor, clips, mean: bool) -> Tensor:
     v, axis = (a.values, None) if clips is None else (_by_clip(a.values, clips, op), 1)
     n = v.size if axis is None else v.shape[1]
 
-    def bwd(g):
+    def back(g):
         if axis is not None:
             g = np.expand_dims(g, 1)
         if mean:
             g = g / n
-        _accum(a, np.broadcast_to(g, v.shape).astype(v.dtype).reshape(a.values.shape))
+        return np.broadcast_to(g, v.shape).astype(v.dtype).reshape(a.values.shape)
 
     reduce = v.mean if mean else v.sum
-    return _make(reduce(axis=axis), (a,), bwd, op)
+    return node(reduce(axis=axis), (a,), back, op)
 
 
 def reduce_sum(a: Tensor, clips: int | None = None) -> Tensor:
@@ -378,12 +373,12 @@ def rows(a: Tensor, start: int, stop: int) -> Tensor:
     if a.values.ndim < 1 or not 0 <= start < stop <= a.values.shape[0]:
         raise ShapeError(f"rows {start}:{stop} of a tensor of shape {a.shape}")
 
-    def bwd(g):
+    def back(g):
         ga = np.zeros_like(a.values)
         ga[start:stop] = g
-        _accum(a, ga)
+        return ga
 
-    return _make(a.values[start:stop], (a,), bwd, "rows")
+    return node(a.values[start:stop], (a,), back, "rows")
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +402,15 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _logistic(a.values)
-
-    def bwd(g):
-        _accum(a, g * y * (1.0 - y))
-
-    return _make(y, (a,), bwd, "sigmoid")
+    return node(y, (a,), lambda g: g * y * (1.0 - y), "sigmoid")
 
 
-def _swish(av: np.ndarray, need_grad: bool, out=None):
+def swish_kernel(av: np.ndarray, need_grad: bool, out=None):
     """av * sigmoid(av), into ``out`` if given, as ``(y, d)``. With
     ``need_grad``, d is the derivative (1 - s) * y + s, which backward
     multiplies by g in place, ``np.multiply(d, g, out=d)``, so it runs once;
-    a caller may fold a mask into d first (see ``_dropout``). Without, d is
-    None."""
+    a caller may fold a mask into d first (see ``dropout_kernel``). Without,
+    d is None."""
     s = _logistic(av)
     y = np.multiply(av, s, out=out)
     if not need_grad:
@@ -432,11 +423,11 @@ def _swish(av: np.ndarray, need_grad: bool, out=None):
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    y, d = _swish(a.values, _tracked((a,)))
-    return _make(y, (a,), lambda g: _accum(a, np.multiply(d, g, out=d)), "swish")
+    y, d = swish_kernel(a.values, tracked((a,)))
+    return node(y, (a,), lambda g: np.multiply(d, g, out=d), "swish")
 
 
-def _glu(av: np.ndarray):
+def glu_kernel(av: np.ndarray):
     """First half of av's columns * sigmoid(second half), as ``(out, back)``."""
     half = av.shape[1] // 2
     va = av[:, :half]
@@ -457,11 +448,11 @@ def glu(a: Tensor) -> Tensor:
     """Gated linear unit of a T x 2C input: first C columns * sigmoid(last C)."""
     if a.values.ndim != 2 or a.values.shape[1] % 2 != 0:
         raise ShapeError(f"glu expects a 2-D input with an even column count, got {a.shape}")
-    out, back = _glu(a.values)
-    return _make(out, (a,), lambda g: _accum(a, back(g)), "glu")
+    out, back = glu_kernel(a.values)
+    return node(out, (a,), back, "glu")
 
 
-def _attention(qv, kv, vv, num_heads: int, clips: int):
+def attention_kernel(qv, kv, vv, num_heads: int, clips: int):
     """Multi-head attention of :func:`attention` as ``(out, back)``, with
     ``back(g)`` the (q, k, v) gradients."""
     n, d = qv.shape
@@ -508,13 +499,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, clips: int = 1) -
     """
     if q.values.ndim != 2 or not q.values.shape == k.values.shape == v.values.shape:
         raise ShapeError(f"attention: q/k/v shapes disagree {q.shape}, {k.shape}, {v.shape}")
-    out, back = _attention(q.values, k.values, v.values, num_heads, clips)
-
-    def bwd(g):
-        for x, dx in zip((q, k, v), back(g)):
-            _accum(x, dx)
-
-    return _make(out, (q, k, v), bwd, "attention")
+    out, back = attention_kernel(q.values, k.values, v.values, num_heads, clips)
+    return node(out, (q, k, v), back, "attention")
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +574,8 @@ def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view, keep_xhat: bo
     return out, back, again, mu, var
 
 
-def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str):
+def check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str):
+    """Raise ShapeError, naming ``op``, unless x is 2-D and gain and bias match its columns."""
     if x.values.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D tensor")
     d = x.values.shape[1]
@@ -596,7 +583,7 @@ def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str):
         raise ShapeError(f"{op}: gain/bias must match the feature dim")
 
 
-def _layer_norm(xv: np.ndarray, gain: Tensor, bias: Tensor):
+def layer_norm_kernel(xv: np.ndarray, gain: Tensor, bias: Tensor):
     """Layer norm as ``(out, back, again)``: ``back`` and ``again()``, which
     forms out again bit for bit, hold xv (the caller's graph holds it too)
     and the row statistics, not the standardized rows."""
@@ -605,12 +592,12 @@ def _layer_norm(xv: np.ndarray, gain: Tensor, bias: Tensor):
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
-    _check_norm(x, gain, bias, "layer_norm")
-    out, back, _ = _layer_norm(x.values, gain, bias)
-    return _make(out, (x, gain, bias), lambda g: _accum(x, back(g)), "layer_norm")
+    check_norm(x, gain, bias, "layer_norm")
+    out, back, _ = layer_norm_kernel(x.values, gain, bias)
+    return node(out, (x, gain, bias), back, "layer_norm")
 
 
-def _batch_norm(xv, gain, bias, running_mean, running_var, training: bool, clips: int):
+def batch_norm_kernel(xv, gain, bias, running_mean, running_var, training: bool, clips: int):
     """Batch norm of :func:`batch_norm` as ``(out, back)``; training mode
     folds each clip's statistics into the running buffers here."""
     if not training:
@@ -655,8 +642,8 @@ def batch_norm(
     """
     if x.values.ndim != 2:
         raise ShapeError("batch_norm expects a 2-D tensor")
-    out, back = _batch_norm(x.values, gain, bias, running_mean, running_var, training, clips)
-    return _make(out, (x, gain, bias), lambda g: _accum(x, back(g)), "batch_norm")
+    out, back = batch_norm_kernel(x.values, gain, bias, running_mean, running_var, training, clips)
+    return node(out, (x, gain, bias), back, "batch_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +653,7 @@ def batch_norm(
 DROPOUT_LEVELS = 1 << 16  # dropout draws 16-bit words: rates are multiples of 1/65536
 
 
-def _dropout_cut(rate: float, error=ShapeError, name: str = "dropout") -> int:
+def dropout_cut(rate: float, error=ShapeError, name: str = "dropout") -> int:
     """``rate`` rounded to cut / 65536, the one rounding rule of dropout.
     Raises ``error`` for a rate outside [0, 1) or one that rounds to 1; the
     model's configs call this to reject such a rate when they are built."""
@@ -678,7 +665,7 @@ def _dropout_cut(rate: float, error=ShapeError, name: str = "dropout") -> int:
     return cut
 
 
-def _dropout(xv: np.ndarray, rate: float, rng, training: bool, out=None, fold=None):
+def dropout_kernel(xv: np.ndarray, rate: float, rng, training: bool, out=None, fold=None):
     """Inverted dropout of :func:`dropout`, into ``out`` if given, as
     ``(out, back)``, with ``back(g, out=None)`` likewise. When nothing is
     dropped the result is ``xv`` itself and ``back`` is None.
@@ -688,7 +675,7 @@ def _dropout(xv: np.ndarray, rate: float, rng, training: bool, out=None, fold=No
     keep mask is multiplied into it here, so ``back`` only scales and the
     mask is not held; the product has the same bits, signed zeros included.
     """
-    cut = _dropout_cut(rate)
+    cut = dropout_cut(rate)
     if not training or cut == 0:
         return xv, None
     rngs = clip_rngs(rng)
@@ -728,19 +715,19 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
     inverse of the keep probability. A rate that rounds to 0 drops nothing;
     one that rounds to 1 would keep nothing and is rejected.
     """
-    out, back = _dropout(x.values, rate, rng, training)
+    out, back = dropout_kernel(x.values, rate, rng, training)
     if back is None:
         return x
-    return _make(out, (x,), lambda g: _accum(x, back(g)), "dropout")
+    return node(out, (x,), back, "dropout")
 
 
 # ---------------------------------------------------------------------------
 # Convolution
 
 
-def _conv1d(xv: np.ndarray, kernel: Tensor, clips: int):
-    """Depthwise conv of :func:`conv1d` as ``(out, back)``: ``back(g, need_x)``
-    adds the kernel gradient and returns the input's (None without ``need_x``)."""
+def conv1d_kernel(xv: np.ndarray, kernel: Tensor, clips: int):
+    """Depthwise conv of :func:`conv1d` as ``(out, back)``: ``back(g)`` adds
+    the kernel gradient and returns the input's."""
     n, c = xv.shape
     kv = kernel.values
     k = kv.shape[0]
@@ -761,13 +748,11 @@ def _conv1d(xv: np.ndarray, kernel: Tensor, clips: int):
     xw = windows(padded(xv))
     out = np.einsum("bdct,dc->btc", xw, kv)
 
-    def back(g, need_x=True):
+    def back(g):
         if kernel.requires_grad:
             _accum(kernel, np.einsum("bdct,btc->dc", xw, g.reshape(clips, t, c)))
-        if need_x:
-            # The input gradient correlates the padded g with the reversed kernel.
-            return np.einsum("bdct,dc->btc", windows(padded(g)), kv[::-1]).reshape(n, c)
-        return None
+        # The input gradient correlates the padded g with the reversed kernel.
+        return np.einsum("bdct,dc->btc", windows(padded(g)), kv[::-1]).reshape(n, c)
 
     return out.reshape(n, c), back
 
@@ -789,8 +774,8 @@ def conv1d(x: Tensor, kernel: Tensor, clips: int = 1) -> Tensor:
         raise ShapeError(f"conv1d: kernel length {k} must be odd")
     if kernel.values.ndim != 2 or kernel.values.shape[1] != c:
         raise ShapeError(f"conv1d: depthwise kernel {kernel.shape} incompatible with {c} channels")
-    out, back = _conv1d(x.values, kernel, clips)
-    return _make(out, (x, kernel), lambda g: _accum(x, back(g, x.requires_grad)), "conv1d")
+    out, back = conv1d_kernel(x.values, kernel, clips)
+    return node(out, (x, kernel), back, "conv1d")
 
 
 # ---------------------------------------------------------------------------
@@ -804,12 +789,12 @@ def residual(x: Tensor, out: np.ndarray, parents, back, op: str) -> Tensor:
     reaches x through the chain, and the node's backward adds g to it."""
     out += x.values
 
-    def bwd(g):
+    def skip_back(g):
         gx = back(g)
         gx += g
-        _accum(x, gx)
+        return gx
 
-    return _make(out, parents, bwd, op)
+    return node(out, parents, skip_back, op)
 
 
 # ---------------------------------------------------------------------------
@@ -827,11 +812,11 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     y = x.values / denom
     safe = np.maximum(norm, np.finfo(x.values.dtype).tiny)
 
-    def bwd(g):
+    def back(g):
         dot = (g * x.values).sum(axis=1, keepdims=True)
-        _accum(x, g / denom - x.values * (dot / (safe * denom * denom)))
+        return g / denom - x.values * (dot / (safe * denom * denom))
 
-    return _make(y, (x,), bwd, "l2_normalize_rows")
+    return node(y, (x,), back, "l2_normalize_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +870,7 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates: list, scale: float) -> Te
     nll -= scores[:, :1]
     clip_losses = np.array([nll[a:b].mean() for a, b in spans], dtype=nll.dtype)
 
-    def bwd(g):
+    def back(g):
         gr = np.empty((m, 1), dtype=nll.dtype)
         for a, b in spans:
             gr[a:b] = g / clips / (b - a)
@@ -894,14 +879,15 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates: list, scale: float) -> Te
         gsims = np.zeros_like(sims)
         np.add.at(gsims, (rows, idx), gs)
         gsims *= scale
+        gc = gz = None
         if c_hat.requires_grad:
             gc = np.zeros_like(cv)
             np.add.at(gc, idx[:, 0], gsims @ zt.T)
-            _accum(c_hat, gc)
         if z_hat.requires_grad:
-            _accum(z_hat, (picked.T @ gsims).T)
+            gz = (picked.T @ gsims).T
+        return gc, gz
 
-    return _make(clip_losses.sum() / clips, (c_hat, z_hat), bwd, "info_nce")
+    return node(clip_losses.sum() / clips, (c_hat, z_hat), back, "info_nce")
 
 
 _PROB_CLIP = 1e-7
@@ -930,11 +916,11 @@ def binary_cross_entropy(probs: Tensor, targets) -> Tensor:
     u = (1.0 - tv).astype(p.dtype)
     ll = t * np.log(p) + u * np.log(q)
 
-    def bwd(g):
+    def back(g):
         gl = np.broadcast_to(-g / ll.size, ll.shape).astype(ll.dtype)
-        _accum(probs, (gl * t / p - gl * u / q) * inside)
+        return (gl * t / p - gl * u / q) * inside
 
-    return _make(-ll.mean(), (probs,), bwd, "binary_cross_entropy")
+    return node(-ll.mean(), (probs,), back, "binary_cross_entropy")
 
 
 def symmetric_bernoulli_kl(p: Tensor, q: Tensor) -> Tensor:
@@ -951,15 +937,14 @@ def symmetric_bernoulli_kl(p: Tensor, q: Tensor) -> Tensor:
     diff = pv - qv
     dlogit = (np.log(pv) - np.log(op)) - (np.log(qv) - np.log(oq))
 
-    def bwd(g):
+    def back(g):
         gm = np.broadcast_to(g / diff.size, diff.shape).astype(diff.dtype)
         gd = gm * dlogit
         gl = gm * diff
         # Keep this summation order: seeded training logs depend on its bits.
-        _accum(p, (gd + gl / pv + gl / op) * inside_p)
-        _accum(q, -(gd + gl / qv + gl / oq) * inside_q)
+        return (gd + gl / pv + gl / op) * inside_p, -(gd + gl / qv + gl / oq) * inside_q
 
-    return _make((diff * dlogit).mean(), (p, q), bwd, "symmetric_bernoulli_kl")
+    return node((diff * dlogit).mean(), (p, q), back, "symmetric_bernoulli_kl")
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,16 @@ class TestThreeStageLr:
         with pytest.raises(ConfigError):
             FinetuneConfig(num_classes=2, stage_fractions=(0.5, 0.3, 0.3))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["peak_lr", "final_lr_factor", "output_dropout", "consistency_weight", "stage_fractions"],
+    )
+    def test_non_finite_float_rejected(self, field, value):
+        bad = (value, 0.5, 0.5) if field == "stage_fractions" else value
+        with pytest.raises(ConfigError, match=f"{field} .* not finite"):
+            self.cfg(**{field: bad})
+
 
 class TestBalanceWeights:
     def test_unbalanced_classes_equalize(self):

@@ -211,6 +211,15 @@ class TestPretrainLr:
         with pytest.raises(ConfigError):
             PretrainConfig(warmup_steps=10, total_steps=10)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["mask_rate", "peak_lr", "beta1", "beta2", "weight_decay", "temperature", "grad_clip"],
+    )
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} .* not finite"):
+            PretrainConfig(**{field: value})
+
     def test_without_warmup_decays_from_peak_at_step_0(self):
         cfg = PretrainConfig(warmup_steps=0, total_steps=10)
         lrs = [pretrain_lr(s, cfg) for s in range(12)]

@@ -1,5 +1,8 @@
 """Autodiff core: primitive values, backward rules, and the gradient checker."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -879,6 +882,46 @@ class TestBackward:
         assert y._backward is None and not y.requires_grad
 
 
+class TestNodeContract:
+    """``T.node`` makes every node; its ``back`` returns the parents' gradients."""
+
+    def test_back_returning_one_array(self):
+        x = parameter([1.0, -2.0, 3.0])
+        sq = T.node(x.values**2, (x,), lambda g: 2.0 * x.values * g, "square")
+        assert sq.requires_grad and sq._parents == (x,)
+        backward(T.reduce_sum(sq))
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
+
+    def test_back_returning_a_tuple_with_none(self):
+        a = parameter([1.0, 2.0])
+        b = parameter([3.0, 4.0])
+        c = parameter([5.0, 6.0])
+        # Only b's gradient is returned: a's is None and c, past the tuple,
+        # is left to ``back`` itself, as a kernel's parameters are.
+        out = T.node(a.values * b.values, (a, b, c), lambda g: (None, 2.0 * g), "scaled")
+        backward(T.reduce_sum(out))
+        assert a.grad is None and c.grad is None
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+
+    def test_nothing_recorded_when_no_parent_requires_grad(self):
+        x = Tensor([1.0, 2.0])
+
+        def back(g):
+            raise AssertionError("a node over constants has no backward")
+
+        out = T.node(x.values * 2.0, (x,), back, "double")
+        assert not out.requires_grad and out._backward is None and out._parents == ()
+        with T.no_grad():
+            y = T.node(x.values, (parameter([1.0, 2.0]),), back, "copy")
+        assert not y.requires_grad and y._backward is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise_naming_the_op(self, bad):
+        x = parameter([1.0, 2.0])
+        with pytest.raises(NumericError, match="'user_op'"):
+            T.node(np.array([1.0, bad]), (x,), lambda g: g, "user_op")
+
+
 def _spy_on_grads(nodes):
     """Record the gradient each interior node's backward closure receives."""
     seen = []
@@ -887,7 +930,7 @@ def _spy_on_grads(nodes):
 
         def spy(g, inner=inner):
             seen.append(g)
-            inner(g)
+            return inner(g)
 
         node._backward = spy
     return seen
@@ -921,6 +964,21 @@ class TestGradOwnership:
         _assert_owned_and_disjoint([x.grad, y.grad])
         x.grad *= 3.0
         np.testing.assert_array_equal(y.grad, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["one_array", "tuple"])
+    def test_returned_arrays_are_adopted_without_a_copy(self, pair):
+        x = parameter(np.zeros((2, 3)))
+        y = parameter(np.zeros((2, 3)))
+        parents = (x, y) if pair else (x,)
+        returned = []
+
+        def back(g):
+            returned.extend(g * (i + 2.0) for i in range(len(parents)))
+            return tuple(returned) if pair else returned[0]
+
+        backward(T.reduce_sum(T.node(x.values + y.values, parents, back, "sum")))
+        for p, g in zip(parents, returned, strict=True):
+            assert p.grad is g
 
     @pytest.mark.parametrize("reduce", [T.reduce_sum, T.reduce_mean])
     def test_reduction_into_a_leaf(self, reduce):
@@ -1040,3 +1098,59 @@ class TestGradCheckInPlace:
             T, "layer_norm", lambda x, gain, bias: layer_norm(x, Tensor(gain.values), bias)
         )
         assert gradcheck.check_block(2000, np.float64) > 0.5
+
+
+def private_engine_uses(source: str) -> list:
+    """(line, name) of every private name of ``melformer.tensor`` that the
+    module ``source`` reaches: an ``_``-prefixed attribute of a name bound to
+    the tensor module, or one imported from it."""
+    tree = ast.parse(source)
+    aliases, found = set(), []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            package = n.module == "melformer" or (n.level == 1 and n.module is None)
+            engine = n.module == "melformer.tensor" or (n.level == 1 and n.module == "tensor")
+            for a in n.names:
+                if package and a.name == "tensor":
+                    aliases.add(a.asname or a.name)
+                if engine and a.name.startswith("_"):
+                    found.append((n.lineno, a.name))
+        elif isinstance(n, ast.Import):
+            aliases.update(a.asname for a in n.names if a.name == "melformer.tensor" and a.asname)
+    for n in ast.walk(tree):
+        if (
+            isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and n.value.id in aliases
+            and n.attr.startswith("_")
+        ):
+            found.append((n.lineno, n.attr))
+    return sorted(found)
+
+
+class TestLayering:
+    """The rest of the package reaches the engine only through public names:
+    primitives, ``node`` and the kernels."""
+
+    def test_no_module_uses_a_private_engine_name(self):
+        modules = sorted(Path(T.__file__).parent.glob("*.py"))
+        assert len(modules) > 5
+        uses = {
+            m.name: private_engine_uses(m.read_text()) for m in modules if m.name != "tensor.py"
+        }
+        assert {name: found for name, found in uses.items() if found} == {}
+
+    def test_the_scan_sees_every_form(self):
+        source = (
+            "from . import tensor as T\n"
+            "from melformer import tensor\n"
+            "import melformer.tensor as E\n"
+            "from .tensor import Tensor, _accum\n"
+            "T._make(1)\n"
+            "T.node(1)\n"
+            "tensor._linear\n"
+            "E._tracked()\n"
+        )
+        assert private_engine_uses(source) == [
+            (4, "_accum"), (5, "_make"), (7, "_linear"), (8, "_tracked"),
+        ]

@@ -30,6 +30,7 @@ RNG_VIEW_B = 11
 RNG_SAMPLING = 12
 RNG_HEAD_DROPOUT_A = 13
 RNG_HEAD_DROPOUT_B = 14
+MIXUP_ITEM = 7919  # a view's mixup stream; clip i's augmentations draw from item i
 
 MAX_JITTER = 200  # samples; half the 64 ms analysis window hop side
 MAX_TIME_MASK_FRAMES = 100  # 2 s at the 20 ms hop
@@ -72,6 +73,8 @@ class FinetuneConfig:
             raise ConfigError("peak_lr must be >= 0 and final_lr_factor > 0")
         if min(self.batch_size, self.total_steps) < 1:
             raise ConfigError("batch_size and total_steps must be >= 1")
+        if self.mixup_enabled and self.batch_size > MIXUP_ITEM:
+            raise ConfigError(f"batch_size > {MIXUP_ITEM}: clip {MIXUP_ITEM} shares the mixup stream")
         T.dropout_cut(self.output_dropout, ConfigError, "output_dropout")
 
 
@@ -155,8 +158,9 @@ class FramewiseHead(Module):
     def __call__(self, context: Tensor, clips: int = 1) -> Tensor:
         """(clips, num_classes) probabilities, one row per clip of a stack."""
         y = T.sigmoid(self.proj(context))
-        num = T.reduce_sum(T.mul(y, y), clips=clips)
+        # Made before num, so backward adds den's term into y's gradient last.
         den = T.reduce_sum(y, clips=clips)
+        num = T.reduce_sum(T.mul(y, y), clips=clips)
         # Sigmoid outputs are strictly positive; the epsilon only guards the
         # graph against pathological saturation.
         return T.div(num, T.add(den, 1e-12))
@@ -256,7 +260,7 @@ def _augmented_views(batch, config, step, filterbank):
         if config.mixup_enabled:
             min_t = min(f.shape[0] for f in frames)
             frames = [f[:min_t] for f in frames]
-            frames = mixup_batch(frames, step_rng(config.seed, purpose, step, 7919))
+            frames = mixup_batch(frames, step_rng(config.seed, purpose, step, MIXUP_ITEM))
         views.append(frames)
     return views
 

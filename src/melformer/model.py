@@ -337,7 +337,7 @@ class SelfAttention(Module):
         def back(g):
             gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g), a))
             # The normalized input's gradient sums q's, k's and v's parts in
-            # that order, as backward visits the three projections.
+            # that order, as backward would over projection nodes made v, k, q.
             hv = h_again()
             gh = q_back(gq, hv)
             gh += k_back(gk, hv)

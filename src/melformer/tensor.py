@@ -21,10 +21,10 @@ and ``dropout_cut`` serve it too).
 
 Tensors store float32 or float64 values. Models are built in float32, and
 ``Module.astype(np.float64)`` casts one for gradient checking (its weights
-are then the float32 draws, cast up). The computation graph is recorded
-implicitly through parent links; ``backward`` topologically sorts the
-reachable subgraph and visits each node exactly once, accumulating
-gradients additively across fan-out.
+are then the float32 draws, cast up). ``node`` records each tracked node
+on a tape, by weak reference. A node's parents are made before it, so
+``backward`` visits each node once in reverse creation order, and adds the
+gradients of a fan-out in that order too.
 
 A T x D tensor may stack several equal-length clips: ``clips`` row blocks of
 T / clips frames each, in clip order. Per-frame primitives need not know.
@@ -36,14 +36,16 @@ clip's statistics, ``reduce_sum``/``reduce_mean`` pool each clip to one row
 clip's mask from that clip's generator, and ``info_nce`` averages the clips'
 losses.
 
-``backward`` consumes the graph: each interior node drops its gradient, its
-backward closure and its parent links as soon as it has been visited, so the
+``backward`` consumes the tape: every node recorded since the last one
+drops its gradient, backward closure and parent links once visited, so the
 forward arrays the closures hold are freed during the sweep. A released node
-keeps its values, but a second ``backward`` through it raises
+keeps its values, but a node over it, or a ``backward`` from it, raises
 :class:`GraphError`. Leaf gradients add up across ``backward`` calls.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -115,7 +117,7 @@ class Tensor:
     mutates parameter values, between steps.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_grad_view", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_grad_view", "_parents", "_backward", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         values = np.asarray(values)
@@ -154,17 +156,30 @@ def tracked(parents) -> bool:
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
+# Weak references to the nodes recorded since the last ``backward``, in creation
+# order; the dead ones a dropped forward leaves are pruned at ``_prune_at``.
+_tape = []
+_prune_at = 1 << 12
+
+
 def node(values: np.ndarray, parents, back, op: str) -> Tensor:
     """The node ``op`` over ``parents``, recorded when ``tracked(parents)``;
     ``back`` is as the module docstring says, and each array it returns must
     be fresh and writable: ``backward`` adopts it without a copy."""
+    global _prune_at
     if not np.isfinite(values).all():
         raise NumericError(f"non-finite output of '{op}'")
     out = Tensor(values)
     if tracked(parents):
+        if any(p._parents is None for p in parents):
+            raise GraphError(f"'{op}' over a graph that an earlier backward consumed")
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = back
+        _tape.append(weakref.ref(out))
+        if len(_tape) >= _prune_at:
+            _tape[:] = [ref for ref in _tape if ref() is not None]
+            _prune_at = 2 * len(_tape) + (1 << 12)
     return out
 
 
@@ -214,27 +229,29 @@ def backward(loss: Tensor):
     losses of several graphs may be back-propagated one after another into
     the same leaves. Reset the leaves' ``grad`` to None between steps.
 
-    The graph is consumed: every interior node releases its gradient, its
-    backward closure and its parent links once visited. Calling ``backward``
-    again through any released node raises :class:`GraphError`.
+    The tape is consumed: every node recorded since the last ``backward``,
+    whether the loss reaches it or not, is released as the module docstring
+    says, even if a ``back`` raises; back-propagate any other graph first.
     """
     global _heap_anchor
     if loss.values.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if loss._parents is None:
+        raise GraphError("backward from a graph that an earlier backward consumed")
     _heap_anchor = np.empty(1 << 13)
-    order = _topological_order(loss)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.values)
-    loss.grad += np.ones_like(loss.values)
-    while order:
-        t = order.pop()
-        if t._backward is None:
-            continue
-        if t.grad is not None:
-            _accum_all(t._parents, t._backward(t.grad))
-        t.grad = None
-        t._backward = None
-        t._parents = None
+    nodes = [t for ref in _tape if (t := ref()) is not None]
+    _tape.clear()
+    _accum(loss, np.ones_like(loss.values))
+    try:
+        while nodes:
+            t = nodes[-1]
+            if t.grad is not None:
+                _accum_all(t._parents, t._backward(t.grad))
+            t.grad = t._backward = t._parents = None
+            nodes.pop()
+    finally:
+        for t in nodes:  # left by a ``back`` that raised
+            t.grad = t._backward = t._parents = None
 
 
 def _accum_all(parents, grads):
@@ -242,28 +259,6 @@ def _accum_all(parents, grads):
     own, so the gradients are released as soon as they are added in."""
     for p, g in zip(parents, grads if isinstance(grads, tuple) else (grads,)):
         _accum(p, g)
-
-
-def _topological_order(root: Tensor):
-    """Parents-before-children ordering of the subgraph reachable from root."""
-    order = []
-    visited = set()
-    stack = [(root, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if expanded:
-            order.append(t)
-            continue
-        if id(t) in visited:
-            continue
-        if t._parents is None:
-            raise GraphError("backward through a graph that an earlier backward consumed")
-        visited.add(id(t))
-        stack.append((t, True))
-        for p in t._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    return order
 
 
 # ---------------------------------------------------------------------------

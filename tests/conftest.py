@@ -26,6 +26,14 @@ def backward_calls(monkeypatch):
     return count
 
 
+@pytest.fixture
+def recorded():
+    """``recorded()`` lists the live nodes recorded on the engine's tape
+    since the fixture was set up, in creation order."""
+    T._tape.clear()
+    return lambda: [t for ref in T._tape if (t := ref()) is not None]
+
+
 def forge_negative_dimension(header):
     """Entry 1 claims shape [-1] and entry 2 grows by entry 1's elements plus
     one, so the sizes still sum to the blob's: read without a check, entry 1

@@ -587,6 +587,18 @@ class TestFinetuneCommand:
         )
         assert code == 0
 
+    def test_batch_that_reaches_the_mixup_stream_is_config_error(
+        self, dataset, toy_config, tmp_path, capsys
+    ):
+        config = json.loads(toy_config.read_text())
+        config["finetune"]["batch_size"] = 7920
+        path = tmp_path / "big-batch.json"
+        path.write_text(json.dumps(config))
+        argv = ["finetune", "--config", str(path), "--manifest", str(dataset / "manifest.tsv")]
+        assert main(argv + ["--out-dir", str(tmp_path / "ft")]) == 2
+        assert "mixup stream" in capsys.readouterr().err
+        assert not (tmp_path / "ft").exists()
+
     def test_architecture_mismatch_is_config_error(self, dataset, toy_config, tmp_path):
         pre_dir = tmp_path / "pre"
         assert (

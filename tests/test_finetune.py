@@ -275,6 +275,12 @@ class TestThreeStageLr:
         with pytest.raises(ConfigError):
             FinetuneConfig(num_classes=2, stage_fractions=(0.5, 0.3, 0.3))
 
+    def test_batch_that_reaches_the_mixup_stream_rejected(self):
+        self.cfg(batch_size=7919)
+        self.cfg(batch_size=7920, mixup_enabled=False)
+        with pytest.raises(ConfigError, match="batch_size > 7919: clip 7919 shares the mixup stream"):
+            self.cfg(batch_size=7920)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field",

@@ -1,6 +1,7 @@
 """Autodiff core: primitive values, backward rules, and the gradient checker."""
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -476,10 +477,10 @@ class TestLinear:
         if with_bias:
             assert_same_bits(fused[2].grad, g.sum(axis=0))
 
-    def test_one_node_per_projection(self):
+    def test_one_node_per_projection(self, recorded):
         x = parameter(np.ones((3, 4)))
         out = T.linear(x, parameter(np.ones((4, 2))), parameter(np.zeros(2)))
-        assert len(T._topological_order(out)) == 4
+        assert recorded() == [out]
 
     def test_input_without_grad_gets_none(self):
         w = parameter(np.ones((4, 2)))
@@ -737,7 +738,7 @@ class TestLossPrimitives:
     """Each loss as one node, bit for bit the unfused chain it replaced."""
 
     @pytest.mark.parametrize("scale", [1.0, 1.0 / 0.1])
-    def test_info_nce(self, dtype, shape, scale):
+    def test_info_nce(self, dtype, shape, scale, recorded):
         rng = np.random.default_rng(40)
         c, z = (rng.normal(size=shape) for _ in range(2))
         c, z = (a / (np.linalg.norm(a, axis=1, keepdims=True) + 1e-8) for a in (c, z))
@@ -745,7 +746,7 @@ class TestLossPrimitives:
         candidates = _candidates(rng, shape[0], 10)
         leaves = [parameter(a.copy()) for a in (c, z)]
         loss = T.info_nce(*leaves, [candidates], scale)
-        assert len(T._topological_order(loss)) == 3
+        assert recorded() == [loss]
         g = _backward_scaled(loss)
         want_loss, want_c, want_z = _retired_info_nce(c, z, candidates, scale, g)
         assert_same_bits(loss.values, want_loss)
@@ -761,25 +762,25 @@ class TestLossPrimitives:
         for leaf in leaves:
             assert not leaf.grad.any()
 
-    def test_binary_cross_entropy(self, dtype, shape):
+    def test_binary_cross_entropy(self, dtype, shape, recorded):
         rng = np.random.default_rng(42)
         probs = _probs(rng, shape, dtype)
         targets = rng.uniform(size=shape)
         leaf = parameter(probs.copy())
         loss = T.binary_cross_entropy(leaf, targets)
-        assert len(T._topological_order(loss)) == 2
+        assert recorded() == [loss]
         g = _backward_scaled(loss)
         want_loss, want_grad = _retired_bce(probs, targets, g)
         assert_same_bits(loss.values, want_loss)
         assert_same_bits(leaf.grad, want_grad)
         assert not leaf.grad[(probs <= 1e-7) | (probs >= 1.0 - 1e-7)].any()
 
-    def test_symmetric_bernoulli_kl(self, dtype, shape):
+    def test_symmetric_bernoulli_kl(self, dtype, shape, recorded):
         rng = np.random.default_rng(43)
         a, b = _probs(rng, shape, dtype), rng.uniform(size=shape).astype(dtype)
         leaves = [parameter(x.copy()) for x in (a, b)]
         loss = T.symmetric_bernoulli_kl(*leaves)
-        assert len(T._topological_order(loss)) == 3
+        assert recorded() == [loss]
         g = _backward_scaled(loss)
         want_loss, want_a, want_b = _retired_kl(a, b, g)
         assert_same_bits(loss.values, want_loss)
@@ -868,6 +869,53 @@ class TestBackward:
         with pytest.raises(GraphError):
             backward(T.reduce_sum(T.add(h, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_dropped_forward_leaves_no_live_node(self, monkeypatch):
+        x = parameter([1.0, 2.0])
+        h = T.mul(x, x)
+        loss = T.reduce_sum(h)
+        refs = [weakref.ref(t) for t in (h, loss)]
+        del h, loss
+        assert [ref() for ref in refs] == [None, None]
+        # Nor does the tape grow without bound over dropped forwards.
+        monkeypatch.setattr(T, "_prune_at", 1 << 12)
+        for _ in range(3 << 12):
+            T.mul(x, 2.0)
+        assert len(T._tape) < 1 << 13
+        # The tape's dead references are skipped.
+        backward(T.reduce_sum(T.mul(x, 3.0)))
+        np.testing.assert_allclose(x.grad, [3.0, 3.0])
+
+    def test_backward_consumes_every_graph_recorded_before_it(self):
+        x, y = parameter([1.0, 2.0]), parameter([4.0, 5.0])
+        backward(T.reduce_sum(y))
+        a = T.reduce_sum(T.mul(T.mul(x, x), T.mul(y, 2.0)))
+        b = T.reduce_sum(T.mul(x, 3.0))
+        backward(b)
+        with pytest.raises(GraphError):
+            backward(a)
+        np.testing.assert_allclose(x.grad, [3.0, 3.0])
+        np.testing.assert_allclose(y.grad, [1.0, 1.0])
+
+    def test_back_that_raises_releases_the_rest_of_the_tape(self):
+        x = parameter([1.0, 2.0])
+        h = T.mul(x, x)
+
+        def fail(g):
+            raise RuntimeError("back failed")
+
+        bad = T.node(h.values * 2.0, (h,), fail, "fail")
+        loss = T.reduce_sum(bad)
+        with pytest.raises(RuntimeError, match="back failed"):
+            backward(loss)
+        for t in (h, bad, loss):
+            assert t.grad is None and t._backward is None and t._parents is None
+        # Unreleased, h would take a new node and drop its gradient silently.
+        with pytest.raises(GraphError):
+            backward(T.reduce_sum(T.add(h, x)))
+        with pytest.raises(GraphError):
+            backward(loss)
+        assert x.grad is None
 
     def test_leaf_grads_add_across_backward_calls(self):
         x = parameter([1.0, -3.0])

@@ -164,6 +164,11 @@ def cmd_finetune(args) -> int:
         file_config.get("finetune", {}),
         {"seed": args.seed, "head_kind": args.head},
     )
+    if fcfg.num_classes != len(manifest.vocabulary):
+        raise ConfigError(
+            f"finetune.num_classes {fcfg.num_classes} differs from the manifest's"
+            f" {len(manifest.vocabulary)} labels"
+        )
     if args.init_checkpoint:
         ck = load_checkpoint(args.init_checkpoint)
         expect = _model_config(args, file_config) if (args.preset or "model" in file_config) else None

@@ -342,6 +342,13 @@ def _parse_checkpoint(path: Path, header: dict, blob_path: Path) -> Checkpoint:
             f"{path}: unsupported format version {header.get('format_version')}"
             f" (this build reads version {CHECKPOINT_VERSION})"
         )
+    opt_header = header.get("optimizer")
+    counts = {"step": header["step"], "seed": header["seed"]}
+    if opt_header is not None:
+        counts["optimizer.step_count"] = opt_header["step_count"]
+    for field_name, value in counts.items():
+        if type(value) is not int or value < 0:  # bools are not counts either
+            raise StorageError(f"{path}: {field_name} {value!r} is not a non-negative integer")
     expected = sum(4 * math.prod(shape) for _, shape in header["arrays"])
     size = blob_path.stat().st_size
     if size != expected:
@@ -350,6 +357,8 @@ def _parse_checkpoint(path: Path, header: dict, blob_path: Path) -> Checkpoint:
     arrays = {}
     offset = 0
     for name, shape in header["arrays"]:
+        if not isinstance(name, str):
+            raise StorageError(f"{path}: array name {name!r} is not a string")
         if any(dim < 0 for dim in shape):
             raise StorageError(f"{path}: '{name}' has a negative dimension in {shape}")
         if name in arrays:
@@ -357,7 +366,6 @@ def _parse_checkpoint(path: Path, header: dict, blob_path: Path) -> Checkpoint:
         nbytes = 4 * math.prod(shape)
         arrays[name] = blob[offset : offset + nbytes].view("<f4").reshape(shape)
         offset += nbytes
-    opt_header = header.get("optimizer")
     optimizer_arrays = None
     optimizer_step = 0
     if opt_header is not None:

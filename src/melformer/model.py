@@ -220,7 +220,7 @@ class BatchNorm(Module):
 # kernels exactly as the composed public primitives run them, so every bit
 # is kept, and closes the chain with ``T.residual`` over x and ``_params``
 # (the module's parameters in walk order, collected once at construction).
-# The node holds no layer-norm output: backward forms it again from x.
+# The node holds no normalized rows: both norms form them again in backward.
 
 
 class FeedForward(Module):
@@ -237,9 +237,8 @@ class FeedForward(Module):
 
     def __call__(self, x: Tensor, rng) -> Tensor:
         h, norm_back, h_again = self.norm.kernel(x, "feed_forward")
-        parents = (x, *self._params)
         a, lin1_back = self.lin1.kernel(h)
-        a, d = T.swish_kernel(a, T.tracked(parents), out=a)
+        a, d = T.swish_kernel(a, out=a)
         # The first mask goes into the swish derivative d, so it is not held.
         a, drop1_back = T.dropout_kernel(a, self.dropout, rng, self.training, out=a, fold=d)
         out, lin2_back = self.lin2.kernel(a)
@@ -248,11 +247,11 @@ class FeedForward(Module):
 
         def back(g):
             gh = g * 0.5
-            gh = lin2_back(gh if drop2_back is None else drop2_back(gh, out=gh), a)
-            gh = gh if drop1_back is None else drop1_back(gh, out=gh)
+            gh = lin2_back(drop2_back(gh, out=gh), a)
+            gh = drop1_back(gh, out=gh)
             return norm_back(lin1_back(np.multiply(d, gh, out=d), h_again()))
 
-        return T.residual(x, out, parents, back, "feed_forward")
+        return T.residual(x, out, (x, *self._params), back, "feed_forward")
 
 
 class ConvolutionModule(Module):
@@ -281,23 +280,23 @@ class ConvolutionModule(Module):
 
     def __call__(self, x: Tensor, rng) -> Tensor:
         h, norm_back, h_again = self.norm.kernel(x, "conv_module")
-        parents, bn, clips = (x, *self._params), self.batch_norm, len(T.clip_rngs(rng))
+        bn, clips = self.batch_norm, len(T.clip_rngs(rng))
         h, in_back = self.pointwise_in.kernel(h)
         h, glu_back = T.glu_kernel(h)
         h, conv_back = T.conv1d_kernel(h, self.depthwise, clips)
         h, bn_back = T.batch_norm_kernel(
             h, bn.gain, bn.bias, bn.running_mean, bn.running_var, self.training, clips
         )
-        s, d = T.swish_kernel(h, T.tracked(parents), out=h)
+        s, d = T.swish_kernel(h, out=h)
         out, out_back = self.pointwise_out.kernel(s)
         out, drop_back = T.dropout_kernel(out, self.dropout, rng, self.training, out=out)
 
         def back(g):
-            gh = out_back(g if drop_back is None else drop_back(g), s)
+            gh = out_back(drop_back(g), s)
             gh = bn_back(np.multiply(d, gh, out=d))
             return norm_back(in_back(glu_back(conv_back(gh)), h_again()))
 
-        return T.residual(x, out, parents, back, "conv_module")
+        return T.residual(x, out, (x, *self._params), back, "conv_module")
 
 
 class SelfAttention(Module):
@@ -335,7 +334,7 @@ class SelfAttention(Module):
         out, drop_back = T.dropout_kernel(out, self.dropout, rng, self.training, out=out)
 
         def back(g):
-            gq, gk, gv = attn_back(out_back(g if drop_back is None else drop_back(g), a))
+            gq, gk, gv = attn_back(out_back(drop_back(g), a))
             # The normalized input's gradient sums q's, k's and v's parts in
             # that order, as backward would over projection nodes made v, k, q.
             hv = h_again()

@@ -100,6 +100,8 @@ def sample_distractors(masked, num_distractors: int, rng) -> np.ndarray:
     Row i holds k distinct masked steps other than ``masked[i]``, every
     k-subset equally likely: the first k of a random order of the others.
     """
+    if num_distractors < 0:
+        raise ConfigError(f"negative distractor count {num_distractors}")
     masked = np.asarray(masked, dtype=np.intp)
     keys = rng.random((masked.size, masked.size))
     np.fill_diagonal(keys, np.inf)
@@ -282,6 +284,8 @@ class Adam:
         """
         if lr < 0:
             raise ConfigError(f"negative learning rate {lr}")
+        if max_norm is not None and not (math.isfinite(max_norm) and max_norm > 0):
+            raise ConfigError(f"max_norm {max_norm} is not finite and > 0")
         self._gather()
         norm = global_grad_norm(self._grads, self._runs, self._squares)
         if not np.isfinite(norm):

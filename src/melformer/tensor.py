@@ -16,8 +16,9 @@ nodes, the array math of the primitives a conformer block uses is written
 once, as ``*_kernel`` functions that return ``(out, back)``: their ``back``
 adds the kernel's own parameters' gradients and returns the input's. A
 primitive wraps one kernel in a node; a caller that chains kernels closes
-the chain with ``residual``, x plus one node (``tracked``, ``check_norm``
-and ``dropout_cut`` serve it too).
+the chain with ``residual``, x plus one node (``check_norm`` and
+``dropout_cut`` serve it too). A kernel decides for itself what it keeps
+for backward, and its ``back`` is always a callable.
 
 Tensors store float32 or float64 values. Models are built in float32, and
 ``Module.astype(np.float64)`` casts one for gradient checking (its weights
@@ -151,11 +152,6 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def tracked(parents) -> bool:
-    """Whether a node over ``parents`` records its backward."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
-
-
 # Weak references to the nodes recorded since the last ``backward``, in creation
 # order; the dead ones a dropped forward leaves are pruned at ``_prune_at``.
 _tape = []
@@ -163,14 +159,15 @@ _prune_at = 1 << 12
 
 
 def node(values: np.ndarray, parents, back, op: str) -> Tensor:
-    """The node ``op`` over ``parents``, recorded when ``tracked(parents)``;
-    ``back`` is as the module docstring says, and each array it returns must
-    be fresh and writable: ``backward`` adopts it without a copy."""
+    """The node ``op`` over ``parents``, recorded outside ``no_grad`` when a
+    parent requires a gradient; ``back`` is as the module docstring says,
+    and each array it returns must be fresh and writable: ``backward``
+    adopts it without a copy."""
     global _prune_at
     if not np.isfinite(values).all():
         raise NumericError(f"non-finite output of '{op}'")
     out = Tensor(values)
-    if tracked(parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         if any(p._parents is None for p in parents):
             raise GraphError(f"'{op}' over a graph that an earlier backward consumed")
         out.requires_grad = True
@@ -400,15 +397,15 @@ def sigmoid(a: Tensor) -> Tensor:
     return node(y, (a,), lambda g: g * y * (1.0 - y), "sigmoid")
 
 
-def swish_kernel(av: np.ndarray, need_grad: bool, out=None):
-    """av * sigmoid(av), into ``out`` if given, as ``(y, d)``. With
-    ``need_grad``, d is the derivative (1 - s) * y + s, which backward
+def swish_kernel(av: np.ndarray, out=None):
+    """av * sigmoid(av), into ``out`` if given, as ``(y, d)``. While graphs
+    are being recorded, d is the derivative (1 - s) * y + s, which backward
     multiplies by g in place, ``np.multiply(d, g, out=d)``, so it runs once;
-    a caller may fold a mask into d first (see ``dropout_kernel``). Without,
-    d is None."""
+    a caller may fold a mask into d first (see ``dropout_kernel``). Under
+    ``no_grad``, d is None."""
     s = _logistic(av)
     y = np.multiply(av, s, out=out)
-    if not need_grad:
+    if not _GRAD_ENABLED:
         return y, None
     d = 1.0 - s
     d *= y
@@ -418,7 +415,7 @@ def swish_kernel(av: np.ndarray, need_grad: bool, out=None):
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    y, d = swish_kernel(a.values, tracked((a,)))
+    y, d = swish_kernel(a.values)
     return node(y, (a,), lambda g: np.multiply(d, g, out=d), "swish")
 
 
@@ -520,16 +517,15 @@ def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor):
     return out, back
 
 
-def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view, keep_xhat: bool):
+def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view):
     """Standardize ``xv`` along axis 1 of its reshape to ``view``, then scale
     by ``gain`` and shift by ``bias`` per feature (last axis).
 
     Returns ``(out, back, again, mean, var)``, the statistics (view[0], 1,
-    ...); ``again()`` forms out again. Without ``keep_xhat`` the
-    standardized input is not held: whichever of the two runs first forms
-    it again from xv and the statistics, with the same ufuncs and so the
-    same bits. For a caller whose graph holds xv anyway, that is one array
-    less.
+    ...); ``again()`` forms out again. The standardized input is not held:
+    whichever of the two runs first forms it again from xv and the
+    statistics, with the same ufuncs and so the same bits. ``back`` and
+    ``again`` hold xv, once, and the statistics.
     """
     v = xv.reshape(view)
     n = view[1]
@@ -541,7 +537,7 @@ def _standardize(xv: np.ndarray, gain: Tensor, bias: Tensor, view, keep_xhat: bo
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     out, affine_back = _scale_shift(xhat.reshape(xv.shape), gain, bias)
-    kept = xhat if keep_xhat else None
+    kept = None
 
     def standardized():  # formed again at most once, by whichever runs first
         nonlocal kept
@@ -579,10 +575,9 @@ def check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str):
 
 
 def layer_norm_kernel(xv: np.ndarray, gain: Tensor, bias: Tensor):
-    """Layer norm as ``(out, back, again)``: ``back`` and ``again()``, which
-    forms out again bit for bit, hold xv (the caller's graph holds it too)
-    and the row statistics, not the standardized rows."""
-    return _standardize(xv, gain, bias, xv.shape, keep_xhat=False)[:3]
+    """Layer norm as ``(out, back, again)``, with ``again()`` forming out
+    again bit for bit; both hold what ``_standardize`` says."""
+    return _standardize(xv, gain, bias, xv.shape)[:3]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -594,7 +589,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def batch_norm_kernel(xv, gain, bias, running_mean, running_var, training: bool, clips: int):
     """Batch norm of :func:`batch_norm` as ``(out, back)``; training mode
-    folds each clip's statistics into the running buffers here."""
+    folds each clip's statistics into the running buffers here, and its
+    ``back`` holds what ``_standardize`` says."""
     if not training:
         inv = 1.0 / np.sqrt(running_var + NORM_EPS)
         xhat = (xv - running_mean) * inv
@@ -607,8 +603,7 @@ def batch_norm_kernel(xv, gain, bias, running_mean, running_var, training: bool,
 
         return out, back
     view = _by_clip(xv, clips, "batch_norm").shape
-    # Nothing else holds the input here, so the standardized input is kept.
-    out, back, _, mu, var = _standardize(xv, gain, bias, view, keep_xhat=True)
+    out, back, _, mu, var = _standardize(xv, gain, bias, view)
     m = BATCH_NORM_MOMENTUM
     # In place, clip by clip, this rounds as (1 - m) * buf + m * stat cast
     # to the buffer's dtype would, float32 and float64 mixed either way.
@@ -635,8 +630,9 @@ def batch_norm(
     clip in clip order; evaluation mode uses the running statistics, which
     then act as constants.
     """
-    if x.values.ndim != 2:
-        raise ShapeError("batch_norm expects a 2-D tensor")
+    check_norm(x, gain, bias, "batch_norm")
+    if running_mean.shape != gain.values.shape or running_var.shape != gain.values.shape:
+        raise ShapeError("batch_norm: running statistics must match the feature dim")
     out, back = batch_norm_kernel(x.values, gain, bias, running_mean, running_var, training, clips)
     return node(out, (x, gain, bias), back, "batch_norm")
 
@@ -660,10 +656,15 @@ def dropout_cut(rate: float, error=ShapeError, name: str = "dropout") -> int:
     return cut
 
 
+def _keep_all(g, out=None):
+    """The back of a dropout that drops nothing: g itself."""
+    return g
+
+
 def dropout_kernel(xv: np.ndarray, rate: float, rng, training: bool, out=None, fold=None):
     """Inverted dropout of :func:`dropout`, into ``out`` if given, as
     ``(out, back)``, with ``back(g, out=None)`` likewise. When nothing is
-    dropped the result is ``xv`` itself and ``back`` is None.
+    dropped the result is ``xv`` itself and ``back`` returns g itself.
 
     ``fold`` is an array of xv's shape by which backward multiplies the
     gradient after this ``back`` (the derivative of the op before). The
@@ -672,7 +673,7 @@ def dropout_kernel(xv: np.ndarray, rate: float, rng, training: bool, out=None, f
     """
     cut = dropout_cut(rate)
     if not training or cut == 0:
-        return xv, None
+        return xv, _keep_all
     rngs = clip_rngs(rng)
     if any(clip_rng is None for clip_rng in rngs):
         raise ConfigError("dropout in training mode needs a generator for every clip")
@@ -711,9 +712,7 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
     one that rounds to 1 would keep nothing and is rejected.
     """
     out, back = dropout_kernel(x.values, rate, rng, training)
-    if back is None:
-        return x
-    return node(out, (x,), back, "dropout")
+    return x if out is x.values else node(out, (x,), back, "dropout")
 
 
 # ---------------------------------------------------------------------------

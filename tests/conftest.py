@@ -51,6 +51,11 @@ def duplicate_name(header):
             entry[0] = "feature_encoder.proj.bias"
 
 
+def number_name(header):
+    """The first array's name becomes the JSON number 7."""
+    header["arrays"][0][0] = 7
+
+
 def to_version_2(header):
     """The header as format version 2 wrote it: the arrays sorted by name,
     each entry giving its byte offset and size as well as its shape."""
@@ -79,6 +84,13 @@ def malformed_headers():
         ),
         "model-config-unknown-key": lambda h: h["model_config"].update(colour=1),
         "model-config-heads-not-dividing": lambda h: h["model_config"].update(num_heads=5),
+        "string-step": lambda h: h.update(step=str(h["step"])),
+        "fractional-step": lambda h: h.update(step=2.5),
+        "negative-step": lambda h: h.update(step=-5),
+        "boolean-step": lambda h: h.update(step=True),
+        "string-seed": lambda h: h.update(seed=str(h["seed"])),
+        "string-step-count": lambda h: h.update(optimizer={"names": [], "step_count": "2"}),
+        "number-name": number_name,
     }
 
 
@@ -103,4 +115,5 @@ def checkpoint_corruptions():
         "wrong-version": lambda path: rewrite_header(
             path, lambda h: h.update(format_version=99)
         ),
+        "string-step": lambda path: rewrite_header(path, lambda h: h.update(step=str(h["step"]))),
     }

@@ -376,7 +376,9 @@ class TestPretrainCommand:
             "--manifest", str(dataset / "manifest.tsv"), "--seed", "1",
         ]
 
-    @pytest.mark.parametrize("corruption", ["truncated-blob", "bad-json", "wrong-version"])
+    @pytest.mark.parametrize(
+        "corruption", ["truncated-blob", "bad-json", "wrong-version", "string-step"]
+    )
     def test_resume_falls_back_past_a_corrupt_newest_checkpoint(
         self, dataset, toy_config, tmp_path, checkpoint_corruptions, corruption, capsys
     ):
@@ -1051,6 +1053,7 @@ MALFORMED_INPUTS = [
     ("grad_clip-Infinity", "pretrain", "pretrain", {"grad_clip": math.inf}, 2),
     ("final_lr_factor-minus-Infinity", "finetune", "finetune", {"final_lr_factor": -math.inf}, 2),
     ("stage_fractions-string", "finetune", "finetune", {"stage_fractions": [0.3, "a", 0.4]}, 2),
+    ("num_classes-not-the-manifests", "finetune", "finetune", {"num_classes": 4}, 2),
     ("manifest-not-utf8", "pretrain", "manifest", b"clip.wav\tclass_\xff\ttrain\n", 3),
     *[(f"wav-cut-to-{n}-bytes", "pretrain", "wav-bytes", n, 3) for n in (0, 4, 30, 45)],
     ("evaluate-clip-shorter-than-a-stack", "evaluate", "short-clip", 500, 3),

@@ -300,7 +300,8 @@ class TestCheckpoint:
         [
             "no-arrays", "no-step", "string-shape", "no-shape", "duplicate-name",
             "unknown-optimizer-name", "model-config-unknown-key",
-            "model-config-heads-not-dividing",
+            "model-config-heads-not-dividing", "string-step", "fractional-step",
+            "negative-step", "boolean-step", "string-seed", "string-step-count", "number-name",
         ],
     )
     def test_malformed_header_is_storage_error(self, tmp_path, malformed_headers, edit):

@@ -1,6 +1,9 @@
-"""Demos run to completion, every exported name resolves, and importing the
-package loads no scipy (numpy is its only dependency)."""
+"""Demos run to completion, every exported name resolves, the package root
+exports what the demos import, and importing the package loads no scipy
+(numpy is its only dependency)."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -34,6 +37,16 @@ def test_demo_runs(demo, tmp_path):
 def test_exports_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def test_package_root_exports_exactly_the_demos_imports():
+    imported = set()
+    for demo in DEMOS:
+        for stmt in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "melformer":
+                imported.update(alias.name for alias in stmt.names)
+    names = {name for name in imported if not inspect.ismodule(getattr(melformer, name))}
+    assert sorted(melformer.__all__) == sorted(names)
 
 
 def test_import_loads_no_scipy():

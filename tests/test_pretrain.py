@@ -73,6 +73,10 @@ class TestSampleDistractors:
         got = sample_distractors(np.arange(10), num_distractors=0, rng=np.random.default_rng(2))
         assert got.shape == (10, 0)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match="negative distractor count -1"):
+            sample_distractors(np.arange(10), num_distractors=-1, rng=np.random.default_rng(2))
+
     def test_draws_cover_candidates_uniformly(self):
         masked = np.arange(6)
         counts = np.zeros((6, 6))
@@ -246,6 +250,18 @@ class TestAdam:
         opt.step(lr=0.0)
         np.testing.assert_array_equal(p.values, [0.5])
         assert opt.m["p"][0] != 0.0 and opt.v["p"][0] != 0.0
+
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, math.nan, math.inf])
+    def test_max_norm_not_finite_and_positive_rejected(self, max_norm):
+        """With g = 2 and lr 0.1, a max_norm of -1 once moved the parameter
+        by +0.1: a gradient ascent step."""
+        p = T.parameter(np.array([0.5], dtype=np.float32))
+        p.grad = np.array([2.0], dtype=np.float32)
+        opt = Adam([("p", p)], weight_decay=0.0)
+        with pytest.raises(ConfigError, match="max_norm"):
+            opt.step(lr=0.1, max_norm=max_norm)
+        np.testing.assert_array_equal(p.values, [0.5])
+        assert opt.step_count == 0
 
     def test_decay_only_step_shrinks_params(self):
         p = T.parameter(np.array([1.0, -2.0], dtype=np.float64))

@@ -333,6 +333,20 @@ class TestPerClipPrimitives:
         assert_same_bits(mean, want_mean)
         assert_same_bits(var, want_var)
 
+    @pytest.mark.parametrize(
+        "gain,bias,mean,var",
+        [(1, 5, 5, 5), (5, 4, 5, 5), (5, 5, 4, 5), (5, 5, 5, 6), (5, 5, (5, 1), 5)],
+        ids=["gain", "bias", "running-mean", "running-var", "running-mean-2d"],
+    )
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_parameters_must_match_the_channels(self, gain, bias, mean, var, training):
+        """A (1,) gain over 5 channels once passed and got a (5,) gradient."""
+        running_mean, running_var = np.zeros(mean), np.ones(var)
+        with pytest.raises(ShapeError, match="batch_norm"):
+            T.batch_norm(Tensor(np.ones((6, 5))), parameter(np.ones(gain)),
+                         parameter(np.zeros(bias)), running_mean, running_var, training)
+        assert not running_mean.any() and running_var.all()
+
     @pytest.mark.parametrize("reduce", [T.reduce_sum, T.reduce_mean])
     @pytest.mark.parametrize("lone", [False, True])
     def test_reductions_pool_each_clip_to_a_row(self, reduce, lone):
@@ -587,6 +601,13 @@ class TestDropoutMask:
     def test_rate_that_rounds_to_zero_drops_nothing(self):
         x = Tensor(np.ones((4, 4)))
         assert T.dropout(x, 1e-6, np.random.default_rng(0)) is x
+
+    @pytest.mark.parametrize("rate,training", [(0.1, False), (0.0, True), (1e-6, True)])
+    def test_kernel_that_drops_nothing_has_an_identity_back(self, rate, training):
+        xv, g = np.ones((4, 4)), np.full((4, 4), 3.0)
+        out, back = T.dropout_kernel(xv, rate, np.random.default_rng(0), training)
+        assert out is xv
+        assert back(g) is g and back(g, out=g) is g
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -343,8 +343,10 @@ def evaluate_model(model, head, examples, filterbank=None) -> EvalReport:
     """Score every example in eval mode and summarize.
 
     Consecutive examples of equal length are scored as one stack, in the
-    groups ``model.clip_groups`` forms in training.
+    groups ``model.clip_groups`` forms in training. No examples is a DataError.
     """
+    if not examples:
+        raise DataError("no examples to evaluate")
     model.eval()
     stack = model.config.stack_factor
     frame_counts = [(frame_count(ex.waveform.size) // stack,) for ex in examples]

@@ -4,7 +4,8 @@ Checks every autodiff primitive (the per-clip ones also on a stack of two
 clips), the three fused sub-module nodes, one full conformer block, and the
 end-to-end contrastive loss of a two-block model against central
 differences, in both single and double precision. Thresholds: 1e-3 for
-float32 graphs, 1e-5 for float64 graphs, at eps=1e-4.
+float32 graphs, 1e-5 for float64 graphs, at eps=1e-4 (2e-5 for the
+composite rows).
 """
 
 from __future__ import annotations
@@ -35,29 +36,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_error < self.tolerance
-
-
-def module_grad_check(build, readout, seed, dtype, max_coords=4, eps=2e-5):
-    """Check a module's gradients w.r.t. all of its parameters and the input.
-
-    ``build(rng) -> (module, input_array)``, a float32 module that the check
-    casts to ``dtype``; ``readout(module, x)`` returns a scalar Tensor.
-    ``grad_check`` perturbs the module's own parameter tensors in place and
-    restores them, so the readout reads the module as it stands. The default
-    step is smaller than the primitive checks' 1e-4 because the composite
-    losses carry more curvature (eps^2 truncation).
-    """
-    rng = np.random.default_rng(seed)
-    module, x = build(rng)
-    module.astype(dtype)
-    return grad_check(
-        lambda xt, *params: readout(module, xt),
-        [Tensor(x.astype(dtype))] + module.parameters(),
-        eps=eps,
-        rng=np.random.default_rng(seed + 1),
-        max_coords_per_tensor=max_coords,
-        min_grad_fraction=1e-3,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,113 +166,112 @@ def primitive_cases():
 # Composite cases
 
 
-def _tiny_block(rng):
-    block = ConformerBlock(32, 4, 48, 5, dropout=0.1, rng=rng)
-    x = rng.normal(size=(4, 32))
-    return block, x
+def _weighted_sum(dropout_rng):
+    """The readout sum(module(x, dropout_rng(seed)) * w), w standard normal
+    of the output's shape drawn from ``seed``. Each call makes its streams
+    afresh, so the dropout masks stay fixed."""
 
-
-def _block_readout(seed):
-    def readout(block, xt):
-        w = Tensor(np.random.default_rng(seed).normal(size=(4, 32)).astype(xt.values.dtype))
-        out = block(xt, np.random.default_rng(seed + 7))
-        return T.reduce_sum(T.mul(out, w))
+    def readout(module, xt, seed):
+        out = module(xt, dropout_rng(seed))
+        w = np.random.default_rng(seed).normal(size=out.shape).astype(xt.values.dtype)
+        return T.reduce_sum(T.mul(out, Tensor(w)))
 
     return readout
 
 
-def check_block(seed: int, dtype) -> float:
-    return module_grad_check(_tiny_block, _block_readout(seed), seed, dtype, max_coords=4)
+def _per_clip(clips):
+    return _weighted_sum(lambda seed: [np.random.default_rng([seed, 7, i]) for i in range(clips)])
 
 
-# name -> (build(rng), input rows, clips) of the fused sub-module checks.
-SUB_MODULES = {
-    "feed_forward": (lambda rng: FeedForward(8, 12, 0.4, rng), 5, 1),
-    "conv_module_2clips": (lambda rng: ConvolutionModule(8, 3, 0.4, rng), 8, 2),
-    "self_attention_2clips": (lambda rng: SelfAttention(8, 2, 0.4, rng), 6, 2),
-}
+def _two_block_model(rng):
+    cfg = ModelConfig(num_blocks=2, embed_dim=32, num_heads=4, ffn_dim=48, stack_factor=4,
+                      kernel_first=5, kernel_rest=3, dropout=0.1)
+    model = ConformerModel(cfg, seed=int(rng.integers(0, 1 << 30)))
+    return model, time_stack(rng.normal(size=(32, 64)), 4)
 
 
-def check_sub_module(name: str, seed: int, dtype) -> float:
-    """A fused sub-module node w.r.t. its input and its module's parameters.
-    Each call draws the dropout masks from freshly seeded per-clip streams,
-    so they stay fixed."""
-    make, rows, clips = SUB_MODULES[name]
-
-    def readout(module, xt):
-        w = Tensor(np.random.default_rng(seed).normal(size=(rows, 8)).astype(xt.values.dtype))
-        rngs = [np.random.default_rng([seed, 7, i]) for i in range(clips)]
-        return T.reduce_sum(T.mul(module(xt, rngs), w))
-
-    return module_grad_check(lambda rng: (make(rng), rng.normal(size=(rows, 8))), readout, seed, dtype)
+_E2E_MASK = np.isin(np.arange(8), [1, 2, 3, 6])
 
 
-def check_end_to_end(seed: int, dtype) -> float:
-    """Contrastive loss through a 2-block model, leaves = stacked input + params."""
-
-    def build(rng):
-        model_seed = int(rng.integers(0, 1 << 30))
-        cfg = ModelConfig(
-            num_blocks=2,
-            embed_dim=32,
-            num_heads=4,
-            ffn_dim=48,
-            stack_factor=4,
-            kernel_first=5,
-            kernel_rest=3,
-            dropout=0.1,
-        )
-        model = ConformerModel(cfg, seed=model_seed)
-        frames = rng.normal(size=(32, 64))
-        return model, time_stack(frames, 4)
-
-    mask = np.zeros(8, dtype=bool)
-    mask[[1, 2, 3, 6]] = True
-
-    def readout(model, xt):
-        z = model.feature_encoder.proj(xt)
-        zm = apply_mask(z, mask, model.mask_embedding)
-        c = model.contextualize(zm, np.random.default_rng(seed + 13))
-        return contrastive_loss(c, z, mask, num_distractors=2, rng=np.random.default_rng(seed))
-
-    return module_grad_check(build, readout, seed, dtype, max_coords=3)
+def _contrastive(model, xt, seed):
+    """The contrastive loss of a masked 2-block model, from the stacked input on."""
+    z = model.feature_encoder.proj(xt)
+    zm = apply_mask(z, _E2E_MASK, model.mask_embedding)
+    c = model.contextualize(zm, np.random.default_rng(seed + 13))
+    return contrastive_loss(c, z, _E2E_MASK, num_distractors=2, rng=np.random.default_rng(seed))
 
 
-# name -> (check(seed, dtype), first seed) of each composite row, in row order.
+# name -> (build(rng) -> (float32 module, input), readout(module, xt, seed),
+# first seed, coordinates checked per tensor) of each composite row, in row
+# order: the fused sub-module nodes (8-d; the last two on a stack of two
+# clips), one conformer block, and the end-to-end contrastive loss.
 COMPOSITE_CASES = {
-    "feed_forward": (partial(check_sub_module, "feed_forward"), 4000),
-    "conv_module_2clips": (partial(check_sub_module, "conv_module_2clips"), 4100),
-    "self_attention_2clips": (partial(check_sub_module, "self_attention_2clips"), 4200),
-    "conformer_block_d32": (check_block, 2000),
-    "contrastive_2block_e2e": (check_end_to_end, 3000),
+    "feed_forward": (
+        lambda rng: (FeedForward(8, 12, 0.4, rng), rng.normal(size=(5, 8))),
+        _per_clip(1), 4000, 4,
+    ),
+    "conv_module_2clips": (
+        lambda rng: (ConvolutionModule(8, 3, 0.4, rng), rng.normal(size=(8, 8))),
+        _per_clip(2), 4100, 4,
+    ),
+    "self_attention_2clips": (
+        lambda rng: (SelfAttention(8, 2, 0.4, rng), rng.normal(size=(6, 8))),
+        _per_clip(2), 4200, 4,
+    ),
+    "conformer_block_d32": (
+        lambda rng: (ConformerBlock(32, 4, 48, 5, dropout=0.1, rng=rng), rng.normal(size=(4, 32))),
+        _weighted_sum(lambda seed: np.random.default_rng(seed + 7)), 2000, 4,
+    ),
+    "contrastive_2block_e2e": (_two_block_model, _contrastive, 3000, 3),
 }
+
+
+def check_composite(name: str, seed: int, dtype) -> float:
+    """A composite row at one point: the readout's gradients w.r.t. the input
+    and every parameter of the module, built in float32 from ``seed`` and
+    cast to ``dtype``. ``grad_check`` perturbs the module's own parameters in
+    place and restores them, so the readout reads the module as it stands.
+    The step is smaller than the primitive checks' 1e-4 because the composite
+    losses carry more curvature (eps^2 truncation)."""
+    build, readout, _, coords = COMPOSITE_CASES[name]
+    module, x = build(np.random.default_rng(seed))
+    module.astype(dtype)
+    return grad_check(
+        lambda xt, *params: readout(module, xt, seed),
+        [Tensor(x.astype(dtype))] + module.parameters(),
+        eps=2e-5,
+        rng=np.random.default_rng(seed + 1),
+        max_coords_per_tensor=coords,
+        min_grad_fraction=1e-3,
+    )
+
+
+check_block = partial(check_composite, "conformer_block_d32")
 
 
 def run_gradcheck_suite(points_per_case: int = 10, log=None) -> list[CheckResult]:
-    """Run the full verification suite and return one result row per case."""
+    """Run the full verification suite and return one result row per case:
+    every primitive, then every composite, in single then double precision."""
     if points_per_case < 1:
         raise ConfigError(f"points_per_case must be >= 1, got {points_per_case}")
+    primitives = primitive_cases()
+
+    def check(name, point, dtype):
+        if name in COMPOSITE_CASES:
+            return check_composite(name, COMPOSITE_CASES[name][2] + point, dtype)
+        fn, points = primitives[name](np.random.default_rng(1000 + point), dtype)
+        return grad_check(fn, points, rng=np.random.default_rng(point))
+
     results = []
-
-    def record(name, precision, err, tol):
-        row = CheckResult(name, precision, err, tol)
-        results.append(row)
-        if log is not None:
-            status = "ok" if row.passed else "FAIL"
-            log(f"{name:28s} {precision:7s} max_rel_err={err:.3e} tol={tol:.0e} {status}")
-
     for dtype, tol, label in (
         (np.float32, SINGLE_TOLERANCE, "single"),
         (np.float64, DOUBLE_TOLERANCE, "double"),
     ):
-        for name, make in primitive_cases().items():
-            worst = 0.0
-            for point in range(points_per_case):
-                fn, pts = make(np.random.default_rng(1000 + point), dtype)
-                err = grad_check(fn, pts, rng=np.random.default_rng(point))
-                worst = max(worst, err)
-            record(name, label, worst, tol)
-        for name, (check, first) in COMPOSITE_CASES.items():
-            worst = max(check(first + p, dtype) for p in range(points_per_case))
-            record(name, label, worst, tol)
+        for name in [*primitives, *COMPOSITE_CASES]:
+            err = max(check(name, p, dtype) for p in range(points_per_case))
+            row = CheckResult(name, label, err, tol)
+            results.append(row)
+            if log is not None:
+                status = "ok" if row.passed else "FAIL"
+                log(f"{name:28s} {label:7s} max_rel_err={err:.3e} tol={tol:.0e} {status}")
     return results

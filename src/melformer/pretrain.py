@@ -46,6 +46,20 @@ def check_finite_fields(config):
                 raise ConfigError(f"{f.name} {value} is not finite")
 
 
+def check_nonnegative(name: str, value: float):
+    """A learning rate or weight decay that is not finite and >= 0 is a
+    ConfigError; Adam and the configs that feed it both apply this rule."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} {value} is not finite and >= 0")
+
+
+def check_beta(name: str, value: float):
+    """An Adam moment decay outside [0, 1) is a ConfigError: at 1 the bias
+    correction divides by zero."""
+    if not 0.0 <= value < 1.0:
+        raise ConfigError(f"{name} {value} outside [0, 1)")
+
+
 @dataclass
 class PretrainConfig:
     num_distractors: int = 100
@@ -70,14 +84,16 @@ class PretrainConfig:
         check_finite_fields(self)
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ConfigError("warmup_steps must be >= 0 and below total_steps")
-        if min(self.num_distractors, self.peak_lr, self.weight_decay) < 0:
-            raise ConfigError("num_distractors, peak_lr and weight_decay must be >= 0")
+        if self.num_distractors < 0:
+            raise ConfigError("num_distractors must be >= 0")
+        check_nonnegative("peak_lr", self.peak_lr)
+        check_nonnegative("weight_decay", self.weight_decay)
+        check_beta("beta1", self.beta1)
+        check_beta("beta2", self.beta2)
         if min(self.batch_size, self.mask_span, self.checkpoint_interval) < 1:
             raise ConfigError("batch_size, mask_span and checkpoint_interval must be >= 1")
         if not 0.0 < self.mask_rate < 1.0:
             raise ConfigError(f"mask_rate {self.mask_rate} outside (0, 1)")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         if self.temperature <= 0 or (self.grad_clip is not None and self.grad_clip <= 0):
             raise ConfigError("temperature and grad_clip (unless null) must be > 0")
 
@@ -127,8 +143,11 @@ def contrastive_loss(
     When context and latents stack B equal-length clips, ``rng`` is a list
     of B generators and ``mask`` covers all rows. Each clip draws its
     distractors from its own masked steps with its own generator, and the
-    loss is the mean of the clip losses.
+    loss is the mean of the clip losses. A temperature that is not finite
+    and > 0 is a ConfigError.
     """
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ConfigError(f"temperature {temperature} is not finite and > 0")
     mask = np.asarray(mask, dtype=bool)
     rngs = T.clip_rngs(rng)
     if mask.shape != context.shape[:1] or mask.size % len(rngs):
@@ -207,6 +226,9 @@ class Adam:
         beta2: float = 0.98,
         weight_decay: float = 0.0,
     ):
+        check_beta("beta1", beta1)
+        check_beta("beta2", beta2)
+        check_nonnegative("weight_decay", weight_decay)
         self.named_params = list(named_params)
         self.beta1, self.beta2 = beta1, beta2
         self.weight_decay = weight_decay
@@ -282,8 +304,7 @@ class Adam:
         With ``max_norm``, gradients whose global norm exceeds it are scaled
         by max_norm / norm, in place, as they are applied.
         """
-        if lr < 0:
-            raise ConfigError(f"negative learning rate {lr}")
+        check_nonnegative("lr", lr)
         if max_norm is not None and not (math.isfinite(max_norm) and max_norm > 0):
             raise ConfigError(f"max_norm {max_norm} is not finite and > 0")
         self._gather()

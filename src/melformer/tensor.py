@@ -453,15 +453,12 @@ def attention_kernel(qv, kv, vv, num_heads: int, clips: int):
     t = _by_clip(qv, clips, "attention").shape[1]
     dh = d // num_heads
     scale = dh**-0.5
-    # A lone clip keeps a 3-D (H, T, dh) batch, which numpy multiplies
-    # faster than a (1, H, T, dh) one.
-    split = (t, num_heads, dh) if clips == 1 else (clips, t, num_heads, dh)
 
-    def heads(a):  # (clips * T, D) -> ([clips,] H, T, dh)
-        return a.reshape(split).swapaxes(-3, -2)
+    def heads(a):  # (clips * T, D) -> (clips, H, T, dh)
+        return a.reshape(clips, t, num_heads, dh).swapaxes(1, 2)
 
-    def merge(a):  # ([clips,] H, T, dh) -> (clips * T, D)
-        return a.swapaxes(-3, -2).reshape(n, d)
+    def merge(a):  # (clips, H, T, dh) -> (clips * T, D)
+        return a.swapaxes(1, 2).reshape(n, d)
 
     qh, kh, vh = heads(qv), heads(kv), heads(vv)
     w = qh @ kh.swapaxes(-1, -2)

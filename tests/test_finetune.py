@@ -354,6 +354,12 @@ class TestFinetuneStep:
         )
         return model, head, opt, fcfg
 
+    def test_evaluate_without_examples_is_data_error(self, setup):
+        """Once numpy's raw 'need at least one array to stack' ValueError."""
+        model, head, _, _ = self.make(setup[0])
+        with pytest.raises(DataError, match="no examples"):
+            finetune_module.evaluate_model(model, head, [])
+
     def test_consistency_term_zero_when_disabled(self, setup):
         cfg, examples = setup
         model, head, opt, fcfg = self.make(

@@ -149,6 +149,17 @@ class TestContrastiveLoss:
         with pytest.raises(ShapeError):
             contrastive_loss(z, z, np.zeros(4, dtype=bool), 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+    def test_temperature_not_finite_and_positive_rejected(self, temperature):
+        """With K = 3, 0 once raised a raw ZeroDivisionError, -1 flipped
+        every similarity's sign and inf gave the constant ln 4."""
+        z = Tensor(np.eye(8))
+        with pytest.raises(ConfigError, match="temperature"):
+            contrastive_loss(
+                z, z, np.ones(8, dtype=bool), 3, np.random.default_rng(16),
+                temperature=temperature,
+            )
+
     def test_scale_invariance_of_cosine(self):
         """Rescaling all vectors by positive constants leaves the loss unchanged."""
         rng = np.random.default_rng(13)
@@ -262,6 +273,37 @@ class TestAdam:
             opt.step(lr=0.1, max_norm=max_norm)
         np.testing.assert_array_equal(p.values, [0.5])
         assert opt.step_count == 0
+
+    @pytest.mark.parametrize("lr", [-1e-3, math.nan, math.inf])
+    def test_lr_not_finite_and_non_negative_rejected(self, lr):
+        """With g = 2, a NaN lr once made every parameter NaN and an
+        infinite one made it -inf."""
+        p = T.parameter(np.array([0.5, 1.0, -2.0], dtype=np.float32))
+        p.grad = np.full(3, 2.0, dtype=np.float32)
+        opt = Adam([("p", p)], weight_decay=0.0)
+        with pytest.raises(ConfigError, match="lr"):
+            opt.step(lr)
+        np.testing.assert_array_equal(p.values, [0.5, 1.0, -2.0])
+        assert opt.step_count == 0
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"beta1": math.nan},
+            {"beta2": math.nan}, {"weight_decay": -0.01}, {"weight_decay": math.nan},
+            {"weight_decay": math.inf},
+        ],
+        ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
+    )
+    def test_setting_outside_its_range_rejected(self, setting):
+        """Each of these once built an optimizer whose first step made every
+        parameter NaN; PretrainConfig rejects the same values."""
+        p = T.parameter(np.array([0.5, 1.0, -2.0], dtype=np.float32))
+        (name, value), = setting.items()
+        with pytest.raises(ConfigError, match=name):
+            Adam([("p", p)], **setting)
+        with pytest.raises(ConfigError, match=name):
+            PretrainConfig(**setting)
 
     def test_decay_only_step_shrinks_params(self):
         p = T.parameter(np.array([1.0, -2.0], dtype=np.float64))

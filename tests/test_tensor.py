@@ -1086,13 +1086,33 @@ class TestGradCheck:
         """The suite's fused sub-module nodes, conformer block and end-to-end
         contrastive loss (which covers apply_mask, both normalizations and
         info_nce) at their first two points."""
-        check, first = gradcheck.COMPOSITE_CASES[case]
+        first = gradcheck.COMPOSITE_CASES[case][2]
         dtype, tol = {
             "single": (np.float32, gradcheck.SINGLE_TOLERANCE),
             "double": (np.float64, gradcheck.DOUBLE_TOLERANCE),
         }[precision]
-        worst = max(check(first + point, dtype) for point in range(2))
+        worst = max(gradcheck.check_composite(case, first + point, dtype) for point in range(2))
         assert worst < tol, f"{case}: {worst:.3g} in {precision} precision"
+
+    def test_suite_rows_in_order(self, monkeypatch):
+        """Every row of ``melformer gradcheck``, by name and precision, in
+        the order it prints them: the primitives, then the composites, in
+        single then double precision."""
+        monkeypatch.setattr(gradcheck, "grad_check", lambda *args, **kwargs: 0.0)
+        names = [
+            "sigmoid", "swish", "glu", "l2_normalize_rows", "sum_all", "sum_per_clip",
+            "mean_2clips", "rows", "scale", "add", "mul", "div", "linear", "conv1d_depthwise",
+            "conv1d_depthwise_2clips", "linear_bias", "info_nce", "binary_cross_entropy",
+            "symmetric_bernoulli_kl", "attention", "attention_2clips", "layer_norm",
+            "batch_norm_train", "batch_norm_train_2clips", "batch_norm_eval",
+            "dropout_fixed_mask", "feed_forward", "conv_module_2clips",
+            "self_attention_2clips", "conformer_block_d32", "contrastive_2block_e2e",
+        ]
+        rows = gradcheck.run_gradcheck_suite(points_per_case=1)
+        assert [(r.name, r.precision) for r in rows] == [
+            (name, precision) for precision in ("single", "double") for name in names
+        ]
+        assert len(rows) == 62 and all(r.passed for r in rows)
 
     def test_deterministic_forward_backward(self):
         def run():

@@ -40,10 +40,11 @@ err = grad_check(lambda t: T.reduce_sum(T.mul(softplus(t), t)), point)
 print(f"softplus(x) * x, a T.node op: max relative error {err:.2e}")
 
 # A full conformer block in both precisions.
-from melformer.gradcheck import check_block
+from melformer.gradcheck import check_composite
 
-print(f"conformer block d=32, float64: {check_block(0, np.float64):.2e}")
-print(f"conformer block d=32, float32: {check_block(0, np.float32):.2e}")
+for dtype in (np.float64, np.float32):
+    err = check_composite("conformer_block_d32", 0, dtype)
+    print(f"conformer block d=32, {dtype.__name__}: {err:.2e}")
 
 # Dropout is checked with a fixed mask: rebuild the same stream per call.
 p = Tensor(rng.normal(size=(5, 5)))

@@ -20,7 +20,6 @@ from melformer import (
     balance_weights,
     consistency_loss,
     generate_synthetic_dataset,
-    linear_softmax_pool,
     make_head,
     mixup_batch,
     run_finetuning,
@@ -51,9 +50,9 @@ print(f"time mask blanks {int((masked != frames).any(axis=1).sum())} frames (max
 mixed = mixup_batch([frames, frames + 1.0], rng)
 print(f"mixup keeps shapes: {mixed[0].shape == frames.shape}")
 
-# Linear softmax pooling weights frames by their own confidence.
-pooled = linear_softmax_pool(np.array([[0.5], [0.25]]))
-print(f"pool([0.5, 0.25]) = {pooled[0]:.6f} (= 0.3125/0.75)")
+# Linear softmax pooling weights frames by their own confidence: sum(y^2) / sum(y).
+y = np.array([0.5, 0.25])
+print(f"pool([0.5, 0.25]) = {(y * y).sum() / y.sum():.6f} (= 0.3125/0.75)")
 
 # Symmetric KL between two views is the consistency regularizer.
 kl = consistency_loss(Tensor(np.array([0.8])), Tensor(np.array([0.2])))

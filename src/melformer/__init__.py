@@ -16,7 +16,6 @@ from .finetune import (
     FinetuneConfig,
     balance_weights,
     consistency_loss,
-    linear_softmax_pool,
     make_head,
     mixup_batch,
     run_finetuning,
@@ -44,7 +43,6 @@ __all__ = [
     "consistency_loss",
     "generate_synthetic_dataset",
     "grad_check",
-    "linear_softmax_pool",
     "logmel",
     "make_head",
     "mel_filterbank",

@@ -51,15 +51,11 @@ EXIT_IO = 5
 CONFIG_SECTIONS = ("model", "pretrain", "finetune", "manifest", "out_dir")
 
 
-def _non_finite(constant: str):
-    raise ConfigError(f"config values must be finite numbers, got {constant}")
-
-
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_non_finite)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -86,24 +82,33 @@ def _has_json_type(value, kind: str) -> bool:
     return kind != "tuple" or all(_has_json_type(item, "float") for item in value)
 
 
+def _flags(**values) -> dict:
+    """The command-line flags that were given (an unset one is None)."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _build_config(cls, *sources: dict):
-    """Later sources win; unknown keys and values of the wrong JSON type are
-    rejected; validation of the values is cls's."""
+    """Later sources win; unknown keys, values of the wrong JSON type and a
+    null in a field that takes no None are rejected; validation of the
+    values is cls's."""
     merged = {}
     for src in sources:
-        merged.update({k: v for k, v in src.items() if v is not None})
-    types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+        merged.update(src)
+    types = {f.name: f.type for f in fields(cls)}
     unknown = set(merged) - set(types)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     for name, value in merged.items():
-        if not _has_json_type(value, types[name]):
+        kind = types[name].removesuffix(" | None")
+        if not (value is None and kind != types[name] or _has_json_type(value, kind)):
             raise ConfigError(f"{cls.__name__}.{name} must be {types[name]}, got {value!r}")
     return cls(**merged)
 
 
 def _model_config(args, file_config: dict) -> ModelConfig:
-    base = dict(ModelConfig.preset(args.preset).to_dict()) if args.preset else {}
+    """The preset's own fields under the file's, so a width the preset does
+    not set (latent_dim) still follows embed_dim."""
+    base = PRESETS[args.preset] if args.preset else {}
     return _build_config(ModelConfig, base, file_config.get("model", {}))
 
 
@@ -125,9 +130,7 @@ def _nonempty(split: str, items: list) -> list:
 def cmd_pretrain(args) -> int:
     file_config = _load_config_file(args.config)
     model_config = _model_config(args, file_config)
-    pcfg = _build_config(
-        PretrainConfig, file_config.get("pretrain", {}), {"seed": args.seed}
-    )
+    pcfg = _build_config(PretrainConfig, file_config.get("pretrain", {}), _flags(seed=args.seed))
     manifest_path = _path(args, file_config, "manifest")
     out_dir = _path(args, file_config, "out_dir")
     manifest = read_manifest(manifest_path)
@@ -162,7 +165,7 @@ def cmd_finetune(args) -> int:
         FinetuneConfig,
         {"num_classes": len(manifest.vocabulary)},
         file_config.get("finetune", {}),
-        {"seed": args.seed, "head_kind": args.head},
+        _flags(seed=args.seed, head_kind=args.head),
     )
     if fcfg.num_classes != len(manifest.vocabulary):
         raise ConfigError(

@@ -51,6 +51,8 @@ def read_wav(path: str | Path) -> Waveform:
             if rate != SAMPLE_RATE:
                 raise DataError(f"{path.name}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
             raw = wav.readframes(wav.getnframes())
+    except FileNotFoundError as exc:
+        raise DataError(f"audio file not found: {path}") from exc
     except (wave.Error, EOFError) as exc:
         detail = str(exc) or "file ends early"
         raise DataError(f"{path.name}: not a readable RIFF/WAVE file ({detail})") from exc

@@ -136,18 +136,6 @@ def mixup_batch(batch: list[np.ndarray], rng: np.random.Generator) -> list[np.nd
 # Pooling heads
 
 
-def linear_softmax_pool(frame_probs: np.ndarray) -> np.ndarray:
-    """Per class: sum(y^2) / sum(y), or 0 when the frame column is all zero."""
-    y = np.asarray(frame_probs, dtype=np.float64)
-    if y.ndim != 2:
-        raise ShapeError("expected frames x classes probabilities")
-    if np.any(y < 0.0) or np.any(y > 1.0):
-        raise ShapeError("frame probabilities must lie in [0, 1]")
-    num = (y * y).sum(axis=0)
-    den = y.sum(axis=0)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
 class FramewiseHead(Module):
     """Frame-level linear + sigmoid, pooled to clip probabilities by
     confidence weighting (p = sum y^2 / sum y)."""

@@ -30,11 +30,6 @@ PRESETS = {
 }
 
 
-def _check_dropout(rate):
-    """A rate outside [0, 1), or one that dropout would round to 1, is a ConfigError."""
-    T.dropout_cut(rate, ConfigError)
-
-
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters. Defaults are the small preset (cf_S)."""
@@ -65,7 +60,7 @@ class ModelConfig:
             raise ConfigError("stack_factor must be >= 1")
         if any(k < 1 or k % 2 == 0 for k in (self.kernel_first, self.kernel_rest)):
             raise ConfigError("conformer kernels must be odd and positive")
-        _check_dropout(self.dropout)
+        T.dropout_cut(self.dropout, ConfigError)
         if self.num_blocks < 0:
             raise ConfigError("num_blocks must be >= 0")
 
@@ -228,7 +223,7 @@ class FeedForward(Module):
     -> dropout -> linear -> dropout)(x) / 2, the masks drawn in that order."""
 
     def __init__(self, dim, hidden, dropout, rng):
-        _check_dropout(dropout)
+        T.dropout_cut(dropout, ConfigError)
         self.norm = LayerNorm(dim)
         self.lin1 = Linear(dim, hidden, rng)
         self.lin2 = Linear(hidden, dim, rng)
@@ -267,7 +262,7 @@ class ConvolutionModule(Module):
     def __init__(self, dim, kernel_size, dropout, rng):
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise ConfigError(f"depthwise kernel {kernel_size} must be odd and positive")
-        _check_dropout(dropout)
+        T.dropout_cut(dropout, ConfigError)
         self.norm = LayerNorm(dim)
         self.pointwise_in = Linear(dim, 2 * dim, rng)
         # No depthwise bias: the batch-norm right after removes any
@@ -312,7 +307,7 @@ class SelfAttention(Module):
             raise ConfigError(f"num_heads {num_heads} must be >= 1")
         if dim % num_heads != 0:
             raise ConfigError(f"dim {dim} not divisible by {num_heads} heads")
-        _check_dropout(dropout)
+        T.dropout_cut(dropout, ConfigError)
         self.num_heads = num_heads
         self.norm = LayerNorm(dim)
         self.query = Linear(dim, dim, rng)

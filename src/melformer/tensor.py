@@ -307,8 +307,7 @@ def linear_kernel(xv: np.ndarray, weight: Tensor, bias: Tensor | None):
         out += bias.values
 
     def back(g, xv, need_x=True):
-        if weight.requires_grad:
-            _accum(weight, xv.T @ g)
+        _accum(weight, xv.T @ g)
         if bias is not None:
             _accum(bias, g.sum(axis=0))
         return g @ wv.T if need_x else None
@@ -676,9 +675,8 @@ def dropout_kernel(xv: np.ndarray, rate: float, rng, training: bool, out=None, f
         raise ConfigError("dropout in training mode needs a generator for every clip")
     n = _by_clip(xv, len(rngs), "dropout")[0].size
     raws = [clip_rng.bit_generator.random_raw(-(-n // 4)) for clip_rng in rngs]
-    raw = raws[0] if len(raws) == 1 else np.concatenate(raws)
     # Four 16-bit words from each raw 64-bit draw; each clip keeps its first n.
-    words = raw.view(np.uint16).reshape(len(rngs), -1)[:, :n]
+    words = np.concatenate(raws).view(np.uint16).reshape(len(rngs), -1)[:, :n]
     keep = np.greater_equal(words, np.uint16(cut)).reshape(xv.shape)
     scale = xv.dtype.type(DROPOUT_LEVELS / (DROPOUT_LEVELS - cut))
     out = np.multiply(xv, keep, out=out)
@@ -740,8 +738,7 @@ def conv1d_kernel(xv: np.ndarray, kernel: Tensor, clips: int):
     out = np.einsum("bdct,dc->btc", xw, kv)
 
     def back(g):
-        if kernel.requires_grad:
-            _accum(kernel, np.einsum("bdct,btc->dc", xw, g.reshape(clips, t, c)))
+        _accum(kernel, np.einsum("bdct,btc->dc", xw, g.reshape(clips, t, c)))
         # The input gradient correlates the padded g with the reversed kernel.
         return np.einsum("bdct,dc->btc", windows(padded(g)), kv[::-1]).reshape(n, c)
 
@@ -870,13 +867,9 @@ def info_nce(c_hat: Tensor, z_hat: Tensor, candidates: list, scale: float) -> Te
         gsims = np.zeros_like(sims)
         np.add.at(gsims, (rows, idx), gs)
         gsims *= scale
-        gc = gz = None
-        if c_hat.requires_grad:
-            gc = np.zeros_like(cv)
-            np.add.at(gc, idx[:, 0], gsims @ zt.T)
-        if z_hat.requires_grad:
-            gz = (picked.T @ gsims).T
-        return gc, gz
+        gc = np.zeros_like(cv)
+        np.add.at(gc, idx[:, 0], gsims @ zt.T)
+        return gc, (picked.T @ gsims).T
 
     return node(clip_losses.sum() / clips, (c_hat, z_hat), back, "info_nce")
 
@@ -962,7 +955,8 @@ def grad_check(
     are not written into an optimizer's arena. Every point gets its
     ``values`` array, ``grad``, ``requires_grad`` and ``_grad_view`` back on
     return and when ``fn`` raises. The relative error per coordinate is
-    |analytic - cd| / max(|analytic|, |cd|, 1e-8).
+    |analytic - cd| / max(|analytic|, |cd|, 1e-8); once one is NaN (a NaN
+    or infinite analytic gradient), NaN is the result.
 
     ``max_coords_per_tensor`` limits the check to a random coordinate subset
     (drawn from ``rng``), which keeps large-parameter checks tractable.
@@ -1013,7 +1007,9 @@ def grad_check(
                     flat[j] = orig
                     cd = (f_plus - f_minus) / (2.0 * eps)
                     a = float(a_flat[j])
-                    max_rel = max(max_rel, abs(a - cd) / max(abs(a), abs(cd), 1e-8))
+                    rel = abs(a - cd) / max(abs(a), abs(cd), 1e-8)
+                    if rel > max_rel or rel != rel:  # NaN compares false: keep it, so it fails
+                        max_rel = rel
         return max_rel
     finally:
         for p, (values, grad, requires_grad, grad_view) in zip(points, saved):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from melformer import cli
+from melformer import cli, gradcheck
 from melformer.cli import build_parser, main
 from melformer.data import (
     load_checkpoint,
@@ -867,6 +867,14 @@ class TestSmallCommands:
         assert main(["gradcheck", "--points", points]) == 2
         assert "points_per_case must be >= 1" in capsys.readouterr().err
 
+    def test_gradcheck_with_a_nan_error_is_numeric_error(self, monkeypatch, capsys):
+        """A NaN error at the second point fails every row, not only at the first."""
+        errors = iter([0.0, math.nan] * 62)
+        monkeypatch.setattr(gradcheck, "grad_check", lambda *args, **kwargs: next(errors))
+        assert main(["gradcheck", "--points", "2"]) == 4
+        out = capsys.readouterr().out
+        assert "max_rel_err=nan" in out and "0/62 checks passed" in out
+
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_clip_too_short_to_stack_is_config_error_before_out_dir(
         self, dataset, toy_config, tmp_path, capsys, command
@@ -1035,11 +1043,48 @@ class TestSmallCommands:
         assert not out.exists()
 
 
+class TestConfigMerge:
+    @pytest.fixture
+    def configs_built(self, dataset, tmp_path, monkeypatch):
+        """``pretrain`` with a config file of these sections and these flags,
+        stopped before training: the ModelConfig and PretrainConfig it built."""
+        built = []
+
+        def run_pretraining(model, clips, pcfg, *args, **kwargs):
+            built.append((model.config, pcfg))
+
+        monkeypatch.setattr(cli, "run_pretraining", run_pretraining)
+
+        def run(sections, *flags):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(sections))
+            argv = ["pretrain", "--config", config, "--manifest", dataset / "manifest.tsv"]
+            assert main([str(a) for a in [*argv, "--out-dir", tmp_path / "run", *flags]]) == 0
+            return built.pop()
+
+        return run
+
+    def test_null_is_none_where_the_field_takes_none(self, configs_built):
+        model, pretrain = configs_built(
+            {"model": {**TOY_MODEL, "latent_dim": None}, "pretrain": {"grad_clip": None}}
+        )
+        assert model.latent_dim == TOY_MODEL["embed_dim"] and pretrain.grad_clip is None
+
+    def test_preset_latent_dim_follows_the_files_embed_dim(self, configs_built):
+        narrow = {"embed_dim": 64, "num_heads": 4, "ffn_dim": 128}
+        model, _ = configs_built({"model": narrow}, "--preset", "cf_S")
+        assert (model.num_blocks, model.embed_dim, model.latent_dim) == (12, 64, 64)
+        model, _ = configs_built({"model": {**narrow, "latent_dim": 32}}, "--preset", "cf_S")
+        assert model.latent_dim == 32
+
+
 # (id, command, what the row writes, its content, exit code). "config" and
 # "manifest" rows write those files' bytes; "model"/"pretrain"/"finetune" rows
-# overlay a section of the toy config (json.dumps writes math.nan as NaN);
-# "wav-bytes" rows list one train clip cut to that many bytes; "short-clip"
-# rows list one eval clip of that many samples.
+# overlay a section of the toy config (json.dumps writes math.nan as NaN and
+# None as null);
+# "wav-bytes" rows list one train clip cut to that many bytes; "wav-missing"
+# rows list one train clip that is not there; "short-clip" rows list one eval
+# clip of that many samples.
 MALFORMED_INPUTS = [
     ("config-not-utf8", "pretrain", "config", b'{"model": {}}\xff', 2),
     ("config-list", "pretrain", "config", b'["model"]', 2),
@@ -1054,8 +1099,13 @@ MALFORMED_INPUTS = [
     ("final_lr_factor-minus-Infinity", "finetune", "finetune", {"final_lr_factor": -math.inf}, 2),
     ("stage_fractions-string", "finetune", "finetune", {"stage_fractions": [0.3, "a", 0.4]}, 2),
     ("num_classes-not-the-manifests", "finetune", "finetune", {"num_classes": 4}, 2),
+    ("embed_dim-null", "pretrain", "model", {"embed_dim": None}, 2),
+    ("total_steps-null", "pretrain", "pretrain", {"total_steps": None}, 2),
+    ("batch_size-null", "finetune", "finetune", {"batch_size": None}, 2),
     ("manifest-not-utf8", "pretrain", "manifest", b"clip.wav\tclass_\xff\ttrain\n", 3),
     *[(f"wav-cut-to-{n}-bytes", "pretrain", "wav-bytes", n, 3) for n in (0, 4, 30, 45)],
+    ("wav-missing", "pretrain", "wav-missing", None, 3),
+    ("finetune-wav-missing", "finetune", "wav-missing", None, 3),
     ("evaluate-clip-shorter-than-a-stack", "evaluate", "short-clip", 500, 3),
     ("extract-clip-shorter-than-a-stack", "extract", "short-clip", 500, 3),
 ]
@@ -1086,6 +1136,8 @@ def test_malformed_input_gets_its_exit_code_before_out_dir(
         write_wav(clip, np.zeros(content if kind == "short-clip" else 500))
         if kind == "wav-bytes":
             clip.write_bytes(clip.read_bytes()[:content])
+        elif kind == "wav-missing":
+            clip.unlink()
         manifest = tmp_path / "bad.tsv"
         split = "eval" if kind == "short-clip" else "train"
         manifest.write_text(f"clip.wav\tclass_0\t{split}\n")

@@ -21,7 +21,6 @@ from melformer.finetune import (
     bce_loss,
     consistency_loss,
     finetune_step,
-    linear_softmax_pool,
     make_head,
     mixup_batch,
     run_finetuning,
@@ -127,31 +126,6 @@ class TestMixup:
         np.testing.assert_array_equal(out[0], x)
 
 
-class TestLinearSoftmaxPool:
-    def test_constant_frames_pool_to_that_value(self):
-        y = np.full((7, 3), 0.42)
-        np.testing.assert_allclose(linear_softmax_pool(y), 0.42)
-
-    def test_half_and_quarter(self):
-        got = linear_softmax_pool(np.array([[0.5], [0.25]]))
-        assert got[0] == pytest.approx(0.416667, abs=1e-6)
-
-    def test_all_zero_frames_pool_to_zero(self):
-        np.testing.assert_array_equal(linear_softmax_pool(np.zeros((5, 2))), 0.0)
-
-    def test_result_bounded_by_frame_range(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            y = rng.random((10, 4))
-            pooled = linear_softmax_pool(y)
-            assert np.all(pooled >= y.min(axis=0) - 1e-12)
-            assert np.all(pooled <= y.max(axis=0) + 1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ShapeError):
-            linear_softmax_pool(np.array([[1.5, 0.2]]))
-
-
 class TestHeads:
     def test_framewise_head_matches_pure_pool(self):
         head = make_head("linear-softmax-pool", 8, 3, seed=0).astype(np.float64)
@@ -160,7 +134,8 @@ class TestHeads:
         from scipy.special import expit
 
         frame = expit(c.values @ head.proj.weight.values + head.proj.bias.values)
-        np.testing.assert_allclose(probs.values, [linear_softmax_pool(frame)], rtol=1e-9)
+        pooled = (frame * frame).sum(0) / frame.sum(0)
+        np.testing.assert_allclose(probs.values, [pooled], rtol=1e-9)
 
     def test_mean_pool_single_frame_equals_projection(self):
         head = make_head("mean-pool", 8, 3, seed=1).astype(np.float64)

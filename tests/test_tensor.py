@@ -513,6 +513,40 @@ class TestLinear:
             T.linear(x, Tensor(np.ones(w_shape)), b)
 
 
+# op -> ({operand name: shape} for its two tensor operands, the op over them).
+TWO_OPERAND_OPS = {
+    "linear": ({"input": (3, 4), "weight": (4, 2)}, T.linear),
+    "conv1d": ({"input": (6, 3), "kernel": (3, 3)}, T.conv1d),
+    "info_nce": (
+        {"context": (10, 4), "latents": (10, 4)},
+        lambda c, z: T.info_nce(c, z, [np.array([[1, 4, 7], [4, 7, 1], [7, 1, 4]])], 1.7),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "op,constant", [(op, name) for op, (shapes, _) in TWO_OPERAND_OPS.items() for name in shapes]
+)
+def test_constant_operand_gets_none(op, constant):
+    """A constant operand's grad stays None, and the other operand's gradient
+    has the same bits as when both train."""
+    shapes, fn = TWO_OPERAND_OPS[op]
+    rng = np.random.default_rng(31)
+    arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+
+    def grads(trainable):
+        tensors = {name: Tensor(a, requires_grad=name in trainable) for name, a in arrays.items()}
+        out = fn(*tensors.values())
+        backward(_sum_against(out, np.linspace(-1.0, 1.0, out.values.size).reshape(out.shape)))
+        return {name: t.grad for name, t in tensors.items()}
+
+    both = grads(set(shapes))
+    one = grads(set(shapes) - {constant})
+    assert one.pop(constant) is None
+    ((name, grad),) = one.items()
+    assert_same_bits(grad, both[name])
+
+
 def _reference_dropout(x, g, rate, seed):
     cut = round(rate * 65536)
     raw = np.random.default_rng(seed).bit_generator.random_raw((x.size + 3) // 4)
@@ -1069,6 +1103,19 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(lambda t: T.reduce_sum(t), Tensor(np.ones(3)), eps=0.0)
 
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_nan_gradient_is_the_result(self, bad):
+        """A NaN analytic gradient at any coordinate makes the error NaN,
+        which fails every tolerance; a wrong finite one reads as its error."""
+
+        def identity(t, back):
+            return T.reduce_sum(T.node(t.values.copy(), (t,), back, "identity"))
+
+        nan_at_bad = lambda g: np.where(np.arange(3) == bad, np.nan, g)
+        x = Tensor(np.array([1.0, -2.0, 3.0]))
+        assert np.isnan(grad_check(lambda t: identity(t, nan_at_bad), x))
+        assert grad_check(lambda t: identity(t, lambda g: g * 2.0), x) == pytest.approx(0.5)
+
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-3), (np.float64, 1e-5)])
     def test_every_primitive(self, dtype, tol):
         """Each primitive at 10 random points, both precisions."""
@@ -1180,13 +1227,14 @@ class TestGradCheckInPlace:
         self._assert_restored(points, before)
 
     def test_module_check_flags_a_dropped_parameter_gradient(self, monkeypatch):
-        assert gradcheck.check_block(2000, np.float64) < gradcheck.DOUBLE_TOLERANCE
+        check = gradcheck.check_composite
+        assert check("conformer_block_d32", 2000, np.float64) < gradcheck.DOUBLE_TOLERANCE
         layer_norm = T.layer_norm
         # The gain enters as a constant, so its analytic gradient is lost.
         monkeypatch.setattr(
             T, "layer_norm", lambda x, gain, bias: layer_norm(x, Tensor(gain.values), bias)
         )
-        assert gradcheck.check_block(2000, np.float64) > 0.5
+        assert check("conformer_block_d32", 2000, np.float64) > 0.5
 
 
 def private_engine_uses(source: str) -> list:
